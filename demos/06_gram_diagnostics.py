@@ -1,8 +1,7 @@
 """Truncated Gram spectra as descriptive Riesz diagnostics.
 
-Assembles the pairwise inner products of a system's leading members and
-diagonalizes the (2/pi)-scaled truncation with the in-package Jacobi
-solver.  The all-diagonal system gives the identity exactly; perturbed
+Assembles the pairwise inner products of a system's leading members
+exactly and diagonalizes the (2/pi)-scaled truncation with LAPACK.  The all-diagonal system gives the identity exactly; perturbed
 systems show how the extreme eigenvalues spread as the truncation grows.
 The scans emit data only; truncations cannot certify an infinite-system
 Riesz bound.
@@ -21,5 +20,5 @@ for n, lo, hi in riesz_scan(mild, [4, 8, 16]):
     print(f"  N = {n:3d}: lambda_min = {lo:.6f}, lambda_max = {hi:.6f}")
 
 print("\ndilation line gamma = 5 (watch the extremes spread):")
-for n, lo, hi in riesz_scan(GammaLine(5.0), [8, 16, 32], max_workers=4):
+for n, lo, hi in riesz_scan(GammaLine(5.0), [8, 16, 32]):
     print(f"  N = {n:3d}: lambda_min = {lo:.6f}, lambda_max = {hi:.6f}")

@@ -22,7 +22,6 @@ from .eigenfunction import FucikEigenfunction, SineMode, breakpoints, build, eva
 from .quadrature import PiecewiseIntegrand, inner_numeric, integrate
 from .closedform import (
     ClosedFormValue,
-    bump_route_inner,
     dist_sq_to_sine,
     inner_cross_index,
     inner_same_index,
@@ -62,7 +61,6 @@ from .grammatrix import (
     GramTruncation,
     build_gram,
     extreme_eigenvalues,
-    jacobi_eigenvalues,
     riesz_scan,
 )
 
@@ -72,7 +70,7 @@ __all__ = [
     "diagonal_point", "gamma_line_point", "make_point",
     "FucikEigenfunction", "SineMode", "breakpoints", "build", "evaluate",
     "PiecewiseIntegrand", "inner_numeric", "integrate",
-    "ClosedFormValue", "bump_route_inner", "dist_sq_to_sine",
+    "ClosedFormValue", "dist_sq_to_sine",
     "inner_cross_index", "inner_same_index", "norm_sq",
     "BranchRule", "FinitePerturbation", "GammaLine", "NearnessReport",
     "PowerFamily", "bound_Cn", "corollary_cn_cap", "kato_weakened_term",
@@ -81,6 +79,5 @@ __all__ = [
     "E_gamma", "E_gamma_extended", "Tk_norm", "antiperiodic_extend",
     "apply_Tk", "budget", "ck_bound", "dilation_factor", "fourier_Ak",
     "gamma_admissible_max", "theoremD_residual",
-    "GramTruncation", "build_gram", "extreme_eigenvalues",
-    "jacobi_eigenvalues", "riesz_scan",
+    "GramTruncation", "build_gram", "extreme_eigenvalues", "riesz_scan",
 ]

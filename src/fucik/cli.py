@@ -8,8 +8,9 @@ goes to stderr so it never perturbs the payload.
 Exit codes: 0 all checks passed / verdict certified, 1 a check failed or
 a verdict came back inconclusive, 2 usage error.
 
-FUCIK_THREADS caps worker parallelism for Gram assembly (default: machine
-parallelism).  --tol can only tighten a suite's tolerance, never loosen.
+The ``verify`` suites compare the package's exact bump-route values with
+the adaptive quadrature oracle; --tol can only tighten a suite's
+tolerance, never loosen.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__, closedform, grammatrix, nearness, paleywiener
 from .eigenfunction import SineMode, breakpoints, build
 from .errors import FucikError
-from .quadrature import inner_numeric
+from .quadrature import inner_numeric, merged_breakpoints
 from .spectrum import complete_point, curve_residual, diagonal_point
 
 _SCHEMA = "1"
@@ -296,15 +298,24 @@ def _suite_paleywiener(tol: float, checks: list) -> None:
     checks.append(_check("E_strictly_increasing", inc, 0.0, float(min(np.diff(vals)))))
 
 
-def _suite_gram(tol: float, checks: list, workers: Optional[int]) -> None:
-    g = grammatrix.build_gram(nearness.FinitePerturbation(()), 16, max_workers=workers)
+def _suite_gram(tol: float, checks: list) -> None:
+    g = grammatrix.build_gram(nearness.FinitePerturbation(()), 16)
     dev = float(np.max(np.abs(g.normalization * g.entries - np.eye(16))))
     checks.append(_check("diagonal_system_identity", dev <= 1e-12, 1e-12, dev))
-    g5 = grammatrix.build_gram(nearness.GammaLine(5.0), 8, max_workers=workers)
+    system = nearness.GammaLine(5.0)
+    g5 = grammatrix.build_gram(system, 8)
     lo, hi = grammatrix.extreme_eigenvalues(g5)
     checks.append(_check("gamma_line_lambda_min_positive", lo > 0.0, 0.0, lo))
     asym = float(np.max(np.abs(g5.entries - g5.entries.T)))
     checks.append(_check("gram_symmetry", asym <= 1e-12, 1e-12, asym))
+    # the eigenfunction pairs, integrated exactly by assembly, against quadrature
+    funcs = {i: build(p) for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
+    worst = 0.0
+    for i, j in combinations(funcs, 2):
+        f, h = funcs[i], funcs[j]
+        quad = inner_numeric(f, h, merged_breakpoints(breakpoints(f), breakpoints(h)), 1e-11)
+        worst = max(worst, abs(g5.entries[i - 1, j - 1] - quad))
+    checks.append(_check("gram_entries_vs_oracle", worst <= tol, tol, worst))
 
 
 def _cmd_verify(args, checks) -> str:
@@ -325,7 +336,7 @@ def _cmd_verify(args, checks) -> str:
         elif suite == "paleywiener":
             _suite_paleywiener(tol, checks)
         elif suite == "gram":
-            _suite_gram(tol, checks, _workers())
+            _suite_gram(tol, checks)
     body = {"schema": _SCHEMA, "command": "verify", "version": __version__,
             "suite": args.suite, "nmax": args.nmax, "checks": checks}
     return _to_json(body) + "\n"
@@ -420,23 +431,10 @@ def _cmd_gram(args, checks) -> str:
         system = nearness.GammaLine(args.gamma)
     else:
         raise UsageError(f"unknown gram mode {args.mode!r}")
-    scan = grammatrix.riesz_scan(system, sizes, max_workers=_workers())
+    scan = grammatrix.riesz_scan(system, sizes)
     for n, lo, hi in scan:
         checks.append(_check(f"lambda_min_positive_N{n}", lo > 0.0, 0.0, lo))
     return _csv(["N", "lambda_min", "lambda_max"], [(n, lo, hi) for n, lo, hi in scan])
-
-
-def _workers() -> Optional[int]:
-    raw = os.environ.get("FUCIK_THREADS")
-    if raw is None:
-        return os.cpu_count()
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"FUCIK_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"FUCIK_THREADS must be >= 1, got {value}")
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,27 @@
-"""Closed-form norms, distances and scalar products of the eigenfunctions.
+"""Exact norms, distances and scalar products of the eigenfunctions.
 
-For a point on the n-th curve with dominant square root s (s = sqrt(alpha)
-when alpha >= n^2 >= beta, s = sqrt(beta) otherwise) the squared norm of
-the normalized eigenfunction f, its squared distance to the comparator
-sin(n x), and the scalar product <f, sin(n x)> all admit elementary closed
-forms.  The four parameter cases (even/odd index, alpha/beta dominant) are
-implemented independently on purpose, so tests can exercise the dispatch
-itself and not a shared algebraic core.
+Every quantity here is an integral of a product of piecewise sinusoids,
+and all of them are assembled bump by bump from one exact kernel.  A bump
+a sin(w (x - x0)) of length pi/w with midpoint c contributes
 
-Near the diagonal s = n several formulas have removable 0/0 structure
-(e.g. sin(n pi / s) / (s - n)); inside a band |s - n| < TAU_SING they are
-abandoned in favour of the quadrature oracle, and the returned value is
-flagged ``near_diagonal_fallback``.
+    <bump, sin(m x)> = a pi sin(m c) sinc(pi (w - m) / (2 w)) / (w + m)
 
-All results are wrapped in :class:`ClosedFormValue`, which records which
-formula produced the number and how far the point was from the singular
-band, so audits can reconstruct the provenance of every figure.
+to the scalar product with sin(m x); the denominator never vanishes, so
+the resonances m^2 = alpha or beta and the diagonal need no special case.
+The sums over the bump train collapse through the closed progression
+identity.  The squared norm is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2
+and the squared distance to sin(n x) follows by polarization.  Products
+of two eigenfunctions (:func:`inner_pair`) are integrated exactly on each
+piece between their merged junction points.
+
+The paper's per-case formulas and the adaptive quadrature are independent
+routes to the same numbers; they serve as oracles in the tests and in
+``fucik verify`` and are not used here.
+
+All single-point results are wrapped in :class:`ClosedFormValue`, which
+records the dominance case and the distance to the removable singularity
+of the paper's formula, so audits can reconstruct the provenance of every
+figure.
 """
 
 from __future__ import annotations
@@ -26,45 +32,29 @@ from typing import Literal
 
 import numpy as np
 
-from .eigenfunction import SineMode, breakpoints, build
-from .errors import NotOnCurve
-from .quadrature import inner_numeric
-from .spectrum import TAU_CURVE, FucikPoint, curve_residual
-
-#: half-width of the singular band around the diagonal, on the sqrt scale
-TAU_SING = 1e-6
+from .eigenfunction import FucikEigenfunction, amplitudes, breakpoints, build
+from .spectrum import FucikPoint, require_on_curve
 
 #: largest comparator index accepted by inner_cross_index
 M_MAX = 10 ** 4
 
-_FALLBACK_TOL = 1e-12
-
-FormulaCase = Literal[
-    "even_alpha", "odd_alpha", "even_beta", "odd_beta", "diagonal", "near_diagonal_fallback"
-]
+FormulaCase = Literal["even_alpha", "odd_alpha", "even_beta", "odd_beta", "diagonal"]
 
 
 @dataclass(frozen=True)
 class ClosedFormValue:
     """A number plus the provenance needed to audit it.
 
+    ``formula_case`` is the dominance case of the point (or ``diagonal``).
     ``singularity_distance`` is the distance to the nearest removable
-    singularity of the formula that applies: |s - n| on the sqrt scale for
-    the same-index quantities, min(|m^2 - alpha|, |m^2 - beta|) for the
-    cross products.  ``formula_case`` is ``near_diagonal_fallback`` exactly
-    when that distance fell below :data:`TAU_SING` and the quadrature
-    oracle was used instead of the closed form.
+    singularity of the paper's per-case formula: |s - n| on the sqrt scale
+    for the same-index quantities, min(|m^2 - alpha|, |m^2 - beta|) for the
+    cross products.
     """
 
     value: float
     formula_case: FormulaCase
     singularity_distance: float
-
-
-def _require_on_curve(p: FucikPoint) -> None:
-    res = curve_residual(p)
-    if abs(res) > TAU_CURVE:
-        raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
 
 
 def _dominant(p: FucikPoint) -> tuple[float, FormulaCase]:
@@ -73,240 +63,86 @@ def _dominant(p: FucikPoint) -> tuple[float, FormulaCase]:
     return p.sqrt_alpha, ("even_alpha" if p.n % 2 == 0 else "odd_alpha")
 
 
-# ----------------------------------------------------------------------
-# squared norms
+def _progression_sum(count: int, c: float, d: float) -> float:
+    """sum_{k=0}^{count-1} sin(k c + d) by the closed product identity.
 
-def _norm_even_alpha(n: int, s: float) -> float:
-    return math.pi / 2 - math.pi * n * (s - n) / (2 * s - n) ** 2
-
-
-def _norm_odd_alpha(n: int, s: float) -> float:
-    return math.pi / 2 - math.pi * (n + 1) * (s - 1) * (s - n) / (s * (2 * s - (n + 1)) ** 2)
-
-
-def _norm_even_beta(n: int, s: float) -> float:
-    return math.pi / 2 - math.pi * n * (s - n) / (2 * s - n) ** 2
-
-
-def _norm_odd_beta(n: int, s: float) -> float:
-    return math.pi / 2 - math.pi * (n - 1) * (s + 1) * (s - n) / (s * (2 * s - (n - 1)) ** 2)
+    Reducing c modulo 2 pi first keeps the quotient well conditioned when
+    c is close to a multiple of 2 pi: numerator and denominator are then
+    sines of small arguments, each accurate to a relative round-off.
+    """
+    if count <= 0:
+        return 0.0
+    c = math.remainder(c, 2 * math.pi)
+    if c == 0.0:
+        return count * math.sin(d)
+    return math.sin(count * c / 2) * math.sin((count - 1) * c / 2 + d) / math.sin(c / 2)
 
 
-# ----------------------------------------------------------------------
-# squared distances to sin(n x)
-
-def _dist_even_alpha(n: int, s: float) -> float:
-    head = math.pi - math.pi * n * (s - n) / (2 * s - n) ** 2
-    coeff = 4 * s ** 4 / ((2 * s - n) * (3 * s - n) * (s + n))
-    return head - coeff * math.sin(n * math.pi / s) / (s - n)
+def _bump_factor(w: float, m: int) -> float:
+    """pi sinc(pi (w - m) / (2 w)) / (w + m), the per-bump weight."""
+    u = math.pi * (w - m) / (2 * w)
+    return math.pi * (math.sin(u) / u if u else 1.0) / (w + m)
 
 
-def _dist_odd_alpha(n: int, s: float) -> float:
-    head = math.pi - math.pi * (n + 1) * (s - 1) * (s - n) / (s * (2 * s - (n + 1)) ** 2)
-    coeff = (16 * (n - 1) * s ** 3 / (2 * s - (n + 1))) * (
-        (s - 1) / ((n + s) * (n + 1) * ((3 * n - 1) * s - n * (n + 1)))
-    )
-    trig = (
-        math.cos(math.pi / 2 * n / s)
-        * math.cos(math.pi / 2 * (n * n + n - 2 * s) / ((n - 1) * s))
-        / ((s - n) * math.sin(math.pi * (s - n) / ((n - 1) * s)))
-    )
-    return head - coeff * trig
+def _sine_product(p: FucikPoint, m: int) -> float:
+    """<f, sin(m x)> summed over the positive and the negative bumps."""
+    a_pos, a_neg = amplitudes(p)
+    sa, sb = p.sqrt_alpha, p.sqrt_beta
+    l1, l2 = math.pi / sa, math.pi / sb
+    c = m * (l1 + l2)
+    pos = _progression_sum((p.n + 1) // 2, c, m * l1 / 2)
+    neg = _progression_sum(p.n // 2, c, m * (l1 + l2 / 2))
+    return a_pos * _bump_factor(sa, m) * pos - a_neg * _bump_factor(sb, m) * neg
 
 
-def _dist_even_beta(n: int, s: float) -> float:
-    head = math.pi - math.pi * n * (s - n) / (2 * s - n) ** 2
-    coeff = 4 * s ** 4 / ((2 * s - n) * (3 * s - n) * (s + n))
-    return head - coeff * math.sin(n * math.pi / s) / (s - n)
+def _norm(p: FucikPoint) -> float:
+    a_pos, a_neg = amplitudes(p)
+    return ((p.n + 1) // 2 * a_pos ** 2 * math.pi / p.sqrt_alpha
+            + p.n // 2 * a_neg ** 2 * math.pi / p.sqrt_beta) / 2
 
 
-def _dist_odd_beta(n: int, s: float) -> float:
-    head = math.pi - math.pi * (n - 1) * (s + 1) * (s - n) / (s * (2 * s - (n - 1)) ** 2)
-    coeff = (16 * (n + 1) * s ** 3 / (2 * s - (n - 1))) * (
-        (s + 1) / ((n + s) * (n - 1) * ((3 * n + 1) * s - n * (n - 1)))
-    )
-    trig = (
-        math.cos(math.pi / 2 * n / s)
-        * math.cos(math.pi / 2 * (2 * s + n * n - n) / ((n + 1) * s))
-        / ((s - n) * math.sin(math.pi * n * (s + 1) / ((n + 1) * s)))
-    )
-    return head - coeff * trig
+def _same_index(p: FucikPoint, diagonal_value: float, off_diagonal) -> ClosedFormValue:
+    require_on_curve(p)
+    if p.n == 1 or p.case == "diagonal":
+        return ClosedFormValue(diagonal_value, "diagonal", 0.0)
+    s, tag = _dominant(p)
+    return ClosedFormValue(off_diagonal(p), tag, abs(s - p.n))
 
-
-# ----------------------------------------------------------------------
-# scalar products <f, sin(n x)>
-
-def _inner_even(n: int, s: float) -> float:
-    coeff = 2 * s ** 4 / ((2 * s - n) * (3 * s - n) * (s + n))
-    return coeff * math.sin(n * math.pi / s) / (s - n)
-
-
-def _inner_odd_alpha(n: int, s: float) -> float:
-    coeff = (8 * (n - 1) * s ** 3 / (2 * s - (n + 1))) * (
-        (s - 1) / ((n + s) * (n + 1) * ((3 * n - 1) * s - n * (n + 1)))
-    )
-    trig = (
-        math.cos(math.pi / 2 * n / s)
-        * math.cos(math.pi / 2 * (n * n + n - 2 * s) / ((n - 1) * s))
-        / ((s - n) * math.sin(math.pi * (s - n) / ((n - 1) * s)))
-    )
-    return coeff * trig
-
-
-def _inner_odd_beta(n: int, s: float) -> float:
-    coeff = (8 * (n + 1) * s ** 3 / (2 * s - (n - 1))) * (
-        (s + 1) / ((n + s) * (n - 1) * ((3 * n + 1) * s - n * (n - 1)))
-    )
-    trig = (
-        math.cos(math.pi / 2 * n / s)
-        * math.cos(math.pi / 2 * (2 * s + n * n - n) / ((n + 1) * s))
-        / ((s - n) * math.sin(math.pi * n * (s + 1) / ((n + 1) * s)))
-    )
-    return coeff * trig
-
-
-# ----------------------------------------------------------------------
-# quadrature fallbacks
-
-def _oracle_norm(p: FucikPoint) -> float:
-    f = build(p)
-    return inner_numeric(f, f, breakpoints(f), _FALLBACK_TOL)
-
-
-def _oracle_dist(p: FucikPoint) -> float:
-    f = build(p)
-    sine = SineMode(p.n)
-
-    def diff(x):
-        return f(x) - sine(x)
-
-    return inner_numeric(diff, diff, breakpoints(f), _FALLBACK_TOL)
-
-
-def _oracle_inner(p: FucikPoint, m: int) -> float:
-    f = build(p)
-    return inner_numeric(f, SineMode(m), breakpoints(f), _FALLBACK_TOL)
-
-
-# ----------------------------------------------------------------------
-# public operations
 
 def norm_sq(p: FucikPoint) -> ClosedFormValue:
     """Squared L2 norm of the normalized eigenfunction at p.
 
     Always in (0, pi/2]; equals pi/2 exactly on the diagonal and for n = 1.
     """
-    _require_on_curve(p)
-    if p.n == 1 or p.case == "diagonal":
-        return ClosedFormValue(math.pi / 2, "diagonal", 0.0)
-    s, tag = _dominant(p)
-    gap = abs(s - p.n)
-    if gap < TAU_SING:
-        return ClosedFormValue(_oracle_norm(p), "near_diagonal_fallback", gap)
-    table = {
-        "even_alpha": _norm_even_alpha,
-        "odd_alpha": _norm_odd_alpha,
-        "even_beta": _norm_even_beta,
-        "odd_beta": _norm_odd_beta,
-    }
-    return ClosedFormValue(table[tag](p.n, s), tag, gap)
+    return _same_index(p, math.pi / 2, _norm)
 
 
 def dist_sq_to_sine(p: FucikPoint) -> ClosedFormValue:
     """Squared L2 distance between the eigenfunction at p and sin(n x).
 
-    Vanishes exactly on the diagonal.  Inside the singular band the
-    quadrature fallback integrates (f - sin(n x))^2 directly.
+    Vanishes exactly on the diagonal.
     """
-    _require_on_curve(p)
-    if p.n == 1 or p.case == "diagonal":
-        return ClosedFormValue(0.0, "diagonal", 0.0)
-    s, tag = _dominant(p)
-    gap = abs(s - p.n)
-    if gap < TAU_SING:
-        return ClosedFormValue(_oracle_dist(p), "near_diagonal_fallback", gap)
-    table = {
-        "even_alpha": _dist_even_alpha,
-        "odd_alpha": _dist_odd_alpha,
-        "even_beta": _dist_even_beta,
-        "odd_beta": _dist_odd_beta,
-    }
-    return ClosedFormValue(table[tag](p.n, s), tag, gap)
+    def dist(q):
+        # |f|^2 + |sine|^2 - 2 <f, sine> cancels to O(gap^2) next to the
+        # diagonal, where round-off can leave about -1e-15; a squared
+        # distance is never negative
+        return max(_norm(q) + math.pi / 2 - 2 * _sine_product(q, q.n), 0.0)
+
+    return _same_index(p, 0.0, dist)
 
 
 def inner_same_index(p: FucikPoint) -> ClosedFormValue:
     """Scalar product of the eigenfunction at p with its comparator sin(n x)."""
-    _require_on_curve(p)
-    if p.n == 1 or p.case == "diagonal":
-        return ClosedFormValue(math.pi / 2, "diagonal", 0.0)
-    s, tag = _dominant(p)
-    gap = abs(s - p.n)
-    if gap < TAU_SING:
-        return ClosedFormValue(_oracle_inner(p, p.n), "near_diagonal_fallback", gap)
-    table = {
-        "even_alpha": _inner_even,
-        "odd_alpha": _inner_odd_alpha,
-        "even_beta": _inner_even,
-        "odd_beta": _inner_odd_beta,
-    }
-    return ClosedFormValue(table[tag](p.n, s), tag, gap)
-
-
-def _progression_sum(count: int, c: float, d: float) -> float:
-    """sum_{k=0}^{count-1} sin(k c + d) by the closed product identity.
-
-    Falls back to direct summation when sin(c/2) is too small for the
-    identity's denominator (the sum is then count * sin(d) anyway up to
-    round-off, which the direct path reproduces faithfully).
-    """
-    if count <= 0:
-        return 0.0
-    half = math.sin(c / 2)
-    # the identity divides by sin(c/2); below 1e-6 the quotient loses more
-    # precision than summing the (at most a few hundred) terms directly
-    if abs(half) < 1e-6:
-        k = np.arange(count, dtype=float)
-        return float(np.sum(np.sin(k * c + d)))
-    return math.sin(count * c / 2) * math.sin((count - 1) * c / 2 + d) / half
-
-
-def bump_route_inner(p: FucikPoint, m: int) -> float:
-    """<f, sin(m x)> assembled bump by bump, any m with m^2 off-resonance.
-
-    Each bump contributes sqrt(delta)/(delta - m^2) (sin(m a) + sin(m b))
-    with delta its frequency parameter and [a, b] its support; the sums
-    over the bump train collapse through the closed progression identity.
-    Shares no algebra with the dominant-root closed forms, so it doubles
-    as an independent route to the same-index products in tests.
-    """
-    f = build(p)
-    n, alpha, beta = p.n, p.alpha, p.beta
-    sa, sb = p.sqrt_alpha, p.sqrt_beta
-    l1 = f.bumps.l1
-    length = f.bumps.l
-    k_pos = (n + 1) // 2
-    k_neg = n // 2
-
-    c = m * length
-    s_pos = _progression_sum(k_pos, c, 0.0) + _progression_sum(k_pos, c, m * l1)
-    s_neg = _progression_sum(k_neg, c, m * l1) + _progression_sum(k_neg, c, m * length)
-
-    return (
-        f.positive_amplitude * sa / (alpha - m * m) * s_pos
-        - f.negative_amplitude * sb / (beta - m * m) * s_neg
-    )
+    return _same_index(p, math.pi / 2, lambda q: _sine_product(q, q.n))
 
 
 def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     """Scalar product of the eigenfunction at p with sin(m x), m != n.
 
     Structural zeros are returned exactly: odd n against even m, and even
-    n against even m < n.  Everything else is assembled bump by bump from
-    the sine-product antiderivative and the closed progression identity,
-    except within a resonance band |m^2 - alpha| or |m^2 - beta| <
-    TAU_SING, where the quadrature oracle takes over (flagged).
+    n against even m < n.  Everything else is assembled bump by bump.
     """
-    _require_on_curve(p)
+    require_on_curve(p)
     m = int(m)
     if m < 1:
         raise ValueError(f"comparator index must be >= 1, got {m}")
@@ -320,13 +156,37 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
         return ClosedFormValue(0.0, "diagonal", 0.0)
     _, tag = _dominant(p)
     res_gap = min(abs(m * m - p.alpha), abs(m * m - p.beta))
-
-    if n % 2 == 1 and m % 2 == 0:
+    if m % 2 == 0 and (n % 2 == 1 or m < n):
         return ClosedFormValue(0.0, tag, res_gap)
-    if n % 2 == 0 and m % 2 == 0 and m < n:
-        return ClosedFormValue(0.0, tag, res_gap)
+    return ClosedFormValue(_sine_product(p, m), tag, res_gap)
 
-    if res_gap < TAU_SING:
-        return ClosedFormValue(_oracle_inner(p, m), "near_diagonal_fallback", res_gap)
 
-    return ClosedFormValue(bump_route_inner(p, m), tag, res_gap)
+def _local_sines(f: FucikEigenfunction, x: np.ndarray):
+    """(amplitude, frequency, offset into the bump) of f around each x."""
+    l1, length = f.bumps.l1, f.bumps.l
+    k = np.minimum(np.floor(x / length), max(math.ceil(math.pi / length) - 1, 0))
+    t = x - k * length
+    pos = t < l1
+    return (np.where(pos, f.positive_amplitude, -f.negative_amplitude),
+            np.where(pos, f.point.sqrt_alpha, f.point.sqrt_beta),
+            np.where(pos, t, t - l1))
+
+
+def inner_pair(p: FucikPoint, q: FucikPoint) -> float:
+    """Scalar product of the eigenfunctions at p and q, integrated exactly.
+
+    Between merged junction points both factors are single sinusoids
+    a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
+    (ab/2) [cos((w - v) x + ...) - cos((w + v) x + ...)], and each cosine
+    integrates over a piece of length h around its midpoint to
+    h cos(phase at the midpoint) sinc(frequency h / 2).
+    """
+    f, g = build(p), build(q)
+    x = np.union1d(breakpoints(f), breakpoints(g))
+    h = np.diff(x)
+    mid = x[:-1] + h / 2
+    a, w, s = _local_sines(f, mid)
+    b, v, t = _local_sines(g, mid)
+    minus = np.cos(w * s - v * t) * np.sinc((w - v) * h / (2 * math.pi))
+    plus = np.cos(w * s + v * t) * np.sinc((w + v) * h / (2 * math.pi))
+    return float(0.5 * np.sum(a * b * h * (minus - plus)))

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotOnCurve, OutOfDomain
-from .spectrum import TAU_CURVE, BumpLengths, FucikPoint, curve_residual
+from .errors import OutOfDomain
+from .spectrum import BumpLengths, FucikPoint, require_on_curve
 
 #: tolerance on the sup-norm-1 normalization
 TAU_SUP = 1e-12
@@ -65,22 +65,24 @@ class FucikEigenfunction:
         return evaluate(self, x)
 
 
+def amplitudes(p: FucikPoint) -> tuple[float, float]:
+    """(positive, negative) bump amplitudes that normalize sup |f| to 1."""
+    sa, sb = p.sqrt_alpha, p.sqrt_beta
+    if p.case == "beta_dominant":
+        return 1.0, sa / sb
+    if p.case == "alpha_dominant":
+        return sb / sa, 1.0
+    return 1.0, 1.0
+
+
 def build(p: FucikPoint) -> FucikEigenfunction:
     """Construct the normalized eigenfunction for an on-curve point.
 
     Raises NotOnCurve if the curve-equation defect of ``p`` exceeds the
     membership tolerance.
     """
-    res = curve_residual(p)
-    if abs(res) > TAU_CURVE:
-        raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
-    sa, sb = p.sqrt_alpha, p.sqrt_beta
-    if p.case == "beta_dominant":
-        amp_pos, amp_neg = 1.0, sa / sb
-    elif p.case == "alpha_dominant":
-        amp_pos, amp_neg = sb / sa, 1.0
-    else:
-        amp_pos, amp_neg = 1.0, 1.0
+    require_on_curve(p)
+    amp_pos, amp_neg = amplitudes(p)
     return FucikEigenfunction(point=p, bumps=p.bump_lengths(),
                               positive_amplitude=amp_pos, negative_amplitude=amp_neg)
 

@@ -50,13 +50,5 @@ class OddIndex(FucikError):
     """An even curve index was required."""
 
 
-class ResonantDenominator(FucikError):
-    """A closed form hit a resonant denominator; the quadrature fallback applies."""
-
-
 class NegativeArgument(FucikError):
     """The antiperiodic extension is only defined for x >= 0."""
-
-
-class EntryQuadratureFailure(FucikError):
-    """A Gram-matrix entry could not be certified by the quadrature oracle."""

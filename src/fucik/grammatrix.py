@@ -4,8 +4,8 @@ A Riesz basis is characterized by two-sided bounds c sum |a_n|^2 <=
 ||sum a_n psi_n||^2 <= C sum |a_n|^2; for the leading N functions those
 quadratic forms are exactly the extreme eigenvalues of the (2/pi)-scaled
 Gram matrix of pairwise inner products.  This module assembles that
-truncation (closed forms where available, quadrature otherwise) and
-diagonalizes it completely with cyclic Jacobi rotations.
+truncation exactly from the bump algebra of :mod:`fucik.closedform` and
+takes its spectrum from LAPACK (``numpy.linalg.eigvalsh``).
 
 The scans are diagnostics, not certificates: truncated spectra cannot
 certify an infinite-system Riesz bound, so no verdicts are emitted here.
@@ -14,20 +14,15 @@ certify an infinite-system Riesz bound, so no verdicts are emitted here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import closedform
-from .eigenfunction import breakpoints, build
-from .errors import EntryQuadratureFailure, NoConvergence
 from .nearness import SystemSpec
-from .quadrature import inner_numeric, merged_breakpoints
 
 MAX_ORDER = 512
-_ENTRY_TOL = 1e-11
 
 
 @dataclass
@@ -47,51 +42,7 @@ class GramTruncation:
     lambda_max: Optional[float] = None
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, max_sweeps: int = 100,
-                       off_tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Rotations are applied in row-cyclic order until the Frobenius norm of
-    the off-diagonal part drops below ``off_tol``.  Raises NoConvergence
-    after ``max_sweeps`` full sweeps.  Returns the eigenvalues sorted
-    ascending.
-    """
-    a = np.array(matrix, dtype=float, copy=True)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    if n == 1:
-        return a[0, :1].copy()
-    skip_below = off_tol / (10.0 * n * n)
-
-    mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps + 1):
-        off = math.sqrt(np.sum(a[mask] ** 2))
-        if off < off_tol:
-            return np.sort(np.diag(a))
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip_below:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-    raise NoConvergence(f"Jacobi sweeps did not reduce the off-diagonal below {off_tol:g}")
-
-
-def _entry(points, funcs, bps, i: int, j: int) -> float:
+def _entry(points, i: int, j: int) -> float:
     """Inner product <psi_i, psi_j> with 1-based system indices i <= j."""
     pi_, pj = points[i], points[j]
     sine_i = pi_.case == "diagonal"
@@ -106,53 +57,24 @@ def _entry(points, funcs, bps, i: int, j: int) -> float:
         return closedform.inner_cross_index(pj, i).value
     if sine_j:
         return closedform.inner_cross_index(pi_, j).value
-    try:
-        return inner_numeric(funcs[i], funcs[j],
-                             merged_breakpoints(bps[i], bps[j]), _ENTRY_TOL)
-    except NoConvergence as exc:
-        raise EntryQuadratureFailure(f"entry ({i}, {j}) failed: {exc}") from exc
+    return closedform.inner_pair(pi_, pj)
 
 
 def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) -> GramTruncation:
     """Assemble the order-N Gram truncation of a system specification.
 
-    Sine-sine entries are exact (pi/2 on the diagonal, 0 off it); entries
-    pairing an eigenfunction with a sine use the closed forms; pairs of
-    genuine eigenfunctions fall to the quadrature oracle over their merged
-    junction points.  Workers > 1 parallelize the quadrature entries.
+    Sine-sine entries are exact (pi/2 on the diagonal, 0 off it); every
+    other entry comes from the exact bump algebra of
+    :mod:`fucik.closedform`.  ``max_workers`` is accepted for older
+    callers and ignored: assembly is serial.
     """
     if not (1 <= N <= MAX_ORDER):
         raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}], got {N}")
     points = {i: system.point(i) for i in range(1, N + 1)}
-    funcs = {}
-    bps = {}
-    for i, p in points.items():
-        if p.case != "diagonal":
-            f = build(p)
-            funcs[i] = f
-            bps[i] = breakpoints(f)
-
     m = np.zeros((N, N))
-    quad_pairs = []
     for i in range(1, N + 1):
         for j in range(i, N + 1):
-            if i != j and points[i].case != "diagonal" and points[j].case != "diagonal":
-                quad_pairs.append((i, j))
-            else:
-                m[i - 1, j - 1] = _entry(points, funcs, bps, i, j)
-
-    def compute(pair):
-        i, j = pair
-        return _entry(points, funcs, bps, i, j)
-
-    if max_workers is not None and max_workers > 1 and quad_pairs:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            values = list(pool.map(compute, quad_pairs))
-    else:
-        values = [compute(pair) for pair in quad_pairs]
-    for (i, j), v in zip(quad_pairs, values):
-        m[i - 1, j - 1] = v
-
+            m[i - 1, j - 1] = _entry(points, i, j)
     lower = np.tril_indices(N, -1)
     m[lower] = m.T[lower]
     m.setflags(write=False)
@@ -165,14 +87,13 @@ def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
     asym = float(np.max(np.abs(scaled - scaled.T)))
     if asym > 1e-12:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
-    eig = jacobi_eigenvalues(scaled)
+    eig = np.linalg.eigvalsh(scaled)
     g.lambda_min = float(eig[0])
     g.lambda_max = float(eig[-1])
     return g.lambda_min, g.lambda_max
 
 
-def riesz_scan(system: SystemSpec, Ns: Sequence[int],
-               max_workers: Optional[int] = None) -> list[tuple[int, float, float]]:
+def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, float]]:
     """Extreme normalized eigenvalues for a nested family of truncations.
 
     ``Ns`` must be ascending.  The largest Gram matrix is assembled once
@@ -183,7 +104,7 @@ def riesz_scan(system: SystemSpec, Ns: Sequence[int],
     sizes = list(Ns)
     if sizes != sorted(sizes):
         raise ValueError("truncation orders must be ascending")
-    full = build_gram(system, sizes[-1], max_workers=max_workers)
+    full = build_gram(system, sizes[-1])
     out = []
     for n in sizes:
         sub = GramTruncation(order=n, entries=full.entries[:n, :n],

@@ -31,17 +31,15 @@ from .errors import (
     DivergentArgument,
     GammaOutOfRange,
     IndexTooSmall,
-    NotOnCurve,
     OddEntriesNotDiagonal,
     TailNotBoundable,
 )
 from .spectrum import (
-    TAU_CURVE,
     FucikPoint,
     complete_point,
-    curve_residual,
     diagonal_point,
     gamma_line_point,
+    require_on_curve,
 )
 
 #: leading constant of the even-index distance bound
@@ -78,8 +76,7 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
     if n < 2:
         raise IndexTooSmall(f"bound_Cn needs n >= 2, got {n}")
     probe = FucikPoint(n, alpha, beta, "even" if n % 2 == 0 else "odd", "diagonal")
-    if abs(curve_residual(probe)) > TAU_CURVE:
-        raise NotOnCurve(f"({alpha}, {beta}) is not on curve {n}")
+    require_on_curve(probe)
     sa, sb = math.sqrt(alpha), math.sqrt(beta)
     if n % 2 == 0:
         return K_EVEN * (max(sa, sb) / n - 1.0) ** 2
@@ -213,8 +210,7 @@ class FinitePerturbation:
     def __post_init__(self):
         seen = {}
         for e in self.entries:
-            if abs(curve_residual(e)) > TAU_CURVE:
-                raise NotOnCurve(f"entry for n = {e.n} fails the curve equation")
+            require_on_curve(e)
             if e.n in seen:
                 raise ValueError(f"duplicate entry for n = {e.n}")
             seen[e.n] = e

@@ -23,7 +23,12 @@ The coefficients A_k of the sine expansion of f_2 have the closed form
     A_k = (2/pi) (gamma^2/(sqrt(g)-1)) (2-sqrt(g)) sin(k pi/sqrt(g))
           / ((k^2-gamma)(k^2 (sqrt(g)-1)^2 - gamma)),
 
-and the budget E(gamma) accumulates the bound coefficients c_k times the
+which is 0/0 at its resonances; :func:`fourier_Ak` therefore computes
+(2/pi) <f_2, sin(k .)> through the exact bump route of
+:mod:`fucik.closedform`, and the closed form above serves as a test
+oracle.
+
+The budget E(gamma) accumulates the bound coefficients c_k times the
 operator norms, with k = 1..4 explicit and the k >= 5 tail controlled by
 the closed constant pi^2/108 - 536741/6350400 = sum_{k>=5} (k^2-9)^{-2}.
 """
@@ -36,21 +41,16 @@ from typing import Callable
 
 import numpy as np
 
-from .eigenfunction import SineMode, breakpoints, build
+from . import closedform
+from .eigenfunction import build
 from .errors import GammaOutOfRange, NegativeArgument, OddIndex
-from .quadrature import inner_numeric
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
 GAMMA_MAX = 5.682
 
-#: resonance half-width on |k^2 - gamma| and |k^2 (sqrt(g)-1)^2 - gamma|
-TAU_RESONANCE = 1e-9
-
 #: sum_{k=5}^infty (k^2 - 9)^{-2}, in closed form
 TAIL_CONSTANT = math.pi ** 2 / 108 - 536741 / 6350400
-
-_FALLBACK_TOL = 1e-12
 
 
 def antiperiodic_extend(g: Callable, x):
@@ -128,29 +128,21 @@ class DilationOperator:
         return apply_Tk(self.k, g)
 
 
-def _base_profile(gamma: float):
-    return build(gamma_line_point(2, gamma))
-
-
 def fourier_Ak(gamma: float, k: int) -> float:
-    """Sine coefficient A_k of the n = 2 line-family profile.
+    """Sine coefficient A_k = (2/pi) <f_2, sin(k .)> of the n = 2 profile.
 
-    Closed form away from the resonances k^2 = gamma and
-    k^2 (sqrt(gamma)-1)^2 = gamma; inside a 1e-9 band around either, the
-    quadrature oracle evaluates (2/pi) <f_2, sin(k .)> instead.
+    Assembled bump by bump by :mod:`fucik.closedform`, which needs no
+    special case at the resonances k^2 = gamma and
+    k^2 (sqrt(gamma)-1)^2 = gamma.  k is capped at
+    :data:`fucik.closedform.M_MAX`.
     """
     if gamma < GAMMA_MIN:
         raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
     if k < 1:
         raise ValueError(f"coefficient index must be >= 1, got {k}")
-    sg = math.sqrt(gamma)
-    d1 = k * k - gamma
-    d2 = k * k * (sg - 1.0) ** 2 - gamma
-    if min(abs(d1), abs(d2)) < TAU_RESONANCE:
-        f2 = _base_profile(gamma)
-        return (2 / math.pi) * inner_numeric(f2, SineMode(k), breakpoints(f2), _FALLBACK_TOL)
-    return (2 / math.pi) * (gamma * gamma / (sg - 1.0)) * (2.0 - sg) \
-        * math.sin(k * math.pi / sg) / (d1 * d2)
+    p = gamma_line_point(2, gamma)
+    inner = closedform.inner_same_index(p) if k == 2 else closedform.inner_cross_index(p, k)
+    return (2 / math.pi) * inner.value
 
 
 def ck_bound(gamma: float, k: int) -> float:

@@ -106,6 +106,16 @@ def curve_residual(p: FucikPoint) -> float:
     return ((p.n + 1) / 2) * math.pi / sa + ((p.n - 1) / 2) * math.pi / sb - math.pi
 
 
+def require_on_curve(p: FucikPoint) -> None:
+    """Raise NotOnCurve unless |curve_residual(p)| <= TAU_CURVE.
+
+    Written so that a NaN defect (a NaN coordinate) fails the test too.
+    """
+    res = curve_residual(p)
+    if not abs(res) <= TAU_CURVE:
+        raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
+
+
 def make_point(n: int, alpha: float, beta: float) -> FucikPoint:
     """Wrap explicit coordinates into a validated, classified point.
 
@@ -125,9 +135,7 @@ def make_point(n: int, alpha: float, beta: float) -> FucikPoint:
         )
     p = FucikPoint(n, float(alpha), float(beta), "even" if n % 2 == 0 else "odd",
                    _classify(n, alpha, beta))
-    res = curve_residual(p)
-    if abs(res) > TAU_CURVE:
-        raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
+    require_on_curve(p)
     return p
 
 

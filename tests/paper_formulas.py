@@ -1,0 +1,128 @@
+"""The paper's per-case closed forms, kept as a test oracle.
+
+For a point on the n-th curve with dominant square root s (s = sqrt(alpha)
+when alpha >= n^2 >= beta, s = sqrt(beta) otherwise) the squared norm of
+the normalized eigenfunction, its squared distance to sin(n x) and the
+scalar product <f, sin(n x)> have elementary closed forms, one per parity
+and dominance (the even forms do not depend on which root dominates).
+The package computes the same numbers by exact bump algebra; these
+expressions share none of that algebra, so they are a second independent
+route beside the quadrature oracle.
+
+Each formula has removable 0/0 structure at s = n (e.g. sin(n pi / s) /
+(s - n)), so callers must stay off the diagonal.
+"""
+
+import math
+
+
+# ----------------------------------------------------------------------
+# squared norms
+
+def norm_even(n, s):
+    return math.pi / 2 - math.pi * n * (s - n) / (2 * s - n) ** 2
+
+
+def norm_odd_alpha(n, s):
+    return math.pi / 2 - math.pi * (n + 1) * (s - 1) * (s - n) / (s * (2 * s - (n + 1)) ** 2)
+
+
+def norm_odd_beta(n, s):
+    return math.pi / 2 - math.pi * (n - 1) * (s + 1) * (s - n) / (s * (2 * s - (n - 1)) ** 2)
+
+
+# ----------------------------------------------------------------------
+# squared distances to sin(n x)
+
+def dist_even(n, s):
+    head = math.pi - math.pi * n * (s - n) / (2 * s - n) ** 2
+    coeff = 4 * s ** 4 / ((2 * s - n) * (3 * s - n) * (s + n))
+    return head - coeff * math.sin(n * math.pi / s) / (s - n)
+
+
+def dist_odd_alpha(n, s):
+    head = math.pi - math.pi * (n + 1) * (s - 1) * (s - n) / (s * (2 * s - (n + 1)) ** 2)
+    coeff = (16 * (n - 1) * s ** 3 / (2 * s - (n + 1))) * (
+        (s - 1) / ((n + s) * (n + 1) * ((3 * n - 1) * s - n * (n + 1)))
+    )
+    trig = (
+        math.cos(math.pi / 2 * n / s)
+        * math.cos(math.pi / 2 * (n * n + n - 2 * s) / ((n - 1) * s))
+        / ((s - n) * math.sin(math.pi * (s - n) / ((n - 1) * s)))
+    )
+    return head - coeff * trig
+
+
+def dist_odd_beta(n, s):
+    head = math.pi - math.pi * (n - 1) * (s + 1) * (s - n) / (s * (2 * s - (n - 1)) ** 2)
+    coeff = (16 * (n + 1) * s ** 3 / (2 * s - (n - 1))) * (
+        (s + 1) / ((n + s) * (n - 1) * ((3 * n + 1) * s - n * (n - 1)))
+    )
+    trig = (
+        math.cos(math.pi / 2 * n / s)
+        * math.cos(math.pi / 2 * (2 * s + n * n - n) / ((n + 1) * s))
+        / ((s - n) * math.sin(math.pi * n * (s + 1) / ((n + 1) * s)))
+    )
+    return head - coeff * trig
+
+
+# ----------------------------------------------------------------------
+# scalar products <f, sin(n x)>
+
+def inner_even(n, s):
+    coeff = 2 * s ** 4 / ((2 * s - n) * (3 * s - n) * (s + n))
+    return coeff * math.sin(n * math.pi / s) / (s - n)
+
+
+def inner_odd_alpha(n, s):
+    coeff = (8 * (n - 1) * s ** 3 / (2 * s - (n + 1))) * (
+        (s - 1) / ((n + s) * (n + 1) * ((3 * n - 1) * s - n * (n + 1)))
+    )
+    trig = (
+        math.cos(math.pi / 2 * n / s)
+        * math.cos(math.pi / 2 * (n * n + n - 2 * s) / ((n - 1) * s))
+        / ((s - n) * math.sin(math.pi * (s - n) / ((n - 1) * s)))
+    )
+    return coeff * trig
+
+
+def inner_odd_beta(n, s):
+    coeff = (8 * (n + 1) * s ** 3 / (2 * s - (n - 1))) * (
+        (s + 1) / ((n + s) * (n - 1) * ((3 * n + 1) * s - n * (n - 1)))
+    )
+    trig = (
+        math.cos(math.pi / 2 * n / s)
+        * math.cos(math.pi / 2 * (2 * s + n * n - n) / ((n + 1) * s))
+        / ((s - n) * math.sin(math.pi * n * (s + 1) / ((n + 1) * s)))
+    )
+    return coeff * trig
+
+
+_TABLE = {
+    "even_alpha": (norm_even, dist_even, inner_even),
+    "even_beta": (norm_even, dist_even, inner_even),
+    "odd_alpha": (norm_odd_alpha, dist_odd_alpha, inner_odd_alpha),
+    "odd_beta": (norm_odd_beta, dist_odd_beta, inner_odd_beta),
+}
+
+
+def same_index(p):
+    """(case, norm^2, dist^2, <f, sin(n x)>) at an off-diagonal point p."""
+    beta_dom = p.case == "beta_dominant"
+    s = p.sqrt_beta if beta_dom else p.sqrt_alpha
+    case = ("even" if p.n % 2 == 0 else "odd") + ("_beta" if beta_dom else "_alpha")
+    norm, dist, inner = _TABLE[case]
+    return case, norm(p.n, s), dist(p.n, s), inner(p.n, s)
+
+
+# ----------------------------------------------------------------------
+# sine coefficients of the n = 2 line-family profile
+
+def fourier_Ak(gamma, k):
+    """A_k = (2/pi) <f_2, sin(k .)>; 0/0 where k^2 = gamma or
+    k^2 (sqrt(gamma) - 1)^2 = gamma."""
+    sg = math.sqrt(gamma)
+    d1 = k * k - gamma
+    d2 = k * k * (sg - 1.0) ** 2 - gamma
+    return (2 / math.pi) * (gamma * gamma / (sg - 1.0)) * (2.0 - sg) \
+        * math.sin(k * math.pi / sg) / (d1 * d2)

@@ -189,7 +189,7 @@ def test_criterion_09_gram_sanity():
     g = gm.build_gram(nr.FinitePerturbation(()), 64)
     dev = float(np.max(np.abs(g.normalization * g.entries - np.eye(64))))
     identity_ok = dev <= 1e-12
-    scan = gm.riesz_scan(nr.GammaLine(5.0), [8, 16, 32, 64], max_workers=4)
+    scan = gm.riesz_scan(nr.GammaLine(5.0), [8, 16, 32, 64])
     los = [lo for _, lo, _ in scan]
     pos_ok = all(lo > 0 for lo in los)
     diffs = [abs(b - a) for a, b in zip(los, los[1:])]

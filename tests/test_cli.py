@@ -26,9 +26,10 @@ def test_point_json(capsys):
 
 
 def test_point_determinism(capsys):
-    _, out1, _ = run(capsys, "point", "--n", "3", "--alpha", "11.73")
-    _, out2, _ = run(capsys, "point", "--n", "3", "--alpha", "11.73")
-    assert out1 == out2
+    for command in ("point", "distance"):
+        _, out1, _ = run(capsys, command, "--n", "3", "--alpha", "11.73")
+        _, out2, _ = run(capsys, command, "--n", "3", "--alpha", "11.73")
+        assert out1 == out2
 
 
 def test_point_curve_samples(capsys):
@@ -123,6 +124,14 @@ def test_verify_quadrature_suite(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_verify_gram_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "gram")
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    oracle = checks["gram_entries_vs_oracle"]
+    assert oracle["passed"] and oracle["observed"] <= 1e-11
+
+
 def test_verify_closedform_suite_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "closedform",
                        "--nmax", "5", "--points", "4")
@@ -134,9 +143,11 @@ def test_verify_closedform_suite_small(capsys):
 
 
 def test_csv_determinism(capsys):
-    _, out1, _ = run(capsys, "gamma-scan", "--from", "4", "--to", "4.5", "--step", "0.1")
-    _, out2, _ = run(capsys, "gamma-scan", "--from", "4", "--to", "4.5", "--step", "0.1")
-    assert out1 == out2
+    for argv in (("gamma-scan", "--from", "4", "--to", "4.5", "--step", "0.1"),
+                 ("gram", "--mode", "gamma-line", "--gamma", "5", "--sizes", "8,16")):
+        _, out1, _ = run(capsys, *argv)
+        _, out2, _ = run(capsys, *argv)
+        assert out1 == out2
 
 
 def test_verify_tol_only_tightens(capsys):
@@ -183,12 +194,3 @@ def test_emit_figure_data_validation():
     payload = emit_figure_data("eigenfunction_profile",
                                {"point": diagonal_point(3), "samples": 5})
     assert payload.splitlines()[0] == "x,f,sine"
-
-
-def test_env_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("FUCIK_THREADS", "not-a-number")
-    code, _, err = run(capsys, "gram", "--mode", "diagonal", "--sizes", "4")
-    assert code == 2
-    monkeypatch.setenv("FUCIK_THREADS", "2")
-    code, _, _ = run(capsys, "gram", "--mode", "diagonal", "--sizes", "4")
-    assert code == 0

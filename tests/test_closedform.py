@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import paper_formulas as paper
 from conftest import curve_samples, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import closedform as cf
 from fucik.errors import NotOnCurve
@@ -42,13 +43,17 @@ def test_inner_same_examples():
     assert v.value == pytest.approx(quad_inner(P29, 2), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 24])
+@pytest.mark.parametrize("n", list(range(2, 60)))
 def test_inner_same_matches_bump_route(n):
-    """Third route: the bump-train assembly, sharing no algebra with the
-    dominant-root closed forms, must reproduce <f, sin(n x)>."""
-    for p in curve_samples(n, 8, lo=1.01, hi=2.0):
-        assert cf.inner_same_index(p).value == pytest.approx(
-            cf.bump_route_inner(p, n), abs=1e-11)
+    """Second independent route: the paper's per-case formulas, which share
+    no algebra with the production bump route, reproduce the squared norm,
+    the squared distance and <f, sin(n x)> on both dominance branches."""
+    for p in curve_samples(n, 24, lo=1.0005, hi=2.3):
+        case, norm, dist, inner = paper.same_index(p)
+        assert cf.norm_sq(p).formula_case == case
+        assert cf.norm_sq(p).value == pytest.approx(norm, abs=1e-10)
+        assert cf.dist_sq_to_sine(p).value == pytest.approx(dist, abs=1e-10)
+        assert cf.inner_same_index(p).value == pytest.approx(inner, abs=1e-10)
 
 
 def test_inner_same_positive_even_alpha():
@@ -112,26 +117,74 @@ def test_odd_formula_factors_nonnegative(n):
         assert (3 * n + 1) * s - n * (n - 1) > 0.0
 
 
+# indices and sqrt-scale gaps where the paper's formulas are 0/0 or nearly so
+EDGE_NS = (2, 3, 4, 7, 10, 31, 59)
+GAPS = [10.0 ** e for e in range(-11, -4)]
+
+
+def _dominance_tag(p):
+    if p.case == "diagonal":
+        return "diagonal"
+    return ("even_" if p.n % 2 == 0 else "odd_") + p.case.split("_")[0]
+
+
+def _assert_exact(p, ms=()):
+    """Every quantity at p carries the dominance tag, matches quadrature to
+    1e-12 and leaves a nonnegative squared distance."""
+    dist = cf.dist_sq_to_sine(p)
+    pairs = [(cf.norm_sq(p), quad_norm_sq(p)), (dist, quad_dist_sq(p)),
+             (cf.inner_same_index(p), quad_inner(p, p.n))]
+    pairs += [(cf.inner_cross_index(p, m), quad_inner(p, m)) for m in ms]
+    for v, quad in pairs:
+        assert v.formula_case == _dominance_tag(p)
+        assert abs(v.value - quad) <= 1e-12, (p, v, quad)
+    assert dist.value >= 0.0
+
+
+def _resonant_indices(n, side):
+    """m != n with sin(m x) not a structural zero and m^2 feasible as the
+    given coordinate on curve n: the smallest and the largest up to 2n + 2."""
+    shift = n if n % 2 == 0 else (n + 1 if side == "alpha" else n - 1)
+    ms = [m for m in range(2, 2 * n + 3)
+          if m != n and 2 * m > shift and not (m % 2 == 0 and (n % 2 == 1 or m < n))]
+    return ms[0], ms[-1]
+
+
 def test_near_diagonal_fallback():
-    p = complete_point(3, alpha=(3 + 1e-7) ** 2)
-    v = cf.dist_sq_to_sine(p)
-    assert v.formula_case == "near_diagonal_fallback"
-    assert v.singularity_distance < cf.TAU_SING
-    assert v.value == pytest.approx(quad_dist_sq(p), abs=1e-9)
-    # just outside the band the closed form must take over and agree
-    q = complete_point(3, alpha=(3 + 1e-5) ** 2)
-    w = cf.dist_sq_to_sine(q)
-    assert w.formula_case == "odd_alpha"
-    assert w.value == pytest.approx(quad_dist_sq(q), abs=1e-9)
+    """Right next to the diagonal, where the paper's formulas are 0/0, the
+    bump route needs no quadrature fallback: gaps 1e-11..1e-5 on the sqrt
+    scale, on both sides of the diagonal."""
+    for n in EDGE_NS:
+        for gap in GAPS:
+            for root in (n - gap, n + gap):
+                _assert_exact(complete_point(n, alpha=root ** 2))
 
 
 def test_fallback_flag_iff_band():
-    for gap in (1e-8, 1e-7):
-        p = complete_point(4, alpha=(4 + gap) ** 2)
-        assert cf.norm_sq(p).formula_case == "near_diagonal_fallback"
-    for gap in (1e-5, 1e-2):
-        p = complete_point(4, alpha=(4 + gap) ** 2)
-        assert cf.norm_sq(p).formula_case == "even_alpha"
+    """Both sides of the former fallback band |s - n| < 1e-6 report the
+    dominance case and the gap itself, whichever coordinate is given."""
+    for n in EDGE_NS:
+        for gap in (1e-8, 5e-7, 2e-6, 1e-2):
+            for side in ("alpha", "beta"):
+                p = complete_point(n, **{side: (n + gap) ** 2})
+                _assert_exact(p)
+                for op in (cf.norm_sq, cf.dist_sq_to_sine, cf.inner_same_index):
+                    assert op(p).singularity_distance == pytest.approx(gap, rel=1e-4)
+
+
+def test_cross_index_resonance_fallback():
+    """Exact resonances alpha = m^2 and beta = m^2 of the cross products,
+    and gaps 1e-11..1e-5 around them, on the plain bump route."""
+    for n in EDGE_NS:
+        for side in ("alpha", "beta"):
+            low, high = _resonant_indices(n, side)
+            for m in (low, high):
+                p = complete_point(n, **{side: float(m * m)})
+                assert cf.inner_cross_index(p, m).singularity_distance == 0.0
+                _assert_exact(p, ms=(m,))
+            for gap in GAPS:
+                for root in (low - gap, low + gap):
+                    _assert_exact(complete_point(n, **{side: root ** 2}), ms=(low,))
 
 
 def test_cross_index_structural_zeros():
@@ -161,16 +214,6 @@ def test_cross_index_diagonal_is_zero():
         assert v.formula_case == "diagonal"
 
 
-def test_cross_index_resonance_fallback():
-    # alpha = 9 + tiny while m = 3 puts m^2 within the resonance band
-    n = 2
-    alpha = 9.0 + 1e-8
-    p = complete_point(n, alpha=alpha)
-    v = cf.inner_cross_index(p, 3)
-    assert v.formula_case == "near_diagonal_fallback"
-    assert v.value == pytest.approx(quad_inner(p, 3), abs=1e-10)
-
-
 def test_cross_index_validation():
     with pytest.raises(ValueError):
         cf.inner_cross_index(P29, 2)
@@ -181,7 +224,11 @@ def test_cross_index_validation():
 
 
 def test_not_on_curve_rejection():
-    bad = FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant")
-    for op in (cf.norm_sq, cf.dist_sq_to_sine, cf.inner_same_index):
-        with pytest.raises(NotOnCurve):
-            op(bad)
+    off = FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant")
+    nan = FucikPoint(4, math.nan, 16.0, "even", "alpha_dominant")
+    for bad in (off, nan):
+        for op in (cf.norm_sq, cf.dist_sq_to_sine, cf.inner_same_index,
+                   lambda p: cf.inner_cross_index(p, 1),
+                   lambda p: cf.inner_pair(p, P29)):
+            with pytest.raises(NotOnCurve):
+                op(bad)

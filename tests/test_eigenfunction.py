@@ -148,9 +148,10 @@ def test_domain_guards():
 
 
 def test_build_rejects_off_curve():
-    bad = FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant")
-    with pytest.raises(NotOnCurve):
-        build(bad)
+    for bad in (FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant"),
+                FucikPoint(4, math.nan, 16.0, "even", "alpha_dominant")):
+        with pytest.raises(NotOnCurve):
+            build(bad)
 
 
 def test_sine_mode():

@@ -1,4 +1,4 @@
-"""Gram truncations, the Jacobi eigenvalue solver, and the scans."""
+"""Gram truncations, their exact assembly, and the scans."""
 
 import math
 
@@ -11,36 +11,6 @@ from fucik import nearness as nr
 from fucik.spectrum import complete_point
 
 PI = math.pi
-
-
-# ----------------------------------------------------------------------
-# the from-scratch symmetric eigenvalue solver
-
-def test_jacobi_identity():
-    eig = gm.jacobi_eigenvalues(np.eye(8) * PI / 2)
-    assert np.allclose(eig, PI / 2, atol=1e-14)
-
-
-def test_jacobi_2x2_closed_form():
-    for rho in (0.3, -0.7, 0.05):
-        a = np.array([[1.0, rho], [rho, 1.0]])
-        eig = gm.jacobi_eigenvalues(a)
-        assert eig[0] == pytest.approx(1 - abs(rho), abs=1e-13)
-        assert eig[1] == pytest.approx(1 + abs(rho), abs=1e-13)
-
-
-def test_jacobi_against_lapack(rng):
-    for n in (3, 8, 24, 60):
-        m = rng.normal(size=(n, n))
-        a = 0.5 * (m + m.T)
-        mine = gm.jacobi_eigenvalues(a)
-        ref = np.linalg.eigvalsh(a)
-        assert np.max(np.abs(mine - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
-def test_jacobi_validates_shape():
-    with pytest.raises(ValueError):
-        gm.jacobi_eigenvalues(np.zeros((2, 3)))
 
 
 # ----------------------------------------------------------------------
@@ -94,14 +64,16 @@ def test_gram_symmetry_and_quadrature_entries():
     from fucik.eigenfunction import breakpoints, build
     from fucik.quadrature import inner_numeric, merged_breakpoints
     system = nr.GammaLine(5.0)
-    g = gm.build_gram(system, 4)
+    g = gm.build_gram(system, 12)
     m = g.entries
     assert np.max(np.abs(m - m.T)) == 0.0
-    f2 = build(system.point(2))
-    f4 = build(system.point(4))
-    direct = inner_numeric(f2, f4, merged_breakpoints(breakpoints(f2), breakpoints(f4)),
-                           1e-12)
-    assert m[1, 3] == pytest.approx(direct, abs=1e-10)
+    # every eigenfunction pair, integrated exactly by assembly
+    for i in range(2, 13, 2):
+        for j in range(i + 2, 13, 2):
+            fi, fj = build(system.point(i)), build(system.point(j))
+            direct = inner_numeric(fi, fj, merged_breakpoints(breakpoints(fi), breakpoints(fj)),
+                                   1e-12)
+            assert m[i - 1, j - 1] == pytest.approx(direct, abs=1e-11), (i, j)
 
 
 def test_gram_workers_deterministic():

@@ -9,7 +9,7 @@ from conftest import curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
 from fucik.errors import DivergentArgument, NotOnCurve, OddEntriesNotDiagonal
-from fucik.spectrum import complete_point, diagonal_point
+from fucik.spectrum import FucikPoint, complete_point, diagonal_point
 
 PI = math.pi
 
@@ -29,6 +29,8 @@ def test_bound_cn_examples():
 def test_bound_cn_rejects_off_curve():
     with pytest.raises(NotOnCurve):
         nr.bound_Cn(2, 9.0, 9.0)
+    with pytest.raises(NotOnCurve):
+        nr.bound_Cn(4, math.nan, 16.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 14, 27, 50])
@@ -282,6 +284,8 @@ def test_branch_rule_validation():
 def test_finite_perturbation_validation():
     with pytest.raises(ValueError):
         nr.FinitePerturbation((complete_point(2, alpha=9), complete_point(2, alpha=9)))
+    with pytest.raises(NotOnCurve):
+        nr.FinitePerturbation((FucikPoint(4, math.nan, 16.0, "even", "alpha_dominant"),))
 
 
 def test_gamma_line_range_guard():

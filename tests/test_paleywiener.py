@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import paper_formulas as paper
 from conftest import TkPiecewiseProbe, pl_norm_sq
 from fucik import paleywiener as pw
 from fucik.eigenfunction import SineMode, breakpoints, build
@@ -139,6 +140,17 @@ def test_fourier_Ak_against_oracle():
         for k in (1, 2, 3, 4, 7, 12, 25):
             quad = (2 / PI) * inner_numeric(f2, SineMode(k), bp)
             assert pw.fourier_Ak(gamma, k) == pytest.approx(quad, abs=1e-10), (gamma, k)
+
+
+def test_fourier_Ak_matches_paper_formula():
+    """The bump route against the paper's closed form for A_k, which is
+    0/0 only at gamma = 4, k = 2 (covered by the collapse test)."""
+    for gamma in np.linspace(pw.GAMMA_MIN, pw.GAMMA_MAX, 61):
+        for k in range(1, 60):
+            if gamma == 4.0 and k == 2:
+                continue
+            want = paper.fourier_Ak(float(gamma), k)
+            assert pw.fourier_Ak(float(gamma), k) == pytest.approx(want, abs=1e-12), (gamma, k)
 
 
 def test_parseval_partial_sums():

@@ -112,6 +112,8 @@ def test_errors():
         complete_point(2, alpha=9.0, beta=2.25)
     with pytest.raises(NotOnCurve):
         make_point(2, 9.0, 9.0)
+    with pytest.raises(NotOnCurve):
+        make_point(4, math.nan, 16.0)
 
 
 def test_make_point_accepts_valid():
