@@ -42,6 +42,10 @@ _SUITE_DEFAULT_TOL = {
 }
 
 
+#: largest row count a gamma-scan may produce
+GAMMA_SCAN_MAX_ROWS = 100_000
+
+
 class UsageError(Exception):
     pass
 
@@ -279,7 +283,7 @@ def _suite_paleywiener(tol: float, checks: list) -> None:
 
     bound_ok = True
     worst_excess = 0.0
-    for gamma in (4.5, 5.0, 5.5, 5.682):
+    for gamma in (4.5, 5.0, 5.5, paleywiener.GAMMA_MAX):
         a1 = paleywiener.fourier_Ak(gamma, 1)
         a2 = paleywiener.fourier_Ak(gamma, 2)
         excess = max(abs(a1) - paleywiener.ck_bound(gamma, 1),
@@ -292,7 +296,7 @@ def _suite_paleywiener(tol: float, checks: list) -> None:
     checks.append(_check("ck_bound_domination", bound_ok, 0.0, worst_excess))
     checks.append(_check("E_at_4_vanishes", paleywiener.E_gamma(4.0) == 0.0, 0.0,
                          paleywiener.E_gamma(4.0)))
-    grid = np.arange(4.0, 5.682, 0.05)
+    grid = np.arange(paleywiener.GAMMA_MIN, paleywiener.GAMMA_MAX, 0.05)
     vals = [paleywiener.E_gamma(float(g)) for g in grid]
     inc = all(b > a for a, b in zip(vals, vals[1:]))
     checks.append(_check("E_strictly_increasing", inc, 0.0, float(min(np.diff(vals)))))
@@ -399,6 +403,10 @@ def _cmd_check_theorem(which: int, args, checks) -> str:
 def _cmd_gamma_scan(args, checks) -> str:
     if args.step < 1e-9:
         raise UsageError("--step must be at least 1e-9")
+    count = (args.gamma_to - args.gamma_from) / args.step + 1
+    if not count <= GAMMA_SCAN_MAX_ROWS:
+        raise UsageError(f"--from/--to/--step give {count:.3g} rows, "
+                         f"more than the cap of {GAMMA_SCAN_MAX_ROWS}")
     rows = []
     g = args.gamma_from
     while g <= args.gamma_to + 1e-12:

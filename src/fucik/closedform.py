@@ -11,8 +11,15 @@ the resonances m^2 = alpha or beta and the diagonal need no special case.
 The sums over the bump train collapse through the closed progression
 identity.  The squared norm is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2
 and the squared distance to sin(n x) follows by polarization.  Products
-of two eigenfunctions (:func:`inner_pair`) are integrated exactly on each
-piece between their merged junction points.
+of two eigenfunctions (:func:`pair_products`) are integrated exactly on
+each piece between their merged junction points.
+
+The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
+:func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``.
+Gram assembly uses the array forms instead: :func:`bump_table` stacks the
+per-function data of a whole system once, and :func:`norms_sq`,
+:func:`sine_products` and :func:`pair_products` compute each kind of
+entry in one numpy pass.
 
 The paper's per-case formulas and the adaptive quadrature are independent
 routes to the same numbers; they serve as oracles in the tests and in
@@ -28,15 +35,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .eigenfunction import FucikEigenfunction, amplitudes, breakpoints, build
+from .eigenfunction import JUNCTION_SLACK, amplitudes
 from .spectrum import FucikPoint, require_on_curve
 
 #: largest comparator index accepted by inner_cross_index
 M_MAX = 10 ** 4
+
+#: elements per array in one chunk of pair_products; bounds peak memory
+_PAIR_CHUNK = 8192
 
 FormulaCase = Literal["even_alpha", "odd_alpha", "even_beta", "odd_beta", "diagonal"]
 
@@ -161,32 +171,144 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     return ClosedFormValue(_sine_product(p, m), tag, res_gap)
 
 
-def _local_sines(f: FucikEigenfunction, x: np.ndarray):
-    """(amplitude, frequency, offset into the bump) of f around each x."""
-    l1, length = f.bumps.l1, f.bumps.l
-    k = np.minimum(np.floor(x / length), max(math.ceil(math.pi / length) - 1, 0))
-    t = x - k * length
-    pos = t < l1
-    return (np.where(pos, f.positive_amplitude, -f.negative_amplitude),
-            np.where(pos, f.point.sqrt_alpha, f.point.sqrt_beta),
-            np.where(pos, t, t - l1))
+@dataclass(frozen=True)
+class BumpTable:
+    """Per-function data of a list of eigenfunctions, stacked as arrays.
+
+    Row r describes the eigenfunction at the r-th point: its index ``n``,
+    the frequencies ``sa`` = sqrt(alpha) and ``sb`` = sqrt(beta), the bump
+    amplitudes ``a_pos`` and ``a_neg``, the bump lengths ``l1`` and ``l2``,
+    the period ``l`` = l1 + l2, the index ``last_bump`` of the bump pair
+    that holds x = pi, and the ``junctions`` row of
+    :func:`fucik.eigenfunction.breakpoints` padded with pi to the common
+    width max(n) + 2.
+    """
+
+    n: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+    a_pos: np.ndarray
+    a_neg: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    l: np.ndarray
+    last_bump: np.ndarray
+    junctions: np.ndarray
 
 
-def inner_pair(p: FucikPoint, q: FucikPoint) -> float:
-    """Scalar product of the eigenfunctions at p and q, integrated exactly.
+def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
+    """Stack the per-function data of the eigenfunctions at ``points``.
+
+    Raises NotOnCurve if any point fails the curve equation.
+    """
+    for p in points:
+        require_on_curve(p)
+    n = np.array([p.n for p in points], dtype=np.int64)
+    sa = np.sqrt([p.alpha for p in points])
+    sb = np.sqrt([p.beta for p in points])
+    a_pos, a_neg = np.array([amplitudes(p) for p in points]).reshape(-1, 2).T
+    l1, l2 = np.pi / sa, np.pi / sb
+    l = l1 + l2
+    # candidate junctions k l + l1, (k + 1) l for k = 0, 1, ...; the first
+    # one within JUNCTION_SLACK of pi, and every later one, becomes pi
+    j = np.arange(1, int(n.max(initial=0)) + 2)
+    k = (j - 1) // 2
+    cand = np.where(j % 2 == 1, k * l[:, None] + l1[:, None], (k + 1) * l[:, None])
+    cand = np.where(cand < np.pi - JUNCTION_SLACK, cand, np.pi)
+    junctions = np.concatenate((np.zeros((n.size, 1)), cand), axis=1)
+    return BumpTable(n, sa, sb, a_pos, a_neg, l1, l2, l,
+                     np.maximum(np.ceil(np.pi / l) - 1, 0), junctions)
+
+
+def norms_sq(t: BumpTable) -> np.ndarray:
+    """Squared norms of the table's eigenfunctions as bump sums."""
+    n = t.n
+    return ((n + 1) // 2 * t.a_pos ** 2 * np.pi / t.sa
+            + n // 2 * t.a_neg ** 2 * np.pi / t.sb) / 2
+
+
+def _progression_sums(count: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_progression_sum`; every c must be >= 0."""
+    # math.remainder(c, 2 pi) for c >= 0: fmod is exact, and so is the
+    # shift of a value in (pi, 2 pi) by 2 pi (Sterbenz)
+    c = np.fmod(c, 2 * np.pi)
+    c = np.where(c > np.pi, c - 2 * np.pi, c)
+    flat = c == 0.0
+    half = np.where(flat, 1.0, c / 2)
+    ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / np.sin(half)
+    return np.where(flat, count * np.sin(d), ratio)
+
+
+def _bump_factors(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`_bump_factor`."""
+    return np.pi * np.sinc((w - m) / (2 * w)) / (w + m)
+
+
+def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
+    """<f_r, sin(m x)> for every table row r and every m >= 1 in ``ms``.
+
+    The (rows x len(ms)) grid of the values :func:`inner_cross_index`
+    gives for an eigenfunction off the diagonal, structural zeros (even m
+    against odd n, or even m < n) set to exactly 0.0.
+    """
+    m = np.asarray(ms, dtype=np.int64)[None, :]
+    n = t.n[:, None]
+    l1, l2 = t.l1[:, None], t.l2[:, None]
+    c = m * t.l[:, None]
+    pos = _progression_sums((n + 1) // 2, c, m * l1 / 2)
+    neg = _progression_sums(n // 2, c, m * (l1 + l2 / 2))
+    value = (t.a_pos[:, None] * _bump_factors(t.sa[:, None], m) * pos
+             - t.a_neg[:, None] * _bump_factors(t.sb[:, None], m) * neg)
+    zero = (m % 2 == 0) & ((n % 2 == 1) | (m < n))
+    return np.where(zero, 0.0, value)
+
+
+def _local_waves(t: BumpTable, rows: np.ndarray, x: np.ndarray):
+    """(amplitude, frequency, offset into the bump) of each row's f at x."""
+    l1, l = t.l1[rows, None], t.l[rows, None]
+    k = np.minimum(np.floor(x / l), t.last_bump[rows, None])
+    s = x - k * l
+    pos = s < l1
+    return (np.where(pos, t.a_pos[rows, None], -t.a_neg[rows, None]),
+            np.where(pos, t.sa[rows, None], t.sb[rows, None]),
+            np.where(pos, s, s - l1))
+
+
+def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
+    """<f_i[k], f_j[k]> for each k, integrated exactly over merged junctions.
 
     Between merged junction points both factors are single sinusoids
     a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
     (ab/2) [cos((w - v) x + ...) - cos((w + v) x + ...)], and each cosine
     integrates over a piece of length h around its midpoint to
-    h cos(phase at the midpoint) sinc(frequency h / 2).
+    h cos(phase at the midpoint) sinc(frequency h / 2).  The two junction
+    rows of a pair are concatenated and sorted; padding and shared
+    junction points give pieces with h = 0, which contribute exactly 0.
+    The pairs run in chunks of a fixed element count per array, so peak
+    memory does not grow with the truncation order.
     """
-    f, g = build(p), build(q)
-    x = np.union1d(breakpoints(f), breakpoints(g))
-    h = np.diff(x)
-    mid = x[:-1] + h / 2
-    a, w, s = _local_sines(f, mid)
-    b, v, t = _local_sines(g, mid)
-    minus = np.cos(w * s - v * t) * np.sinc((w - v) * h / (2 * math.pi))
-    plus = np.cos(w * s + v * t) * np.sinc((w + v) * h / (2 * math.pi))
-    return float(0.5 * np.sum(a * b * h * (minus - plus)))
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    out = np.empty(i.size)
+    width = t.n + 2
+    step = max(1, _PAIR_CHUNK // (2 * t.junctions.shape[1]))
+    for lo in range(0, i.size, step):
+        ii, jj = i[lo:lo + step], j[lo:lo + step]
+        x = np.sort(np.concatenate((t.junctions[ii, :width[ii].max()],
+                                    t.junctions[jj, :width[jj].max()]), axis=1), axis=1)
+        h = np.diff(x, axis=1)
+        mid = x[:, :-1] + h / 2
+        a, w, s = _local_waves(t, ii, mid)
+        b, v, u = _local_waves(t, jj, mid)
+        minus = np.cos(w * s - v * u) * np.sinc((w - v) * h / (2 * np.pi))
+        plus = np.cos(w * s + v * u) * np.sinc((w + v) * h / (2 * np.pi))
+        out[lo:lo + step] = 0.5 * np.sum(a * b * h * (minus - plus), axis=1)
+    return out
+
+
+def inner_pair(p: FucikPoint, q: FucikPoint) -> float:
+    """Scalar product of the eigenfunctions at p and q, integrated exactly.
+
+    The one-pair call of :func:`pair_products`.
+    """
+    return float(pair_products(bump_table((p, q)), [0], [1])[0])

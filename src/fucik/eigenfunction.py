@@ -37,6 +37,9 @@ TAU_SUP = 1e-12
 #: slack beyond the right endpoint tolerated (callers' accumulated round-off)
 _EDGE_SLACK = 1e-12
 
+#: a junction point this close to pi, or beyond it, is taken as pi
+JUNCTION_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SineMode:
@@ -124,7 +127,7 @@ def breakpoints(f: FucikEigenfunction) -> np.ndarray:
     k = 0
     while True:
         for candidate in (k * L + l1, (k + 1) * L):
-            if candidate < math.pi - 1e-12:
+            if candidate < math.pi - JUNCTION_SLACK:
                 pts.append(candidate)
             else:
                 pts.append(math.pi)

@@ -42,41 +42,35 @@ class GramTruncation:
     lambda_max: Optional[float] = None
 
 
-def _entry(points, i: int, j: int) -> float:
-    """Inner product <psi_i, psi_j> with 1-based system indices i <= j."""
-    pi_, pj = points[i], points[j]
-    sine_i = pi_.case == "diagonal"
-    sine_j = pj.case == "diagonal"
-    if i == j:
-        if sine_i:
-            return math.pi / 2
-        return closedform.norm_sq(pi_).value
-    if sine_i and sine_j:
-        return 0.0
-    if sine_i:
-        return closedform.inner_cross_index(pj, i).value
-    if sine_j:
-        return closedform.inner_cross_index(pi_, j).value
-    return closedform.inner_pair(pi_, pj)
-
-
 def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) -> GramTruncation:
     """Assemble the order-N Gram truncation of a system specification.
 
-    Sine-sine entries are exact (pi/2 on the diagonal, 0 off it); every
-    other entry comes from the exact bump algebra of
-    :mod:`fucik.closedform`.  ``max_workers`` is accepted for older
-    callers and ignored: assembly is serial.
+    Sine-sine entries are exact (pi/2 on the diagonal, 0 off it).  The
+    other entries come from the exact bump algebra of
+    :mod:`fucik.closedform`, one array pass per kind of entry over the
+    eigenfunctions of the system: their squared norms
+    (:func:`~fucik.closedform.norms_sq`), their products with the sines
+    of the system (:func:`~fucik.closedform.sine_products`), and their
+    pairwise products (:func:`~fucik.closedform.pair_products`).
+    ``max_workers`` is accepted for older callers and ignored.
     """
     if not (1 <= N <= MAX_ORDER):
         raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}], got {N}")
-    points = {i: system.point(i) for i in range(1, N + 1)}
+    points = [system.point(i) for i in range(1, N + 1)]
+    sine = np.array([p.case == "diagonal" for p in points])
+    s, e = np.flatnonzero(sine), np.flatnonzero(~sine)
     m = np.zeros((N, N))
-    for i in range(1, N + 1):
-        for j in range(i, N + 1):
-            m[i - 1, j - 1] = _entry(points, i, j)
-    lower = np.tril_indices(N, -1)
-    m[lower] = m.T[lower]
+    m[s, s] = math.pi / 2
+    if e.size:
+        table = closedform.bump_table([points[k] for k in e])
+        m[e, e] = closedform.norms_sq(table)
+        cross = closedform.sine_products(table, s + 1)
+        m[np.ix_(e, s)] = cross
+        m[np.ix_(s, e)] = cross.T
+        r, c = np.triu_indices(e.size, 1)
+        pairs = closedform.pair_products(table, r, c)
+        m[e[r], e[c]] = pairs
+        m[e[c], e[r]] = pairs
     m.setflags(write=False)
     return GramTruncation(order=N, entries=m)
 

@@ -34,6 +34,7 @@ from .errors import (
     OddEntriesNotDiagonal,
     TailNotBoundable,
 )
+from .paleywiener import GAMMA_MAX, GAMMA_MIN
 from .spectrum import (
     FucikPoint,
     complete_point,
@@ -196,8 +197,8 @@ class BranchRule:
         if (self.c is None) == (self.cap_fraction is None):
             raise ValueError("give exactly one of c= or cap_fraction=")
         value = self.c if self.c is not None else self.cap_fraction
-        if value < 0:
-            raise ValueError("rule constants must be nonnegative")
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"rule constants must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -232,6 +233,8 @@ class PowerFamily:
     odd: Optional[BranchRule] = None
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise TailNotBoundable(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
@@ -272,8 +275,9 @@ class GammaLine:
     gamma: float
 
     def __post_init__(self):
-        if not (4.0 <= self.gamma <= 5.682):
-            raise GammaOutOfRange(f"gamma must lie in [4, 5.682], got {self.gamma}")
+        if not (GAMMA_MIN <= self.gamma <= GAMMA_MAX):
+            raise GammaOutOfRange(
+                f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {self.gamma}")
 
     def point(self, n: int) -> FucikPoint:
         if n >= 2 and n % 2 == 0:

@@ -152,13 +152,16 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
 
     Raises:
         IndexTooSmall: if n < 2.
-        InfeasiblePoint: if the partner denominator is not positive or the
-            given coordinate is not > 1.
+        InfeasiblePoint: if the given coordinate is not finite, the partner
+            denominator is not positive or the given coordinate is not > 1.
     """
     if n < 2:
         raise IndexTooSmall(f"complete_point needs n >= 2, got {n}")
     if (alpha is None) == (beta is None):
         raise ValueError("give exactly one of alpha= or beta=")
+    given = alpha if alpha is not None else beta
+    if not math.isfinite(given):
+        raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
 
     if alpha is not None:
         if alpha <= 1.0:
@@ -212,8 +215,8 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
         raise OddIndex(f"gamma_line_point needs an even index, got {n}")
     if n < 2:
         raise IndexTooSmall(f"curve index must be >= 2, got {n}")
-    if gamma < 4.0:
-        raise GammaOutOfRange(f"gamma must be >= 4, got {gamma}")
+    if not (math.isfinite(gamma) and gamma >= 4.0):
+        raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
     sg = math.sqrt(gamma)
     alpha = n * n * gamma / 4.0
     beta = n * n * gamma / (2 * sg - 2) ** 2

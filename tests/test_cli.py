@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from fucik.cli import CommandRequest, UsageError, emit_figure_data, execute, main
+from fucik import paleywiener
+from fucik.cli import (
+    GAMMA_SCAN_MAX_ROWS,
+    CommandRequest,
+    UsageError,
+    emit_figure_data,
+    execute,
+    main,
+)
 from fucik.spectrum import FucikPoint, curve_residual, diagonal_point
 
 
@@ -165,6 +173,30 @@ def test_usage_errors(capsys):
     assert code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_point_non_finite_is_usage_error(capsys):
+    for flag in ("--alpha", "--beta"):
+        for bad in ("nan", "inf"):
+            code, out, err = run(capsys, "point", "--n", "4", flag, bad)
+            assert code == 2 and out == ""
+            assert "finite" in err
+
+
+def test_gamma_scan_row_cap(capsys, monkeypatch):
+    def unreachable(gamma):
+        raise AssertionError("the scan loop must not start")
+
+    monkeypatch.setattr(paleywiener, "E_gamma_extended", unreachable)
+    code, out, err = run(capsys, "gamma-scan", "--from", "4", "--to", "5.682",
+                         "--step", "1e-9")
+    assert code == 2 and out == ""
+    assert str(GAMMA_SCAN_MAX_ROWS) in err
+    for bad in (("--to", "inf"), ("--step", "nan")):
+        args = {"--from": "4", "--to": "4.2", "--step": "0.05"}
+        args.update([bad])
+        code, out, _ = run(capsys, "gamma-scan", *[v for kv in args.items() for v in kv])
+        assert code == 2 and out == ""
 
 
 def test_output_file(tmp_path, capsys):

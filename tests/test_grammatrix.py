@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fucik import closedform as cf
 from fucik import grammatrix as gm
 from fucik import nearness as nr
+from fucik import paleywiener as pw
+from fucik.eigenfunction import breakpoints, build
 from fucik.spectrum import complete_point
 
 PI = math.pi
@@ -74,6 +78,87 @@ def test_gram_symmetry_and_quadrature_entries():
             direct = inner_numeric(fi, fj, merged_breakpoints(breakpoints(fi), breakpoints(fj)),
                                    1e-12)
             assert m[i - 1, j - 1] == pytest.approx(direct, abs=1e-11), (i, j)
+
+
+def _pair_reference(p, q):
+    """Per-pair exact product: union of both junction sets, one sinc form per piece."""
+    f, g = build(p), build(q)
+    x = np.union1d(breakpoints(f), breakpoints(g))
+    h = np.diff(x)
+    mid = x[:-1] + h / 2
+
+    def local(e):
+        length = e.bumps.l
+        k = np.minimum(np.floor(mid / length), max(math.ceil(PI / length) - 1, 0))
+        t = mid - k * length
+        pos = t < e.bumps.l1
+        return (np.where(pos, e.positive_amplitude, -e.negative_amplitude),
+                np.where(pos, e.point.sqrt_alpha, e.point.sqrt_beta),
+                np.where(pos, t, t - e.bumps.l1))
+
+    a, w, s = local(f)
+    b, v, t = local(g)
+    minus = np.cos(w * s - v * t) * np.sinc((w - v) * h / (2 * PI))
+    plus = np.cos(w * s + v * t) * np.sinc((w + v) * h / (2 * PI))
+    return float(0.5 * np.sum(a * b * h * (minus - plus)))
+
+
+def _scalar_gram(system, N):
+    """The loop route: one scalar closed-form call per entry (reference)."""
+    points = {i: system.point(i) for i in range(1, N + 1)}
+    m = np.zeros((N, N))
+    for i in range(1, N + 1):
+        for j in range(i, N + 1):
+            p, q = points[i], points[j]
+            if p.case == "diagonal" and q.case == "diagonal":
+                m[i - 1, j - 1] = PI / 2 if i == j else 0.0
+            elif i == j:
+                m[i - 1, j - 1] = cf.norm_sq(p).value
+            elif p.case == "diagonal":
+                m[i - 1, j - 1] = cf.inner_cross_index(q, i).value
+            elif q.case == "diagonal":
+                m[i - 1, j - 1] = cf.inner_cross_index(p, j).value
+            else:
+                m[i - 1, j - 1] = cf.inner_pair(p, q)
+                assert m[i - 1, j - 1] == pytest.approx(_pair_reference(p, q), abs=1e-13)
+            m[j - 1, i - 1] = m[i - 1, j - 1]
+    return m
+
+
+_BATCH_SYSTEMS = [
+    *[(nr.GammaLine(g), n) for g in (4.2, 5.0, 5.6) for n in (8, 33, 64, 128)],
+    (nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(cap_fraction=0.5),
+                    odd=nr.BranchRule(c=0.3, side="beta")), 40),
+    (nr.FinitePerturbation((complete_point(3, alpha=13.0), complete_point(4, alpha=20.0),
+                            complete_point(5, beta=31.0), complete_point(9, alpha=90.0))), 12),
+]
+
+
+@pytest.mark.parametrize("system, N", _BATCH_SYSTEMS,
+                         ids=[f"{s}-N{n}" for s, n in _BATCH_SYSTEMS])
+def test_batched_gram_matches_scalar_route(system, N):
+    batched = gm.build_gram(system, N).entries
+    scalar = _scalar_gram(system, N)
+    assert np.max(np.abs(batched - scalar)) <= 1e-13
+    # structural zeros stay exact zeros, and no other entry vanishes
+    assert np.array_equal(batched == 0.0, scalar == 0.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(pw.GAMMA_MIN, pw.GAMMA_MAX), N=st.integers(2, 40),
+       k=st.integers(1, 40))
+def test_gram_properties(gamma, N, k):
+    g = gm.build_gram(nr.GammaLine(gamma), N)
+    m = g.entries
+    assert np.array_equal(m, m.T)
+    assert np.all(np.diag(m) <= PI / 2)
+    eig = np.linalg.eigvalsh(g.normalization * m)
+    assert eig[0] >= -1e-12
+    # Cauchy interlacing: the leading k x k block sits inside the full spectrum
+    k = min(k, N)
+    sub = np.linalg.eigvalsh(g.normalization * m[:k, :k])
+    assert np.all(eig[:k] <= sub + 1e-13)
+    assert np.all(sub <= eig[N - k:] + 1e-13)
 
 
 def test_gram_workers_deterministic():

@@ -8,7 +8,7 @@ import pytest
 from conftest import curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
-from fucik.errors import DivergentArgument, NotOnCurve, OddEntriesNotDiagonal
+from fucik.errors import DivergentArgument, NotOnCurve, OddEntriesNotDiagonal, TailNotBoundable
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point
 
 PI = math.pi
@@ -281,6 +281,16 @@ def test_branch_rule_validation():
         nr.PowerFamily(epsilon=0.0, even=nr.BranchRule(c=0.1))
 
 
+def test_non_finite_system_parameters_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(TailNotBoundable):
+            nr.PowerFamily(epsilon=bad, even=nr.BranchRule(c=0.1))
+        with pytest.raises(ValueError):
+            nr.BranchRule(c=bad)
+        with pytest.raises(ValueError):
+            nr.BranchRule(cap_fraction=bad)
+
+
 def test_finite_perturbation_validation():
     with pytest.raises(ValueError):
         nr.FinitePerturbation((complete_point(2, alpha=9), complete_point(2, alpha=9)))
@@ -289,8 +299,14 @@ def test_finite_perturbation_validation():
 
 
 def test_gamma_line_range_guard():
+    from fucik import paleywiener as pw
     from fucik.errors import GammaOutOfRange
     with pytest.raises(GammaOutOfRange):
         nr.GammaLine(5.7)
     with pytest.raises(GammaOutOfRange):
         nr.GammaLine(3.99)
+    # the limits are those of the budget E(gamma), to the last bit
+    assert nr.GammaLine(pw.GAMMA_MAX).gamma == pw.GAMMA_MAX
+    for bad in (math.nextafter(pw.GAMMA_MAX, math.inf), math.nan):
+        with pytest.raises(GammaOutOfRange):
+            nr.GammaLine(bad)

@@ -116,6 +116,16 @@ def test_errors():
         make_point(4, math.nan, 16.0)
 
 
+def test_non_finite_coordinates_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InfeasiblePoint):
+            complete_point(4, alpha=bad)
+        with pytest.raises(InfeasiblePoint):
+            complete_point(4, beta=bad)
+        with pytest.raises(GammaOutOfRange):
+            gamma_line_point(4, bad)
+
+
 def test_make_point_accepts_valid():
     p = make_point(2, 9.0, 2.25)
     assert p.case == "alpha_dominant"
