@@ -6,7 +6,8 @@ digits, LF line endings.  The run report (wall time, per-check lines)
 goes to stderr so it never perturbs the payload.
 
 Exit codes: 0 all checks passed / verdict certified, 1 a check failed or
-a verdict came back inconclusive, 2 usage error.
+a verdict came back inconclusive, 2 usage error.  Every count taken from
+the command line is bounded before any work starts.
 
 The ``verify`` suites compare the package's exact bump-route values with
 the adaptive quadrature oracle; --tol can only tighten a suite's
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Optional
 
@@ -30,24 +31,23 @@ from . import __version__, closedform, grammatrix, nearness, paleywiener
 from .eigenfunction import SineMode, breakpoints, build
 from .errors import FucikError
 from .quadrature import inner_numeric, merged_breakpoints
-from .spectrum import complete_point, curve_residual, diagonal_point
+from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point
 
 _SCHEMA = "1"
 
-_SUITE_DEFAULT_TOL = {
-    "closedform": 1e-9,
-    "quadrature": 1e-12,
-    "paleywiener": 1e-10,
-    "gram": 1e-10,
-}
-
-
-#: largest row count a gamma-scan may produce
-GAMMA_SCAN_MAX_ROWS = 100_000
+#: largest row or term count a command may produce or sum
+MAX_ROWS = 100_000
 
 
 class UsageError(Exception):
     pass
+
+
+def _count(name: str, value, lo, hi):
+    """Return ``value`` if it lies in [lo, hi]; otherwise raise UsageError."""
+    if not lo <= value <= hi:
+        raise UsageError(f"{name} must lie in [{lo}, {hi}], got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -88,86 +88,15 @@ def _csv(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ----------------------------------------------------------------------
-# request / report types
-
-@dataclass
-class CommandRequest:
-    command: str
-    parameters: dict
-    output: Optional[str] = None
-
-
-@dataclass
-class RunReport:
-    command: str
-    payload: str
-    wall_time: float
-    version: str
-    checks: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+def _json(command: str, fields: dict) -> str:
+    body = {"schema": _SCHEMA, "command": command, "version": __version__}
+    body.update(fields)
+    return _to_json(body) + "\n"
 
 
 def _check(name: str, passed: bool, tolerance: float, observed: float) -> dict:
     return {"name": name, "passed": bool(passed),
             "tolerance": float(tolerance), "observed": float(observed)}
-
-
-# ----------------------------------------------------------------------
-# figure data
-
-def emit_figure_data(kind: str, params: dict) -> str:
-    """CSV payloads backing the package's standard figures.
-
-    Kinds: ``spectrum_curves`` (columns n, alpha, beta), ``eigenfunction_profile``
-    (x, f, sine), ``region`` (n, boundary), ``comparison`` (n, boundary,
-    line_value).  Every emitted (alpha, beta) pair satisfies the curve
-    equation within the package tolerance.
-    """
-    if kind == "spectrum_curves":
-        n_max = int(params.get("n_max", 4))
-        samples = int(params.get("samples", 200))
-        rows = []
-        for n in range(2, n_max + 1):
-            lo = (n / 2 if n % 2 == 0 else (n + 1) / 2) * 1.02
-            lo = max(lo, 1.02)
-            hi = 2.5 * n
-            for s in np.linspace(lo, hi, samples):
-                p = complete_point(n, alpha=float(s * s))
-                rows.append((p.n, p.alpha, p.beta))
-        return _csv(["n", "alpha", "beta"], rows)
-
-    if kind == "eigenfunction_profile":
-        point = params["point"]
-        samples = int(params.get("samples", 201))
-        f = build(point)
-        xs = np.linspace(0.0, math.pi, samples)
-        fx = f(xs)
-        sx = np.sin(point.n * xs)
-        return _csv(["x", "f", "sine"], list(zip(xs, fx, sx)))
-
-    if kind == "region":
-        pts = nearness.region_boundary(params["epsilon"], params["branch"],
-                                       range(int(params["n_from"]), int(params["n_to"]) + 1))
-        return _csv(["n", "boundary"], pts)
-
-    if kind == "comparison":
-        eps = float(params["epsilon"])
-        c = float(params["c"])
-        gamma = float(params["gamma"])
-        rows = []
-        for n in range(int(params["n_from"]), int(params["n_to"]) + 1):
-            if n % 2 != 0:
-                continue
-            boundary = n + math.sqrt(c) * n ** ((1.0 - eps) / 2.0)
-            line_value = n * math.sqrt(gamma) / 2.0
-            rows.append((n, boundary, line_value))
-        return _csv(["n", "boundary", "line_value"], rows)
-
-    raise UsageError(f"unknown figure kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -191,20 +120,27 @@ def _resolve_point(args) -> "FucikPoint":
 
 def _cmd_point(args, checks) -> str:
     if args.samples is not None:
-        payload = emit_figure_data("spectrum_curves",
-                                   {"n_max": args.nmax, "samples": args.samples})
-        return payload
+        # whole curves n = 2..nmax, sampled in sqrt(alpha) off the diagonal
+        _count("--nmax", args.nmax, 2, MAX_ROWS // 2)
+        _count("--samples", args.samples, 2, MAX_ROWS // (args.nmax - 1))
+        rows = []
+        for n in range(2, args.nmax + 1):
+            lo = max((n / 2 if n % 2 == 0 else (n + 1) / 2) * 1.02, 1.02)
+            for s in np.linspace(lo, 2.5 * n, args.samples):
+                p = complete_point(n, alpha=float(s * s))
+                rows.append((p.n, p.alpha, p.beta))
+        return _csv(["n", "alpha", "beta"], rows)
     p = _resolve_point(args)
-    body = {"schema": _SCHEMA, "command": "point", "version": __version__}
-    body.update(_point_payload(p))
-    checks.append(_check("on_curve", abs(curve_residual(p)) <= 1e-9, 1e-9,
-                         abs(curve_residual(p))))
-    return _to_json(body) + "\n"
+    residual = abs(curve_residual(p))
+    checks.append(_check("on_curve", residual <= TAU_CURVE, TAU_CURVE, residual))
+    return _json("point", _point_payload(p))
 
 
 def _cmd_eval(args, checks) -> str:
+    _count("--samples", args.samples, 2, MAX_ROWS)
     p = _resolve_point(args)
-    return emit_figure_data("eigenfunction_profile", {"point": p, "samples": args.samples})
+    xs = np.linspace(0.0, math.pi, args.samples)
+    return _csv(["x", "f", "sine"], list(zip(xs, build(p)(xs), np.sin(p.n * xs))))
 
 
 def _cmd_distance(args, checks) -> str:
@@ -214,16 +150,14 @@ def _cmd_distance(args, checks) -> str:
     inner = closedform.inner_same_index(p)
     consistency = abs(inner.value - 0.5 * (norm.value + math.pi / 2 - dist.value))
     checks.append(_check("polarization_consistency", consistency <= 1e-10, 1e-10, consistency))
-    body = {"schema": _SCHEMA, "command": "distance", "version": __version__}
-    body.update(_point_payload(p))
-    body.update({
+    return _json("distance", {
+        **_point_payload(p),
         "norm_sq": norm.value, "norm_case": norm.formula_case,
         "dist_sq": dist.value, "dist_case": dist.formula_case,
         "inner_same": inner.value, "inner_case": inner.formula_case,
         "kato_weakened_term": nearness.kato_weakened_term(p),
         "singularity_distance": dist.singularity_distance,
     })
-    return _to_json(body) + "\n"
 
 
 def _curve_samples(n: int, count: int):
@@ -237,10 +171,10 @@ def _curve_samples(n: int, count: int):
     return out
 
 
-def _suite_closedform(nmax: int, points: int, tol: float, checks: list) -> None:
+def _suite_closedform(args, tol: float, checks: list) -> None:
     worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
-    for n in range(2, nmax + 1):
-        for p in _curve_samples(n, points):
+    for n in range(2, args.nmax + 1):
+        for p in _curve_samples(n, args.points):
             f = build(p)
             bp = breakpoints(f)
             sine = SineMode(n)
@@ -255,7 +189,7 @@ def _suite_closedform(nmax: int, points: int, tol: float, checks: list) -> None:
         checks.append(_check(f"closedform_vs_oracle_{name}", delta <= tol, tol, delta))
 
 
-def _suite_quadrature(tol: float, checks: list) -> None:
+def _suite_quadrature(args, tol: float, checks: list) -> None:
     from .quadrature import PiecewiseIntegrand, integrate
     worst = 0.0
     for j, k in [(1, 1), (2, 3), (7, 7), (16, 16), (5, 12), (31, 33), (64, 64)]:
@@ -271,7 +205,7 @@ def _suite_quadrature(tol: float, checks: list) -> None:
                          abs(base - split)))
 
 
-def _suite_paleywiener(tol: float, checks: list) -> None:
+def _suite_paleywiener(args, tol: float, checks: list) -> None:
     worst = 0.0
     for gamma in (4.5, 5.0, 5.5):
         f2 = build(complete_point(2, alpha=gamma))
@@ -302,7 +236,7 @@ def _suite_paleywiener(tol: float, checks: list) -> None:
     checks.append(_check("E_strictly_increasing", inc, 0.0, float(min(np.diff(vals)))))
 
 
-def _suite_gram(tol: float, checks: list) -> None:
+def _suite_gram(args, tol: float, checks: list) -> None:
     g = grammatrix.build_gram(nearness.FinitePerturbation(()), 16)
     dev = float(np.max(np.abs(g.normalization * g.entries - np.eye(16))))
     checks.append(_check("diagonal_system_identity", dev <= 1e-12, 1e-12, dev))
@@ -322,28 +256,30 @@ def _suite_gram(tol: float, checks: list) -> None:
     checks.append(_check("gram_entries_vs_oracle", worst <= tol, tol, worst))
 
 
+#: suite name -> (default tolerance, runner)
+_SUITES = {
+    "closedform": (1e-9, _suite_closedform),
+    "quadrature": (1e-12, _suite_quadrature),
+    "paleywiener": (1e-10, _suite_paleywiener),
+    "gram": (1e-10, _suite_gram),
+}
+
+
 def _cmd_verify(args, checks) -> str:
-    suites = ["closedform", "quadrature", "paleywiener", "gram"] if args.suite == "all" else [args.suite]
+    _count("--nmax", args.nmax, 2, 64)
+    _count("--points", args.points, 1, 64)
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    if args.tol is not None:
+        if not args.tol > 0:
+            raise UsageError(f"--tol must be positive, got {args.tol:g}")
+        for suite in suites:
+            default = _SUITES[suite][0]
+            if not args.tol <= default:
+                raise UsageError(f"--tol may only tighten the {suite} suite below {default:g}")
     for suite in suites:
-        default = _SUITE_DEFAULT_TOL[suite]
-        tol = default
-        if args.tol is not None:
-            if args.tol > default:
-                raise UsageError(
-                    f"--tol may only tighten the {suite} suite below {default:g}"
-                )
-            tol = args.tol
-        if suite == "closedform":
-            _suite_closedform(args.nmax, args.points, tol, checks)
-        elif suite == "quadrature":
-            _suite_quadrature(tol, checks)
-        elif suite == "paleywiener":
-            _suite_paleywiener(tol, checks)
-        elif suite == "gram":
-            _suite_gram(tol, checks)
-    body = {"schema": _SCHEMA, "command": "verify", "version": __version__,
-            "suite": args.suite, "nmax": args.nmax, "checks": checks}
-    return _to_json(body) + "\n"
+        default, run = _SUITES[suite]
+        run(args, default if args.tol is None else args.tol, checks)
+    return _json("verify", {"suite": args.suite, "nmax": args.nmax, "checks": checks})
 
 
 def _system_from_args(args) -> nearness.SystemSpec:
@@ -385,28 +321,27 @@ def _system_from_args(args) -> nearness.SystemSpec:
 
 
 def _cmd_check_theorem(which: int, args, checks) -> str:
+    _count("--n-partial", args.n_partial, 2, MAX_ROWS)
     system = _system_from_args(args)
     fn = nearness.theorem1_check if which == 1 else nearness.theorem2_check
     report = fn(system, n_partial=args.n_partial)
     certified = report.verdict == "riesz_basis_certified"
     checks.append(_check("certified", certified, report.threshold, report.total_upper))
-    body = {
-        "schema": _SCHEMA, "command": f"check-theorem{which}", "version": __version__,
+    return _json(f"check-theorem{which}", {
         "mode": args.mode,
         "partial_sum": report.partial_sum, "tail_bound": report.tail_bound,
         "total_upper": report.total_upper, "threshold": report.threshold,
         "verdict": report.verdict, "r": report.r,
-    }
-    return _to_json(body) + "\n"
+    })
 
 
 def _cmd_gamma_scan(args, checks) -> str:
     if args.step < 1e-9:
         raise UsageError("--step must be at least 1e-9")
     count = (args.gamma_to - args.gamma_from) / args.step + 1
-    if not count <= GAMMA_SCAN_MAX_ROWS:
+    if not count <= MAX_ROWS:
         raise UsageError(f"--from/--to/--step give {count:.3g} rows, "
-                         f"more than the cap of {GAMMA_SCAN_MAX_ROWS}")
+                         f"more than the cap of {MAX_ROWS}")
     rows = []
     g = args.gamma_from
     while g <= args.gamma_to + 1e-12:
@@ -416,30 +351,27 @@ def _cmd_gamma_scan(args, checks) -> str:
 
 
 def _cmd_region(args, checks) -> str:
-    if args.compare:
-        if args.gamma is None or args.c is None:
-            raise UsageError("--compare needs --gamma and --c")
-        return emit_figure_data("comparison", {
-            "epsilon": args.epsilon, "c": args.c, "gamma": args.gamma,
-            "n_from": args.n_from, "n_to": args.n_to,
-        })
-    return emit_figure_data("region", {
-        "epsilon": args.epsilon, "branch": args.branch,
-        "n_from": args.n_from, "n_to": args.n_to,
-    })
+    _count("--n-from", args.n_from, 1, MAX_ROWS)
+    _count("--n-to", args.n_to, args.n_from, MAX_ROWS)
+    ns = range(args.n_from, args.n_to + 1)
+    if not args.compare:
+        return _csv(["n", "boundary"], nearness.region_boundary(args.epsilon, args.branch, ns))
+    if args.gamma is None or args.c is None:
+        raise UsageError("--compare needs --gamma and --c")
+    if not (paleywiener.GAMMA_MIN <= args.gamma < math.inf and 0 <= args.c < math.inf
+            and 0 < args.epsilon < math.inf):
+        raise UsageError(f"--compare needs finite --gamma >= {paleywiener.GAMMA_MIN}, "
+                         "--c >= 0 and --epsilon > 0")
+    # the power-cap boundary against the dominant root n sqrt(gamma) / 2 of the line
+    rows = [(n, n + math.sqrt(args.c) * n ** ((1.0 - args.epsilon) / 2.0),
+             n * math.sqrt(args.gamma) / 2.0) for n in ns if n % 2 == 0]
+    return _csv(["n", "boundary", "line_value"], rows)
 
 
 def _cmd_gram(args, checks) -> str:
-    sizes = sorted({int(s) for s in args.sizes.split(",")})
-    if args.mode == "diagonal":
-        system = nearness.FinitePerturbation(())
-    elif args.mode == "gamma-line":
-        if args.gamma is None:
-            raise UsageError("--mode gamma-line needs --gamma")
-        system = nearness.GammaLine(args.gamma)
-    else:
-        raise UsageError(f"unknown gram mode {args.mode!r}")
-    scan = grammatrix.riesz_scan(system, sizes)
+    sizes = sorted({_count("--sizes entry", int(s), 1, grammatrix.MAX_ORDER)
+                    for s in args.sizes.split(",")})
+    scan = grammatrix.riesz_scan(_system_from_args(args), sizes)
     for n, lo, hi in scan:
         checks.append(_check(f"lambda_min_positive_N{n}", lo > 0.0, 0.0, lo))
     return _csv(["N", "lambda_min", "lambda_max"], [(n, lo, hi) for n, lo, hi in scan])
@@ -465,23 +397,26 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--diagonal", action="store_true")
 
     p = sub.add_parser("point", help="complete a curve point, or sample whole curves")
+    p.set_defaults(handler=_cmd_point)
     add_point_opts(p)
     p.add_argument("--samples", type=int, help="emit curve samples (CSV) instead")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--output")
 
     p = sub.add_parser("eval", help="sample an eigenfunction profile (CSV)")
+    p.set_defaults(handler=_cmd_eval)
     add_point_opts(p, diagonal=True)
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--output")
 
     p = sub.add_parser("distance", help="closed-form norm/distance/scalar product")
+    p.set_defaults(handler=_cmd_distance)
     add_point_opts(p)
     p.add_argument("--output")
 
     p = sub.add_parser("verify", help="run an oracle-equivalence suite")
-    p.add_argument("--suite", choices=["closedform", "quadrature", "paleywiener", "gram", "all"],
-                   default="all")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--tol", type=float, help="tighten the suite tolerance (downward only)")
@@ -490,6 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for which in (1, 2):
         p = sub.add_parser(f"check-theorem{which}",
                            help=f"run basisness criterion {which} on a system")
+        p.set_defaults(handler=partial(_cmd_check_theorem, which))
         p.add_argument("--mode", choices=["diagonal", "finite", "power", "gamma-line"],
                        required=True)
         p.add_argument("--entry", action="append",
@@ -506,12 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output")
 
     p = sub.add_parser("gamma-scan", help="tabulate the nearness budget E(gamma)")
+    p.set_defaults(handler=_cmd_gamma_scan)
     p.add_argument("--from", type=float, required=True, dest="gamma_from")
     p.add_argument("--to", type=float, required=True, dest="gamma_to")
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--output")
 
     p = sub.add_parser("region", help="region boundary data for the growth caps")
+    p.set_defaults(handler=_cmd_region)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--branch", default="odd_alpha_uniform",
                    choices=["even", "odd_alpha_dominant", "odd_beta_dominant",
@@ -525,60 +463,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
 
     p = sub.add_parser("gram", help="extreme eigenvalues of Gram truncations (CSV)")
+    p.set_defaults(handler=_cmd_gram)
     p.add_argument("--mode", choices=["diagonal", "gamma-line"], required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--sizes", default="8,16,32")
     p.add_argument("--output")
 
     return parser
-
-
-_HANDLERS = {
-    "point": _cmd_point,
-    "eval": _cmd_eval,
-    "distance": _cmd_distance,
-    "verify": _cmd_verify,
-    "check-theorem1": lambda a, c: _cmd_check_theorem(1, a, c),
-    "check-theorem2": lambda a, c: _cmd_check_theorem(2, a, c),
-    "gamma-scan": _cmd_gamma_scan,
-    "region": _cmd_region,
-    "gram": _cmd_gram,
-}
-
-
-def execute(request: CommandRequest) -> tuple[RunReport, int]:
-    """Run a parsed command; returns the report and the process exit code."""
-    parser = _build_parser()
-    argv = [request.command]
-    for key, value in request.parameters.items():
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, (list, tuple)):
-            for v in value:
-                argv.extend([flag, str(v)])
-        elif value is not None:
-            argv.extend([flag, str(value)])
-    args = parser.parse_args(argv)
-    return _run(args, request.output)
-
-
-def _run(args, output: Optional[str]) -> tuple[RunReport, int]:
-    checks: list[dict] = []
-    start = time.perf_counter()
-    try:
-        payload = _HANDLERS[args.command](args, checks)
-    except UsageError:
-        raise
-    except (FucikError, ValueError) as exc:
-        # bad parameter combinations surface as usage errors, not tracebacks
-        raise UsageError(str(exc)) from exc
-    wall = time.perf_counter() - start
-    report = RunReport(command=args.command, payload=payload, wall_time=wall,
-                       version=__version__, checks=checks)
-    _write_output(payload, output)
-    return report, (0 if report.passed else 1)
 
 
 def _write_output(payload: str, output: Optional[str]) -> None:
@@ -592,21 +483,26 @@ def _write_output(payload: str, output: Optional[str]) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, run the command, write its payload; returns the exit code."""
+    args = _build_parser().parse_args(argv)
+    checks: list[dict] = []
+    start = time.perf_counter()
     try:
-        report, code = _run(args, getattr(args, "output", None))
-    except UsageError as exc:
+        payload = args.handler(args, checks)
+    except (UsageError, FucikError, ValueError) as exc:
+        # bad parameter combinations surface as usage errors, not tracebacks
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    n_pass = sum(1 for c in report.checks if c["passed"])
-    for c in report.checks:
+    wall = time.perf_counter() - start
+    _write_output(payload, args.output)
+    n_pass = sum(1 for c in checks if c["passed"])
+    for c in checks:
         status = "ok  " if c["passed"] else "FAIL"
         print(f"# {status} {c['name']} (observed {c['observed']:.3e}, "
               f"tolerance {c['tolerance']:.3e})", file=sys.stderr)
-    print(f"# {report.command}: {n_pass}/{len(report.checks)} checks passed "
-          f"in {report.wall_time:.3f} s (fucik {report.version})", file=sys.stderr)
-    return code
+    print(f"# {args.command}: {n_pass}/{len(checks)} checks passed "
+          f"in {wall:.3f} s (fucik {__version__})", file=sys.stderr)
+    return 0 if n_pass == len(checks) else 1
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
     """Extreme eigenvalues of the normalized truncation, cached on g."""
     scaled = g.normalization * g.entries
     asym = float(np.max(np.abs(scaled - scaled.T)))
-    if asym > 1e-12:
+    if not asym <= 1e-12:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
     eig = np.linalg.eigvalsh(scaled)
     g.lambda_min = float(eig[0])

@@ -108,7 +108,7 @@ _ZETA_N = 1000
 
 @lru_cache(maxsize=256)
 def zeta(s: float) -> float:
-    """Riemann zeta for s > 1 + 1e-6, absolute error below 1e-12.
+    """Riemann zeta for finite s > 1 + 1e-6, absolute error below 1e-12.
 
     Partial sum of 1000 terms plus the Euler-Maclaurin tail with four
     Bernoulli corrections; at these depths the first omitted correction is
@@ -116,8 +116,8 @@ def zeta(s: float) -> float:
     are cached (the function is pure and the criteria reuse a handful of
     exponents thousands of times).
     """
-    if s <= 1.0 + 1e-6:
-        raise DivergentArgument(f"zeta requires s > 1 + 1e-6, got {s}")
+    if not 1.0 + 1e-6 < s < math.inf:
+        raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {s}")
     n = _ZETA_N
     head = math.fsum(k ** (-s) for k in range(1, n))
     tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
@@ -138,9 +138,12 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     z = zeta(1.0 + epsilon) - 1.0
+    if not z > 0:
+        raise ValueError(f"zeta(1 + epsilon) - 1 is not resolved in floating point "
+                         f"at epsilon = {epsilon}")
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2)) / z
     if branch == "odd_alpha_dominant":
@@ -306,6 +309,11 @@ class NearnessReport:
     r: float
 
 
+def _require_partial(n_partial: int) -> None:
+    if not n_partial >= 2:
+        raise ValueError(f"n_partial must be at least 2, got {n_partial}")
+
+
 def _zeta_remainders(n_cut: int, s: float) -> tuple[float, float]:
     """Remainders of sum n^{-s} beyond n_cut, split by parity (even, odd)."""
     z = zeta(s)
@@ -321,7 +329,9 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     controlled by an analytic zeta-remainder bound (power families), is
     empty (finite perturbations), or diverges (nondiagonal gamma lines,
     whose C_n terms are constant in n; those come back inconclusive).
+    ``n_partial`` must be at least 2.
     """
+    _require_partial(n_partial)
     threshold = math.pi / 2
 
     if isinstance(system, FinitePerturbation):
@@ -391,7 +401,9 @@ def theorem2_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     Certified when sum over even n of (max(sqrt(alpha), sqrt(beta))/n - 1)^2
     is finite (threshold is infinity: only convergence matters).  Raises
     OddEntriesNotDiagonal when an odd-index entry deviates from sin(n x).
+    ``n_partial`` must be at least 2.
     """
+    _require_partial(n_partial)
     threshold = math.inf
 
     if isinstance(system, FinitePerturbation):

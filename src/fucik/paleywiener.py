@@ -31,6 +31,12 @@ oracle.
 The budget E(gamma) accumulates the bound coefficients c_k times the
 operator norms, with k = 1..4 explicit and the k >= 5 tail controlled by
 the closed constant pi^2/108 - 536741/6350400 = sum_{k>=5} (k^2-9)^{-2}.
+E(gamma) < 1 is the paper's sufficient condition for Paley-Wiener
+nearness of the line family.  It is not a certificate for the
+eigenfunctions this package builds: the expansion f_n = sum A_k T_k
+sin(n .) it rests on holds for the odd 2pi-periodic continuation of f_2,
+not for the period-pi one the built eigenfunctions use (see
+:func:`theoremD_residual`).
 """
 
 from __future__ import annotations
@@ -155,6 +161,17 @@ def ck_bound(gamma: float, k: int) -> float:
     _require_gamma_range(gamma)
     if k < 1:
         raise ValueError(f"coefficient index must be >= 1, got {k}")
+    return _ck(gamma, k)
+
+
+def _common(gamma: float) -> float:
+    # the factor (2/pi) gamma^2 (sqrt(g) - 2) / (sqrt(g) - 1) of c_k, k >= 3, and of the tail
+    sg = math.sqrt(gamma)
+    return (2 / math.pi) * gamma * gamma * (sg - 2.0) / (sg - 1.0)
+
+
+def _ck(gamma: float, k: int) -> float:
+    # c_k with no range check; valid on the extended interval [4, 9)
     sg = math.sqrt(gamma)
     if k == 1:
         return (2 / math.pi) * gamma * gamma * (sg - 2.0) / (
@@ -163,7 +180,16 @@ def ck_bound(gamma: float, k: int) -> float:
     if k == 2:
         num = ((3 + math.pi ** 2) * gamma + (9 - 2 * math.pi ** 2) * sg - 6.0) * (sg - 2.0)
         return num / (3 * (sg - 1.0) * (sg + 2.0) * (3 * sg - 2.0))
-    return (2 / math.pi) * gamma * gamma * (sg - 2.0) / (sg - 1.0) / (k * k - gamma) ** 2
+    return _common(gamma) / (k * k - gamma) ** 2
+
+
+#: weights of the budget terms: ||T_1||..||T_4|| and sqrt(6/5) for the k >= 5 tail
+_WEIGHTS = tuple(Tk_norm(k) for k in (1, 2, 3, 4)) + (math.sqrt(6.0 / 5.0),)
+
+
+def _coefficients(gamma: float) -> tuple:
+    # c_1..c_4 and the tail coefficient sum_{k>=5} c_k <= common * TAIL_CONSTANT
+    return tuple(_ck(gamma, k) for k in (1, 2, 3, 4)) + (_common(gamma) * TAIL_CONSTANT,)
 
 
 def _require_gamma_range(gamma: float) -> None:
@@ -181,18 +207,7 @@ def E_gamma_extended(gamma: float) -> float:
     """
     if not (GAMMA_MIN <= gamma < 9.0):
         raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {gamma}")
-    sg = math.sqrt(gamma)
-    common = (2 / math.pi) * gamma * gamma * (sg - 2.0) / (sg - 1.0)
-    s1 = math.sqrt(2.0) * (2 / math.pi) * gamma * gamma * (sg - 2.0) / (
-        (sg - 1.0) ** 2 * (sg + 1.0) * (2 * sg - 1.0)
-    )
-    s2 = ((3 + math.pi ** 2) * gamma + (9 - 2 * math.pi ** 2) * sg - 6.0) * (sg - 2.0) / (
-        3 * (sg - 1.0) * (sg + 2.0) * (3 * sg - 2.0)
-    )
-    s3 = math.sqrt(4.0 / 3.0) * common / (9.0 - gamma) ** 2
-    s4 = common / (16.0 - gamma) ** 2
-    s5 = math.sqrt(6.0 / 5.0) * common * TAIL_CONSTANT
-    return s1 + s2 + s3 + s4 + s5
+    return sum(c * t for c, t in zip(_coefficients(gamma), _WEIGHTS))
 
 
 def E_gamma(gamma: float) -> float:
@@ -201,8 +216,9 @@ def E_gamma(gamma: float) -> float:
     Explicit k = 1..4 terms weighted by the exact operator norms sqrt(2),
     1, sqrt(4/3), 1, plus the k >= 5 tail weighted sqrt(6/5) through the
     closed tail constant.  E(4) = 0 exactly and E is strictly increasing.
-    A budget below 1 certifies the Paley-Wiener nearness hypothesis for
-    the line family at this gamma.
+    E < 1 is the paper's sufficient condition for Paley-Wiener nearness
+    of the line family; it certifies nothing about the built
+    eigenfunctions (see the module docstring).
     """
     _require_gamma_range(gamma)
     return E_gamma_extended(gamma)
@@ -213,7 +229,7 @@ def gamma_admissible_max(tol: float) -> float:
 
     Postcondition: E(result) < 1 <= E(result + tol).
     """
-    if tol < 1e-10:
+    if not tol >= 1e-10:
         raise ValueError(f"tol must be >= 1e-10, got {tol}")
     lo, hi = 4.0, 8.0
     if E_gamma_extended(hi) < 1.0:
@@ -233,7 +249,8 @@ class PaleyWienerBudget:
 
     ``c`` holds the bounds for k = 1..4 and the tail constant's coefficient
     weight as its last entry; ``t`` the matching operator-norm weights.
-    ``E < 1`` certifies the criterion's hypothesis at this gamma.
+    ``E < 1`` is the paper's sufficient condition at this gamma, not a
+    certificate for the built eigenfunctions.
     """
 
     gamma: float
@@ -245,11 +262,8 @@ class PaleyWienerBudget:
 def budget(gamma: float) -> PaleyWienerBudget:
     """Assemble the full budget record at one gamma."""
     _require_gamma_range(gamma)
-    sg = math.sqrt(gamma)
-    common = (2 / math.pi) * gamma * gamma * (sg - 2.0) / (sg - 1.0)
-    c = tuple(ck_bound(gamma, k) for k in (1, 2, 3, 4)) + (common * TAIL_CONSTANT,)
-    t = (Tk_norm(1), Tk_norm(2), Tk_norm(3), Tk_norm(4), math.sqrt(6.0 / 5.0))
-    return PaleyWienerBudget(gamma=gamma, c=c, t=t, E=E_gamma(gamma))
+    return PaleyWienerBudget(gamma=gamma, c=_coefficients(gamma), t=_WEIGHTS,
+                             E=E_gamma(gamma))
 
 
 def theoremD_residual(gamma: float, n: int, K: int, grid_points: int = 1024) -> float:

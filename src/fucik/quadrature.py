@@ -70,7 +70,7 @@ def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
     Refinement never crosses a breakpoint.  Raises NoConvergence once the
     subdivision budget of 2**20 subintervals is exhausted.
     """
-    if tol < MIN_TOL:
+    if not tol >= MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     segs = g.pieces()
     lo = segs[:, 0].copy()

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from fucik.eigenfunction import SineMode, breakpoints, build
 from fucik.quadrature import inner_numeric
@@ -29,6 +30,17 @@ def curve_samples(n, count, lo=1.05, hi=1.9):
     for r in ratios[: count // 2]:
         pts.append(complete_point(n, beta=float((n * r) ** 2)))
     return pts
+
+
+def curve_points(max_n=60):
+    """Hypothesis strategy for on-curve points with either coordinate given.
+
+    The given coordinate is the dominant one, (n r)^2 with r in [1, 3], so
+    both dominance branches and the diagonal itself (r = 1) are drawn.
+    """
+    return st.builds(lambda n, side, r: complete_point(n, **{side: (n * r) ** 2}),
+                     st.integers(2, max_n), st.sampled_from(("alpha", "beta")),
+                     st.floats(1.0, 3.0))
 
 
 def quad_norm_sq(p, tol=1e-12):

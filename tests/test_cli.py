@@ -1,20 +1,19 @@
 """Command-line interface: payload schemas, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
+import pathlib
+import shlex
 
 import pytest
+from hypothesis import given, settings
 
-from fucik import paleywiener
-from fucik.cli import (
-    GAMMA_SCAN_MAX_ROWS,
-    CommandRequest,
-    UsageError,
-    emit_figure_data,
-    execute,
-    main,
-)
-from fucik.spectrum import FucikPoint, curve_residual, diagonal_point
+from conftest import curve_points
+from fucik import cli, closedform, grammatrix, nearness, paleywiener
+from fucik.cli import MAX_ROWS, main
+from fucik.spectrum import FucikPoint, complete_point, curve_residual
 
 
 def run(capsys, *argv):
@@ -191,7 +190,7 @@ def test_gamma_scan_row_cap(capsys, monkeypatch):
     code, out, err = run(capsys, "gamma-scan", "--from", "4", "--to", "5.682",
                          "--step", "1e-9")
     assert code == 2 and out == ""
-    assert str(GAMMA_SCAN_MAX_ROWS) in err
+    assert str(MAX_ROWS) in err
     for bad in (("--to", "inf"), ("--step", "nan")):
         args = {"--from": "4", "--to": "4.2", "--step": "0.05"}
         args.update([bad])
@@ -211,18 +210,84 @@ def test_output_file(tmp_path, capsys):
     assert "\r" not in text
 
 
-def test_execute_api():
-    req = CommandRequest(command="point", parameters={"n": 2, "alpha": 9.0})
-    report, code = execute(req)
-    assert code == 0
-    assert report.command == "point"
-    assert report.passed
-    assert report.wall_time >= 0.0
+def _unreachable(*args, **kwargs):
+    raise AssertionError("the work must not start")
 
 
-def test_emit_figure_data_validation():
-    with pytest.raises(UsageError):
-        emit_figure_data("no-such-kind", {})
-    payload = emit_figure_data("eigenfunction_profile",
-                               {"point": diagonal_point(3), "samples": 5})
-    assert payload.splitlines()[0] == "x,f,sine"
+@pytest.mark.parametrize("argv, work", [
+    ("point --n 2 --samples 100001 --nmax 2", (cli, "complete_point")),
+    ("point --n 2 --samples 50001 --nmax 3", (cli, "complete_point")),
+    ("point --n 2 --samples 50 --nmax 1", (cli, "complete_point")),
+    ("point --n 2 --samples 2 --nmax 50001", (cli, "complete_point")),
+    ("eval --n 2 --diagonal --samples 100001", (cli, "build")),
+    ("eval --n 2 --diagonal --samples 1", (cli, "build")),
+    ("region --epsilon 0.5 --n-to 100001", (nearness, "region_boundary")),
+    ("region --epsilon 0.5 --n-from -3", (nearness, "region_boundary")),
+    ("region --epsilon 0.5 --n-from 10 --n-to 9", (nearness, "region_boundary")),
+    ("check-theorem1 --mode diagonal --n-partial -5", (nearness, "theorem1_check")),
+    ("check-theorem1 --mode diagonal --n-partial 1", (nearness, "theorem1_check")),
+    ("check-theorem2 --mode gamma-line --gamma 5 --n-partial 100001",
+     (nearness, "theorem2_check")),
+    ("gram --mode diagonal --sizes 0,4", (grammatrix, "riesz_scan")),
+    ("gram --mode diagonal --sizes 8,513", (grammatrix, "riesz_scan")),
+    ("verify --nmax 65", "suites"),
+    ("verify --nmax 1", "suites"),
+    ("verify --points 0", "suites"),
+    ("verify --suite closedform --points 65", "suites"),
+    ("verify --suite quadrature --tol nan", "suites"),
+    ("verify --suite quadrature --tol 0", "suites"),
+    ("verify --suite quadrature --tol=-1e-13", "suites"),
+    # the quadrature suite refuses 1e-11 before the closedform suite runs
+    ("verify --suite all --tol 1e-11", "suites"),
+])
+def test_counts_bounded_before_work(capsys, monkeypatch, argv, work):
+    if work == "suites":
+        for name, (tol, _) in list(cli._SUITES.items()):
+            monkeypatch.setitem(cli._SUITES, name, (tol, _unreachable))
+    else:
+        monkeypatch.setattr(*work, _unreachable)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ")
+
+
+def test_region_non_finite_is_usage_error(capsys):
+    for argv in ("region --epsilon nan", "region --epsilon inf",
+                 "region --epsilon 0.5 --compare --gamma inf --c 0.4",
+                 "region --epsilon 0.5 --compare --gamma 5 --c nan",
+                 "region --epsilon 0.5 --compare --gamma 3.9 --c 0.4",
+                 "region --epsilon nan --compare --gamma 5 --c 0.4"):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 2 and out == "", argv
+        assert err.startswith("usage error: ")
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").strip().splitlines()
+    return [shlex.split(line.split("#", 1)[0])[1:] for line in lines]
+
+
+def test_readme_commands_run(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 10
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and out, argv
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(p=curve_points())
+def test_distance_payload_deterministic(p):
+    outputs = []
+    for _ in range(2):
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["distance", "--n", str(p.n), "--alpha", repr(p.alpha)]) == 0
+        outputs.append(buffer.getvalue())
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0])
+    q = complete_point(p.n, alpha=p.alpha)
+    assert doc["norm_sq"] == closedform.norm_sq(q).value
+    assert doc["dist_sq"] == closedform.dist_sq_to_sine(q).value

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import paper_formulas as paper
-from conftest import curve_samples, quad_dist_sq, quad_inner, quad_norm_sq
+from conftest import curve_points, curve_samples, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import closedform as cf
+from fucik import nearness as nr
 from fucik.errors import NotOnCurve
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point
 
@@ -232,3 +234,15 @@ def test_not_on_curve_rejection():
                    lambda p: cf.inner_pair(p, P29)):
             with pytest.raises(NotOnCurve):
                 op(bad)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=curve_points())
+def test_closed_form_properties(p):
+    norm = cf.norm_sq(p).value
+    dist = cf.dist_sq_to_sine(p).value
+    inner = cf.inner_same_index(p).value
+    assert 0.0 < norm <= math.pi / 2
+    # the slack of test_domination: C_n vanishes on the diagonal
+    assert 0.0 <= dist <= nr.bound_Cn(p.n, p.alpha, p.beta) * (1 + 1e-12) + 1e-15
+    assert inner == pytest.approx(0.5 * (norm + math.pi / 2 - dist), abs=1e-12)

@@ -194,6 +194,13 @@ def test_riesz_scan_interlacing():
     assert all(lo > 0 for lo in los)
 
 
+def test_extreme_eigenvalues_rejects_nan_entry():
+    m = np.eye(4) * PI / 2
+    m[1, 2] = m[2, 1] = math.nan
+    with pytest.raises(ValueError):
+        gm.extreme_eigenvalues(gm.GramTruncation(order=4, entries=m))
+
+
 def test_riesz_scan_requires_ascending():
     with pytest.raises(ValueError):
         gm.riesz_scan(nr.FinitePerturbation(()), [8, 4])

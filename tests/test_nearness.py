@@ -90,6 +90,9 @@ def test_zeta_pole_guard():
         nr.zeta(1.0)
     with pytest.raises(DivergentArgument):
         nr.zeta(1.0000001)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DivergentArgument):
+            nr.zeta(bad)
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +108,15 @@ def test_cap_examples():
         (1 / 10) / (z15 - 1), rel=1e-13)
     want = (2 ** 4 / (8 * 9 * 10)) / (PI ** 2 / 6 - 1)
     assert nr.corollary_cn_cap(3, 1.0, "odd_alpha_dominant") == pytest.approx(want, rel=1e-12)
+
+
+def test_cap_rejects_nan_and_unresolved_epsilon():
+    # 2^-(1 + eps) drops below one ulp of zeta(1 + eps) ~ 1 past eps ~ 52
+    for bad in (math.nan, 0.0, -0.5, 60.0):
+        with pytest.raises(ValueError):
+            nr.corollary_cn_cap(4, bad, "even")
+    with pytest.raises(DivergentArgument):
+        nr.corollary_cn_cap(4, math.inf, "even")
 
 
 def test_uniform_caps_below_pointwise():
@@ -310,3 +322,13 @@ def test_gamma_line_range_guard():
     for bad in (math.nextafter(pw.GAMMA_MAX, math.inf), math.nan):
         with pytest.raises(GammaOutOfRange):
             nr.GammaLine(bad)
+
+
+def test_criteria_reject_short_partial_sums():
+    power = nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=0.1))
+    for check in (nr.theorem1_check, nr.theorem2_check):
+        for system in (power, nr.GammaLine(5.0), nr.FinitePerturbation(())):
+            for bad in (-4, 0, 1):
+                with pytest.raises(ValueError):
+                    check(system, n_partial=bad)
+            assert check(system, n_partial=2).partial_sum >= 0.0

@@ -8,7 +8,8 @@ import pytest
 import paper_formulas as paper
 from conftest import TkPiecewiseProbe, pl_norm_sq
 from fucik import paleywiener as pw
-from fucik.eigenfunction import SineMode, breakpoints, build
+from fucik.closedform import inner_cross_index
+from fucik.eigenfunction import SineMode, amplitudes, breakpoints, build
 from fucik.errors import GammaOutOfRange, NegativeArgument, OddIndex
 from fucik.quadrature import inner_numeric
 from fucik.spectrum import gamma_line_point
@@ -225,6 +226,9 @@ def test_gamma_admissible_max_postcondition():
     fine = pw.gamma_admissible_max(1e-6)
     coarse = pw.gamma_admissible_max(1e-3)
     assert abs(fine - coarse) <= 1e-3 + 1e-9
+    for bad in (math.nan, 1e-11):
+        with pytest.raises(ValueError):
+            pw.gamma_admissible_max(bad)
 
 
 def test_budget_assembly():
@@ -232,10 +236,14 @@ def test_budget_assembly():
     assert b.gamma == 5.0
     assert len(b.c) == 5 and len(b.t) == 5
     assert b.t[0] == pytest.approx(math.sqrt(2))
-    assert b.E == pytest.approx(pw.E_gamma(5.0))
     assert b.E == pytest.approx(sum(ci * ti for ci, ti in zip(b.c, b.t)), rel=1e-12)
     b4 = pw.budget(4.0)
     assert b4.E == 0.0
+    # one set of formulas: the record, the budget and c_k agree to the last bit
+    for gamma in np.linspace(pw.GAMMA_MIN, pw.GAMMA_MAX, 41):
+        b = pw.budget(float(gamma))
+        assert b.E == pw.E_gamma(float(gamma))
+        assert b.c[:4] == tuple(pw.ck_bound(float(gamma), k) for k in (1, 2, 3, 4))
 
 
 # ----------------------------------------------------------------------
@@ -280,3 +288,21 @@ def test_residual_guards():
 def test_dilation_factor():
     assert pw.dilation_factor(6, 5.0) == 3.0
     assert pw.dilation_factor(3, 5.0) == pytest.approx(1 + 1 / math.sqrt(5))
+
+
+def test_line_coupling_to_sin_x_tends_to_mean_of_f2():
+    """<f_n, sin x> on the dilation line tends to (2/pi) int_0^pi f_2 != 0.
+
+    f_n(x) = f_2(n x / 2) continued pi-periodically equidistributes, so the
+    coupling tends to sin's integral 2 times the mean of f_2, which is
+    taken here from the bump areas 2 a / sqrt(alpha) and 2 a' / sqrt(beta).
+    It is nonzero, so sum_n |<f_n, sin x>|^2 diverges and the line system
+    is not a Bessel sequence for gamma > 4.
+    """
+    p2 = gamma_line_point(2, 5.0)
+    a_pos, a_neg = amplitudes(p2)
+    limit = (2 / PI) * (2 * a_pos / p2.sqrt_alpha - 2 * a_neg / p2.sqrt_beta)
+    assert limit == pytest.approx(-0.2431671, abs=1e-7)
+    for n in (64, 128, 256, 512):
+        coupling = inner_cross_index(gamma_line_point(n, 5.0), 1).value
+        assert abs(coupling - limit) <= 0.3 / n ** 2

@@ -75,6 +75,13 @@ def test_piecewise_integrand_validation():
         integrate(PiecewiseIntegrand(np.sin, [0, math.pi]), tol=1e-15)
 
 
+def test_tolerance_validation():
+    g = PiecewiseIntegrand(lambda x: np.sin(x), [0.0, math.pi])
+    for bad in (math.nan, 0.0, 1e-15):
+        with pytest.raises(ValueError):
+            integrate(g, tol=bad)
+
+
 def test_budget_exhaustion():
     # a genuinely rough integrand forces endless refinement
     def rough(x):

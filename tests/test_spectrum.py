@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import curve_points
 from fucik.errors import GammaOutOfRange, IndexTooSmall, InfeasiblePoint, NotOnCurve, OddIndex
 from fucik.spectrum import (
     TAU_CURVE,
@@ -132,3 +134,9 @@ def test_make_point_accepts_valid():
     assert abs(curve_residual(p)) <= TAU_CURVE
     trivial = make_point(1, 1.0, 1.0)
     assert trivial.case == "diagonal"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=curve_points())
+def test_completion_round_trips_through_make_point(p):
+    assert make_point(p.n, p.alpha, p.beta) == p
