@@ -42,13 +42,10 @@ from .nearness import (
     zeta,
 )
 from .paleywiener import (
-    AntiperiodicFunction,
-    DilationOperator,
     PaleyWienerBudget,
     E_gamma,
     E_gamma_extended,
     Tk_norm,
-    antiperiodic_extend,
     apply_Tk,
     budget,
     ck_bound,
@@ -75,8 +72,7 @@ __all__ = [
     "BranchRule", "FinitePerturbation", "GammaLine", "NearnessReport",
     "PowerFamily", "bound_Cn", "corollary_cn_cap", "kato_weakened_term",
     "region_boundary", "theorem1_check", "theorem2_check", "zeta",
-    "AntiperiodicFunction", "DilationOperator", "PaleyWienerBudget",
-    "E_gamma", "E_gamma_extended", "Tk_norm", "antiperiodic_extend",
+    "PaleyWienerBudget", "E_gamma", "E_gamma_extended", "Tk_norm",
     "apply_Tk", "budget", "ck_bound", "dilation_factor", "fourier_Ak",
     "gamma_admissible_max", "theoremD_residual",
     "GramTruncation", "build_gram", "extreme_eigenvalues", "riesz_scan",

@@ -156,7 +156,6 @@ def _cmd_distance(args, checks) -> str:
         "dist_sq": dist.value, "dist_case": dist.formula_case,
         "inner_same": inner.value, "inner_case": inner.formula_case,
         "kato_weakened_term": nearness.kato_weakened_term(p),
-        "singularity_distance": dist.singularity_distance,
     })
 
 
@@ -290,7 +289,10 @@ def _system_from_args(args) -> nearness.SystemSpec:
             raise UsageError("--mode finite needs at least one --entry n=<int>,alpha=<float>")
         entries = []
         for spec in args.entry:
-            kv = dict(part.split("=", 1) for part in spec.split(","))
+            parts = [part.split("=", 1) for part in spec.split(",")]
+            kv = dict(parts)
+            if "n" not in kv or len(kv) < len(parts):
+                raise UsageError(f"entry {spec!r} needs n= and each key at most once")
             n = int(kv.pop("n"))
             if "alpha" in kv:
                 entries.append(complete_point(n, alpha=float(kv.pop("alpha"))))

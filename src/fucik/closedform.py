@@ -26,9 +26,7 @@ routes to the same numbers; they serve as oracles in the tests and in
 ``fucik verify`` and are not used here.
 
 All single-point results are wrapped in :class:`ClosedFormValue`, which
-records the dominance case and the distance to the removable singularity
-of the paper's formula, so audits can reconstruct the provenance of every
-figure.
+records the dominance case of the point as the provenance of each figure.
 """
 
 from __future__ import annotations
@@ -53,24 +51,16 @@ FormulaCase = Literal["even_alpha", "odd_alpha", "even_beta", "odd_beta", "diago
 
 @dataclass(frozen=True)
 class ClosedFormValue:
-    """A number plus the provenance needed to audit it.
-
-    ``formula_case`` is the dominance case of the point (or ``diagonal``).
-    ``singularity_distance`` is the distance to the nearest removable
-    singularity of the paper's per-case formula: |s - n| on the sqrt scale
-    for the same-index quantities, min(|m^2 - alpha|, |m^2 - beta|) for the
-    cross products.
-    """
+    """A number plus the dominance case of its point (or ``diagonal``)."""
 
     value: float
     formula_case: FormulaCase
-    singularity_distance: float
 
 
-def _dominant(p: FucikPoint) -> tuple[float, FormulaCase]:
+def _case(p: FucikPoint) -> FormulaCase:
     if p.case == "beta_dominant":
-        return p.sqrt_beta, ("even_beta" if p.n % 2 == 0 else "odd_beta")
-    return p.sqrt_alpha, ("even_alpha" if p.n % 2 == 0 else "odd_alpha")
+        return "even_beta" if p.n % 2 == 0 else "odd_beta"
+    return "even_alpha" if p.n % 2 == 0 else "odd_alpha"
 
 
 def _progression_sum(count: int, c: float, d: float) -> float:
@@ -114,9 +104,8 @@ def _norm(p: FucikPoint) -> float:
 def _same_index(p: FucikPoint, diagonal_value: float, off_diagonal) -> ClosedFormValue:
     require_on_curve(p)
     if p.n == 1 or p.case == "diagonal":
-        return ClosedFormValue(diagonal_value, "diagonal", 0.0)
-    s, tag = _dominant(p)
-    return ClosedFormValue(off_diagonal(p), tag, abs(s - p.n))
+        return ClosedFormValue(diagonal_value, "diagonal")
+    return ClosedFormValue(off_diagonal(p), _case(p))
 
 
 def norm_sq(p: FucikPoint) -> ClosedFormValue:
@@ -150,9 +139,12 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     """Scalar product of the eigenfunction at p with sin(m x), m != n.
 
     Structural zeros are returned exactly: odd n against even m, and even
-    n against even m < n.  Everything else is assembled bump by bump.
+    n against even m < n.  Everything else is assembled bump by bump.  A
+    non-integral m raises ValueError instead of being truncated.
     """
     require_on_curve(p)
+    if not float(m).is_integer():
+        raise ValueError(f"comparator index must be an integer, got {m}")
     m = int(m)
     if m < 1:
         raise ValueError(f"comparator index must be >= 1, got {m}")
@@ -163,12 +155,10 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
 
     n = p.n
     if p.n == 1 or p.case == "diagonal":
-        return ClosedFormValue(0.0, "diagonal", 0.0)
-    _, tag = _dominant(p)
-    res_gap = min(abs(m * m - p.alpha), abs(m * m - p.beta))
+        return ClosedFormValue(0.0, "diagonal")
     if m % 2 == 0 and (n % 2 == 1 or m < n):
-        return ClosedFormValue(0.0, tag, res_gap)
-    return ClosedFormValue(_sine_product(p, m), tag, res_gap)
+        return ClosedFormValue(0.0, _case(p))
+    return ClosedFormValue(_sine_product(p, m), _case(p))
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,6 @@ import numpy as np
 from .errors import OutOfDomain
 from .spectrum import BumpLengths, FucikPoint, require_on_curve
 
-#: tolerance on the sup-norm-1 normalization
-TAU_SUP = 1e-12
-
 #: slack beyond the right endpoint tolerated (callers' accumulated round-off)
 _EDGE_SLACK = 1e-12
 
@@ -49,10 +46,6 @@ class SineMode:
 
     def __call__(self, x):
         return np.sin(self.n * np.asarray(x, dtype=float))
-
-    @property
-    def norm_sq(self) -> float:
-        return math.pi / 2
 
 
 @dataclass(frozen=True)

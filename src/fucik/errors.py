@@ -48,7 +48,3 @@ class GammaOutOfRange(FucikError):
 
 class OddIndex(FucikError):
     """An even curve index was required."""
-
-
-class NegativeArgument(FucikError):
-    """The antiperiodic extension is only defined for x >= 0."""

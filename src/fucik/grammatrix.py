@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -25,21 +25,17 @@ from .nearness import SystemSpec
 MAX_ORDER = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class GramTruncation:
     """N x N symmetric matrix of inner products <psi_i, psi_j>.
 
     ``entries`` holds the raw (unscaled) inner products and is read-only;
     ``normalization`` is the factor applied before diagonalization so that
-    the all-diagonal system yields the identity.  The extreme-eigenvalue
-    fields stay None until :func:`extreme_eigenvalues` fills them.
+    the all-diagonal system yields the identity.
     """
 
-    order: int
     entries: np.ndarray
-    normalization: float = 2.0 / math.pi
-    lambda_min: Optional[float] = None
-    lambda_max: Optional[float] = None
+    normalization: ClassVar[float] = 2.0 / math.pi
 
 
 def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) -> GramTruncation:
@@ -72,19 +68,17 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
         m[e[r], e[c]] = pairs
         m[e[c], e[r]] = pairs
     m.setflags(write=False)
-    return GramTruncation(order=N, entries=m)
+    return GramTruncation(m)
 
 
 def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
-    """Extreme eigenvalues of the normalized truncation, cached on g."""
+    """Extreme eigenvalues (lambda_min, lambda_max) of the normalized truncation."""
     scaled = g.normalization * g.entries
     asym = float(np.max(np.abs(scaled - scaled.T)))
     if not asym <= 1e-12:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
     eig = np.linalg.eigvalsh(scaled)
-    g.lambda_min = float(eig[0])
-    g.lambda_max = float(eig[-1])
-    return g.lambda_min, g.lambda_max
+    return float(eig[0]), float(eig[-1])
 
 
 def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, float]]:
@@ -101,8 +95,6 @@ def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, 
     full = build_gram(system, sizes[-1])
     out = []
     for n in sizes:
-        sub = GramTruncation(order=n, entries=full.entries[:n, :n],
-                             normalization=full.normalization)
-        lo, hi = extreme_eigenvalues(sub)
+        lo, hi = extreme_eigenvalues(GramTruncation(full.entries[:n, :n]))
         out.append((n, lo, hi))
     return out

@@ -86,17 +86,6 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
     return _k_odd_beta(n) * (sb / n - 1.0) ** 2
 
 
-def bound_even_refined(n: int, s: float) -> float:
-    """Sharper even-index bound kept before the final simplification.
-
-    ``s`` is the dominant square root.  Sits between the true distance and
-    the constant-times-(s/n - 1)^2 bound returned by :func:`bound_Cn`.
-    """
-    num = 4 * (3 + math.pi ** 2) * s * s + s * n * (15 - 2 * math.pi ** 2) - 6 * n * n
-    den = (2 * s - n) ** 2 * (3 * s - n) * (s + n)
-    return (math.pi / 3) * (num / den) * (s - n) ** 2
-
-
 _B2K_OVER_FACT = (
     (1.0 / 6) / 2.0,            # B2 / 2!
     (-1.0 / 30) / 24.0,         # B4 / 4!

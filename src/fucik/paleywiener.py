@@ -11,12 +11,8 @@ send sin(n x) to sin(k n x / 2) for every even n, T_2 is the identity,
 and their operator norms are exactly 1 for even k and sqrt(1 + 1/k) for
 odd k (the odd-k supremum is attained by any g supported in (0, pi/2)).
 
-The antiperiodic continuation (-1)^kappa g(x - pi kappa), exposed here as
-:func:`antiperiodic_extend`, reproduces sin itself for odd frequencies but
-flips the sign of even-frequency sines on every other period; building T_k
-on it would break the sine mapping above for k >= 3, so the operators use
-the periodic continuation.  Both continuations yield identical operator
-norms (signs square away).
+The antiperiodic continuation (-1)^kappa g(x - pi kappa) would break the
+sine mapping above for k >= 3, so the operators use the periodic one.
 
 The coefficients A_k of the sine expansion of f_2 have the closed form
 
@@ -49,7 +45,7 @@ import numpy as np
 
 from . import closedform
 from .eigenfunction import build
-from .errors import GammaOutOfRange, NegativeArgument, OddIndex
+from .errors import GammaOutOfRange, OddIndex
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -57,32 +53,6 @@ GAMMA_MAX = 5.682
 
 #: sum_{k=5}^infty (k^2 - 9)^{-2}, in closed form
 TAIL_CONSTANT = math.pi ** 2 / 108 - 536741 / 6350400
-
-
-def antiperiodic_extend(g: Callable, x):
-    """Value of the antiperiodic continuation (-1)^kappa g(x - pi kappa).
-
-    kappa = floor(x / pi).  Defined for x >= 0 only.  Scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise NegativeArgument("antiperiodic extension is defined for x >= 0")
-    kappa = np.floor(arr / math.pi)
-    vals = np.asarray(g(arr - math.pi * kappa), dtype=float)
-    out = np.where(kappa % 2 == 0, vals, -vals)
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-@dataclass(frozen=True)
-class AntiperiodicFunction:
-    """Callable wrapper around :func:`antiperiodic_extend` for a fixed base."""
-
-    base: Callable
-
-    def __call__(self, x):
-        return antiperiodic_extend(self.base, x)
 
 
 def _periodic_wrap(y: np.ndarray) -> np.ndarray:
@@ -118,20 +88,6 @@ def Tk_norm(k: int) -> float:
     if k % 2 == 0:
         return 1.0
     return math.sqrt((k + 1) / k)
-
-
-@dataclass(frozen=True)
-class DilationOperator:
-    """T_k as a value: carries its index and exact norm."""
-
-    k: int
-
-    @property
-    def norm(self) -> float:
-        return Tk_norm(self.k)
-
-    def __call__(self, g: Callable) -> Callable:
-        return apply_Tk(self.k, g)
 
 
 def fourier_Ak(gamma: float, k: int) -> float:

@@ -116,6 +116,17 @@ def same_index(p):
 
 
 # ----------------------------------------------------------------------
+# even-index distance bound before its final simplification
+
+def bound_even_refined(n, s):
+    """Sits between the true squared distance and the constant-times-
+    (s/n - 1)^2 bound of fucik.nearness.bound_Cn; s is the dominant root."""
+    num = 4 * (3 + math.pi ** 2) * s * s + s * n * (15 - 2 * math.pi ** 2) - 6 * n * n
+    den = (2 * s - n) ** 2 * (3 * s - n) * (s + n)
+    return (math.pi / 3) * (num / den) * (s - n) ** 2
+
+
+# ----------------------------------------------------------------------
 # sine coefficients of the n = 2 line-family profile
 
 def fourier_Ak(gamma, k):

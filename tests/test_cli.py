@@ -65,6 +65,11 @@ def test_distance_payload(capsys):
     code, out, _ = run(capsys, "distance", "--n", "2", "--alpha", "9")
     assert code == 0
     doc = json.loads(out)
+    assert set(doc) == {
+        "schema", "command", "version", "n", "alpha", "beta", "parity", "case", "residual",
+        "norm_sq", "norm_case", "dist_sq", "dist_case", "inner_same", "inner_case",
+        "kato_weakened_term",
+    }
     assert doc["norm_sq"] == pytest.approx(math.pi / 2 - math.pi / 8, abs=1e-13)
     assert doc["dist_case"] == "even_alpha"
     assert doc["kato_weakened_term"] <= doc["dist_sq"]
@@ -170,6 +175,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--n", "2", "--alpha", "9", "--beta", "4")
     assert code == 2
+    for entry in ("alpha=9", "n=2,alpha=9,alpha=10"):
+        code, out, err = run(capsys, "check-theorem1", "--mode", "finite", "--entry", entry)
+        assert code == 2 and out == ""
+        assert entry in err
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 

@@ -163,15 +163,12 @@ def test_near_diagonal_fallback():
 
 
 def test_fallback_flag_iff_band():
-    """Both sides of the former fallback band |s - n| < 1e-6 report the
-    dominance case and the gap itself, whichever coordinate is given."""
+    """Both sides of the former fallback band |s - n| < 1e-6 are exact and
+    report the dominance case, whichever coordinate is given."""
     for n in EDGE_NS:
         for gap in (1e-8, 5e-7, 2e-6, 1e-2):
             for side in ("alpha", "beta"):
-                p = complete_point(n, **{side: (n + gap) ** 2})
-                _assert_exact(p)
-                for op in (cf.norm_sq, cf.dist_sq_to_sine, cf.inner_same_index):
-                    assert op(p).singularity_distance == pytest.approx(gap, rel=1e-4)
+                _assert_exact(complete_point(n, **{side: (n + gap) ** 2}))
 
 
 def test_cross_index_resonance_fallback():
@@ -181,9 +178,7 @@ def test_cross_index_resonance_fallback():
         for side in ("alpha", "beta"):
             low, high = _resonant_indices(n, side)
             for m in (low, high):
-                p = complete_point(n, **{side: float(m * m)})
-                assert cf.inner_cross_index(p, m).singularity_distance == 0.0
-                _assert_exact(p, ms=(m,))
+                _assert_exact(complete_point(n, **{side: float(m * m)}), ms=(m,))
             for gap in GAPS:
                 for root in (low - gap, low + gap):
                     _assert_exact(complete_point(n, **{side: root ** 2}), ms=(low,))
@@ -223,6 +218,10 @@ def test_cross_index_validation():
         cf.inner_cross_index(P29, 0)
     with pytest.raises(ValueError):
         cf.inner_cross_index(P29, 10 ** 4 + 1)
+    p = complete_point(4, alpha=30.0)
+    with pytest.raises(ValueError):
+        cf.inner_cross_index(p, 5.9)
+    assert cf.inner_cross_index(p, np.int64(5)) == cf.inner_cross_index(p, 5)
 
 
 def test_not_on_curve_rejection():

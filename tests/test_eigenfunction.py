@@ -157,4 +157,3 @@ def test_build_rejects_off_curve():
 def test_sine_mode():
     s = SineMode(3)
     assert s(math.pi / 6) == pytest.approx(1.0)
-    assert s.norm_sq == math.pi / 2

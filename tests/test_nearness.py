@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import paper_formulas as paper
 from conftest import curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
@@ -47,7 +48,7 @@ def test_even_bound_chain(n):
     for p in curve_samples(n, 10, lo=1.001, hi=2.0):
         s = max(p.sqrt_alpha, p.sqrt_beta)
         dist = cf.dist_sq_to_sine(p).value
-        sharp = nr.bound_even_refined(n, s)
+        sharp = paper.bound_even_refined(n, s)
         final = nr.K_EVEN * (s / n - 1.0) ** 2
         assert dist <= sharp * (1 + 1e-12) + 1e-15
         assert sharp <= final * (1 + 1e-12)

@@ -10,33 +10,11 @@ from conftest import TkPiecewiseProbe, pl_norm_sq
 from fucik import paleywiener as pw
 from fucik.closedform import inner_cross_index
 from fucik.eigenfunction import SineMode, amplitudes, breakpoints, build
-from fucik.errors import GammaOutOfRange, NegativeArgument, OddIndex
+from fucik.errors import GammaOutOfRange, OddIndex
 from fucik.quadrature import inner_numeric
 from fucik.spectrum import gamma_line_point
 
 PI = math.pi
-
-
-# ----------------------------------------------------------------------
-# antiperiodic extension
-
-def test_antiperiodic_sine_is_self():
-    # sin extends to itself: the flip of sign cancels the period shift
-    for x in (3 * PI / 2, 2 * PI + 0.3, 0.4, 7.0):
-        assert pw.antiperiodic_extend(np.sin, x) == pytest.approx(math.sin(x), abs=1e-14)
-
-
-def test_antiperiodic_flips_generic_base():
-    f2 = build(gamma_line_point(2, 5.0))
-    x = PI + 0.5
-    assert pw.antiperiodic_extend(f2, x) == pytest.approx(-f2(0.5), abs=1e-14)
-    wrapped = pw.AntiperiodicFunction(f2)
-    assert wrapped(x) == pytest.approx(-f2(0.5), abs=1e-14)
-
-
-def test_antiperiodic_rejects_negative():
-    with pytest.raises(NegativeArgument):
-        pw.antiperiodic_extend(np.sin, -0.1)
 
 
 # ----------------------------------------------------------------------
@@ -86,7 +64,6 @@ def test_Tk_norm_values():
     assert pw.Tk_norm(1) == pytest.approx(math.sqrt(2), rel=1e-15)
     assert pw.Tk_norm(3) == pytest.approx(math.sqrt(4 / 3), rel=1e-15)
     assert pw.Tk_norm(5) == pytest.approx(math.sqrt(6 / 5), rel=1e-15)
-    assert pw.DilationOperator(3).norm == pw.Tk_norm(3)
 
 
 def test_even_k_isometry_by_quadrature():
@@ -132,6 +109,13 @@ def test_fourier_Ak_at_collapse():
     assert pw.fourier_Ak(4.0, 2) == pytest.approx(1.0, abs=1e-11)
     for k in (1, 3, 4, 9):
         assert abs(pw.fourier_Ak(4.0, k)) <= 1e-11
+
+
+def test_fourier_Ak_index_must_be_integral():
+    # 3.5 must not be truncated to A_3; numpy integers are indices like ints
+    with pytest.raises(ValueError):
+        pw.fourier_Ak(5.0, 3.5)
+    assert pw.fourier_Ak(5.0, np.int64(3)) == pw.fourier_Ak(5.0, 3)
 
 
 def test_fourier_Ak_against_oracle():
