@@ -15,7 +15,7 @@ for n, alpha in [(2, 9.0), (3, 16.0)]:
     p = complete_point(n, alpha=alpha)
     f = build(p)
     print(f"n = {n}: alpha = {p.alpha:g}, beta = {p.beta:.6g}, case = {p.case}")
-    print(f"  bump lengths l1 = {f.bumps.l1:.6f}, l2 = {f.bumps.l2:.6f}")
+    print(f"  bump lengths l1 = {f.l1:.6f}, l2 = {f.l2:.6f}")
     print(f"  amplitudes: +{f.positive_amplitude:.6f} / -{f.negative_amplitude:.6f}")
     print(f"  junctions: {np.round(breakpoints(f), 6)}")
 

@@ -10,13 +10,11 @@ criteria under which these systems form a Riesz basis of L2(0, pi).
 __version__ = "0.1.0"
 
 from .spectrum import (
-    BumpLengths,
     FucikPoint,
     complete_point,
     curve_residual,
     diagonal_point,
     gamma_line_point,
-    make_point,
 )
 from .eigenfunction import FucikEigenfunction, SineMode, breakpoints, build, evaluate
 from .quadrature import PiecewiseIntegrand, inner_numeric, integrate
@@ -63,8 +61,8 @@ from .grammatrix import (
 
 __all__ = [
     "__version__",
-    "BumpLengths", "FucikPoint", "complete_point", "curve_residual",
-    "diagonal_point", "gamma_line_point", "make_point",
+    "FucikPoint", "complete_point", "curve_residual",
+    "diagonal_point", "gamma_line_point",
     "FucikEigenfunction", "SineMode", "breakpoints", "build", "evaluate",
     "PiecewiseIntegrand", "inner_numeric", "integrate",
     "ClosedFormValue", "dist_sq_to_sine",

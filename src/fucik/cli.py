@@ -289,17 +289,21 @@ def _system_from_args(args) -> nearness.SystemSpec:
             raise UsageError("--mode finite needs at least one --entry n=<int>,alpha=<float>")
         entries = []
         for spec in args.entry:
+            form = f"entry {spec!r} must read n=<int>,alpha=<float> or n=<int>,beta=<float>"
             parts = [part.split("=", 1) for part in spec.split(",")]
+            if any(len(part) != 2 for part in parts):
+                raise UsageError(form)
             kv = dict(parts)
             if "n" not in kv or len(kv) < len(parts):
                 raise UsageError(f"entry {spec!r} needs n= and each key at most once")
-            n = int(kv.pop("n"))
-            if "alpha" in kv:
-                entries.append(complete_point(n, alpha=float(kv.pop("alpha"))))
-            elif "beta" in kv:
-                entries.append(complete_point(n, beta=float(kv.pop("beta"))))
-            else:
+            side = "alpha" if "alpha" in kv else "beta" if "beta" in kv else None
+            if side is None:
                 raise UsageError(f"entry {spec!r} needs alpha= or beta=")
+            try:
+                n, value = int(kv.pop("n")), float(kv.pop(side))
+            except ValueError:
+                raise UsageError(form) from None
+            entries.append(complete_point(n, **{side: value}))
             if kv:
                 raise UsageError(f"unknown entry keys {sorted(kv)} in {spec!r}")
         return nearness.FinitePerturbation(tuple(entries))

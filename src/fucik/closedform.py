@@ -38,7 +38,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .eigenfunction import JUNCTION_SLACK, amplitudes
-from .spectrum import FucikPoint, require_on_curve
+from .spectrum import FucikPoint
 
 #: largest comparator index accepted by inner_cross_index
 M_MAX = 10 ** 4
@@ -102,7 +102,6 @@ def _norm(p: FucikPoint) -> float:
 
 
 def _same_index(p: FucikPoint, diagonal_value: float, off_diagonal) -> ClosedFormValue:
-    require_on_curve(p)
     if p.n == 1 or p.case == "diagonal":
         return ClosedFormValue(diagonal_value, "diagonal")
     return ClosedFormValue(off_diagonal(p), _case(p))
@@ -142,7 +141,6 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     n against even m < n.  Everything else is assembled bump by bump.  A
     non-integral m raises ValueError instead of being truncated.
     """
-    require_on_curve(p)
     if not float(m).is_integer():
         raise ValueError(f"comparator index must be an integer, got {m}")
     m = int(m)
@@ -187,12 +185,7 @@ class BumpTable:
 
 
 def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
-    """Stack the per-function data of the eigenfunctions at ``points``.
-
-    Raises NotOnCurve if any point fails the curve equation.
-    """
-    for p in points:
-        require_on_curve(p)
+    """Stack the per-function data of the eigenfunctions at ``points``."""
     n = np.array([p.n for p in points], dtype=np.int64)
     sa = np.sqrt([p.alpha for p in points])
     sb = np.sqrt([p.beta for p in points])

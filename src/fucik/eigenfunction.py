@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfDomain
-from .spectrum import BumpLengths, FucikPoint, require_on_curve
+from .spectrum import FucikPoint
 
 #: slack beyond the right endpoint tolerated (callers' accumulated round-off)
 _EDGE_SLACK = 1e-12
@@ -50,10 +50,15 @@ class SineMode:
 
 @dataclass(frozen=True)
 class FucikEigenfunction:
-    """Exact piecewise-sine representation of a normalized eigenfunction."""
+    """Exact piecewise-sine representation of a normalized eigenfunction.
+
+    ``l1`` = pi/sqrt(alpha) and ``l2`` = pi/sqrt(beta) are the lengths of
+    one positive and one negative bump.
+    """
 
     point: FucikPoint
-    bumps: BumpLengths
+    l1: float
+    l2: float
     positive_amplitude: float
     negative_amplitude: float
 
@@ -72,14 +77,9 @@ def amplitudes(p: FucikPoint) -> tuple[float, float]:
 
 
 def build(p: FucikPoint) -> FucikEigenfunction:
-    """Construct the normalized eigenfunction for an on-curve point.
-
-    Raises NotOnCurve if the curve-equation defect of ``p`` exceeds the
-    membership tolerance.
-    """
-    require_on_curve(p)
+    """Construct the normalized eigenfunction for a curve point."""
     amp_pos, amp_neg = amplitudes(p)
-    return FucikEigenfunction(point=p, bumps=p.bump_lengths(),
+    return FucikEigenfunction(point=p, l1=math.pi / p.sqrt_alpha, l2=math.pi / p.sqrt_beta,
                               positive_amplitude=amp_pos, negative_amplitude=amp_neg)
 
 
@@ -96,7 +96,7 @@ def evaluate(f: FucikEigenfunction, x):
     arr = np.clip(arr, 0.0, math.pi)
 
     sa, sb = f.point.sqrt_alpha, f.point.sqrt_beta
-    l1, L = f.bumps.l1, f.bumps.l
+    l1, L = f.l1, f.l1 + f.l2
     # clamp k so that x = pi falls into the last bump instead of a fresh one
     k = np.floor(arr / L)
     k = np.minimum(k, max(math.ceil(math.pi / L) - 1, 0))
@@ -115,7 +115,7 @@ def breakpoints(f: FucikEigenfunction) -> np.ndarray:
     These are the only points where f is not smooth; the quadrature oracle
     never integrates across them.
     """
-    l1, L = f.bumps.l1, f.bumps.l
+    l1, L = f.l1, f.l1 + f.l2
     pts = [0.0]
     k = 0
     while True:

@@ -26,22 +26,14 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence, Union
 
-from . import closedform
+from . import closedform, paleywiener
 from .errors import (
     DivergentArgument,
-    GammaOutOfRange,
     IndexTooSmall,
     OddEntriesNotDiagonal,
     TailNotBoundable,
 )
-from .paleywiener import GAMMA_MAX, GAMMA_MIN
-from .spectrum import (
-    FucikPoint,
-    complete_point,
-    diagonal_point,
-    gamma_line_point,
-    require_on_curve,
-)
+from .spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
 #: leading constant of the even-index distance bound
 K_EVEN = 4 * (3 + math.pi ** 2) * math.pi / 9
@@ -73,15 +65,15 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
         odd n, beta > alpha:   (5 pi n^2 (n^2+1)/(n+1)^4) (sb/n - 1)^2
 
     with sa = sqrt(alpha), sb = sqrt(beta).  Zero exactly on the diagonal.
+    (alpha, beta) must be a valid :class:`FucikPoint` on the n-th curve.
     """
     if n < 2:
         raise IndexTooSmall(f"bound_Cn needs n >= 2, got {n}")
-    probe = FucikPoint(n, alpha, beta, "even" if n % 2 == 0 else "odd", "diagonal")
-    require_on_curve(probe)
-    sa, sb = math.sqrt(alpha), math.sqrt(beta)
+    p = FucikPoint(n, alpha, beta)
+    sa, sb = p.sqrt_alpha, p.sqrt_beta
     if n % 2 == 0:
         return K_EVEN * (max(sa, sb) / n - 1.0) ** 2
-    if alpha >= beta:
+    if p.alpha >= p.beta:
         return _k_odd_alpha(n) * (sa / n - 1.0) ** 2
     return _k_odd_beta(n) * (sb / n - 1.0) ** 2
 
@@ -203,7 +195,6 @@ class FinitePerturbation:
     def __post_init__(self):
         seen = {}
         for e in self.entries:
-            require_on_curve(e)
             if e.n in seen:
                 raise ValueError(f"duplicate entry for n = {e.n}")
             seen[e.n] = e
@@ -267,9 +258,7 @@ class GammaLine:
     gamma: float
 
     def __post_init__(self):
-        if not (GAMMA_MIN <= self.gamma <= GAMMA_MAX):
-            raise GammaOutOfRange(
-                f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {self.gamma}")
+        paleywiener._require_gamma_range(self.gamma)
 
     def point(self, n: int) -> FucikPoint:
         if n >= 2 and n % 2 == 0:

@@ -18,14 +18,16 @@ represented here; swap the coordinates yourself if you need it).  Each
 curve passes through the classical eigenvalue (n^2, n^2).  For n = 1 only
 the trivial point (1, 1) is representable.
 
-This module creates and validates points on these curves.  All functions
-are pure and all returned values immutable.
+A :class:`FucikPoint` is valid by construction: its constructor is the one
+place where a point is checked against its curve and classified, so every
+consumer may take the point as given.  All functions are pure and all
+returned values immutable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .errors import GammaOutOfRange, IndexTooSmall, InfeasiblePoint, NotOnCurve, OddIndex
@@ -41,37 +43,58 @@ Case = Literal["alpha_dominant", "beta_dominant", "diagonal"]
 
 
 @dataclass(frozen=True)
-class BumpLengths:
-    """Lengths of one positive bump (l1), one negative bump (l2)."""
-
-    l1: float
-    l2: float
-
-    @property
-    def l(self) -> float:
-        """Full period of the bump pair."""
-        return self.l1 + self.l2
-
-
-@dataclass(frozen=True)
 class FucikPoint:
-    """A point (alpha, beta) on the n-th spectrum curve.
+    """A point (alpha, beta) on the n-th spectrum curve, valid by construction.
 
     Attributes:
         n: bump count, also the curve index (n >= 1).
         alpha: spectral parameter of the positive bumps.
         beta: spectral parameter of the negative bumps.
-        parity: "even" or "odd", the parity of n.
-        case: which parameter dominates.  "alpha_dominant" means
+        parity: "even" or "odd", the parity of n (derived).
+        case: which parameter dominates (derived).  "alpha_dominant" means
             alpha >= n^2 >= beta, "beta_dominant" means beta > n^2 > alpha,
             "diagonal" means alpha = beta = n^2.
+
+    Raises:
+        IndexTooSmall: if n < 1.
+        InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), and for
+            n >= 2 if a coordinate is at or below 1 or infinite.
+        NotOnCurve: if the curve-equation defect exceeds :data:`TAU_CURVE`;
+            a NaN coordinate lands here too.
     """
 
     n: int
     alpha: float
     beta: float
-    parity: Parity
-    case: Case
+    parity: Parity = field(init=False)
+    case: Case = field(init=False)
+
+    def __post_init__(self):
+        n, alpha, beta = self.n, self.alpha, self.beta
+        if n < 1:
+            raise IndexTooSmall(f"curve index must be >= 1, got {n}")
+        if n == 1:
+            if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
+                raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
+            alpha = beta = 1.0
+        elif alpha <= 1.0 or beta <= 1.0 or math.isinf(alpha) or math.isinf(beta):
+            raise InfeasiblePoint(
+                f"nontrivial spectrum points require finite alpha > 1 and beta > 1, "
+                f"got ({alpha}, {beta})"
+            )
+        object.__setattr__(self, "alpha", float(alpha))
+        object.__setattr__(self, "beta", float(beta))
+        res = curve_residual(self)
+        # written so that a NaN defect (a NaN coordinate) fails the test too
+        if not abs(res) <= TAU_CURVE:
+            raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
+        sa = self.sqrt_alpha
+        if abs(sa - n) <= _DIAG_REL * n:
+            case = "diagonal"
+        else:
+            case = "alpha_dominant" if sa > n else "beta_dominant"
+        object.__setattr__(self, "parity", "even" if n % 2 == 0 else "odd")
+        object.__setattr__(self, "case", case)
 
     @property
     def sqrt_alpha(self) -> float:
@@ -81,122 +104,64 @@ class FucikPoint:
     def sqrt_beta(self) -> float:
         return math.sqrt(self.beta)
 
-    def bump_lengths(self) -> BumpLengths:
-        return BumpLengths(l1=math.pi / self.sqrt_alpha, l2=math.pi / self.sqrt_beta)
-
-
-def _classify(n: int, alpha: float, beta: float) -> Case:
-    sa = math.sqrt(alpha)
-    if abs(sa - n) <= _DIAG_REL * n:
-        return "diagonal"
-    return "alpha_dominant" if sa > n else "beta_dominant"
-
 
 def curve_residual(p: FucikPoint) -> float:
     """Signed defect of the curve equation (left side minus pi).
 
-    A value with magnitude at most :data:`TAU_CURVE` certifies membership
-    in the n-th curve.  For n = 1 the defect of pi/sqrt(alpha) - pi is
-    returned, which vanishes exactly at the trivial point (1, 1).
+    With k+ = (n+1)//2 positive and k- = n//2 negative bumps the curve
+    equation reads k+ pi/sqrt(alpha) + k- pi/sqrt(beta) = pi; every
+    :class:`FucikPoint` has a defect of magnitude at most
+    :data:`TAU_CURVE`.  For n = 1 this is pi/sqrt(alpha) - pi, which
+    vanishes exactly at the trivial point (1, 1).
     """
-    sa = math.sqrt(p.alpha)
-    sb = math.sqrt(p.beta)
-    if p.n % 2 == 0:
-        return (p.n / 2) * math.pi / sa + (p.n / 2) * math.pi / sb - math.pi
-    return ((p.n + 1) / 2) * math.pi / sa + ((p.n - 1) / 2) * math.pi / sb - math.pi
-
-
-def require_on_curve(p: FucikPoint) -> None:
-    """Raise NotOnCurve unless |curve_residual(p)| <= TAU_CURVE.
-
-    Written so that a NaN defect (a NaN coordinate) fails the test too.
-    """
-    res = curve_residual(p)
-    if not abs(res) <= TAU_CURVE:
-        raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
-
-
-def make_point(n: int, alpha: float, beta: float) -> FucikPoint:
-    """Wrap explicit coordinates into a validated, classified point.
-
-    Raises NotOnCurve if the pair fails the curve equation by more than
-    :data:`TAU_CURVE`, and InfeasiblePoint for coordinates at or below 1
-    away from the trivial lines.
-    """
-    if n < 1:
-        raise IndexTooSmall(f"curve index must be >= 1, got {n}")
-    if n == 1:
-        if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
-            raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
-        return FucikPoint(1, 1.0, 1.0, "odd", "diagonal")
-    if alpha <= 1.0 or beta <= 1.0:
-        raise InfeasiblePoint(
-            f"nontrivial spectrum points require alpha > 1 and beta > 1, got ({alpha}, {beta})"
-        )
-    p = FucikPoint(n, float(alpha), float(beta), "even" if n % 2 == 0 else "odd",
-                   _classify(n, alpha, beta))
-    require_on_curve(p)
-    return p
+    pos, neg = (p.n + 1) // 2, p.n // 2
+    return pos * math.pi / math.sqrt(p.alpha) + neg * math.pi / math.sqrt(p.beta) - math.pi
 
 
 def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] = None) -> FucikPoint:
     """Solve the curve equation for the missing coordinate.
 
-    Exactly one of ``alpha``/``beta`` must be given.  The partner is the
-    unique solution of the curve equation:
+    Exactly one of ``alpha``/``beta`` must be given.  With k+ = (n+1)//2
+    positive and k- = n//2 negative bumps, the partner is the unique
+    solution of the curve equation:
 
-        even n: beta  = n^2 alpha / (2 sqrt(alpha) - n)^2     (given alpha)
-                alpha = n^2 beta  / (2 sqrt(beta) - n)^2      (given beta)
-        odd n:  beta  = (n-1)^2 alpha / (2 sqrt(alpha) - (n+1))^2
-                alpha = (n+1)^2 beta  / (2 sqrt(beta) - (n-1))^2
+        beta  = (2 k-)^2 alpha / (2 sqrt(alpha) - 2 k+)^2     (given alpha)
+        alpha = (2 k+)^2 beta  / (2 sqrt(beta)  - 2 k-)^2     (given beta)
+
+    The partner's square root exceeds its bump count (at least 1), so no
+    further range check is needed.
 
     Raises:
         IndexTooSmall: if n < 2.
-        InfeasiblePoint: if the given coordinate is not finite, the partner
-            denominator is not positive or the given coordinate is not > 1.
+        InfeasiblePoint: if the given coordinate is not finite, is not > 1,
+            or the partner denominator is not positive.
     """
     if n < 2:
         raise IndexTooSmall(f"complete_point needs n >= 2, got {n}")
     if (alpha is None) == (beta is None):
         raise ValueError("give exactly one of alpha= or beta=")
-    given = alpha if alpha is not None else beta
+    name, given = ("alpha", alpha) if alpha is not None else ("beta", beta)
     if not math.isfinite(given):
         raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
-
+    if given <= 1.0:
+        raise InfeasiblePoint(f"{name} must exceed 1, got {given}")
+    pos, neg = (n + 1) // 2, n // 2
+    own, other = (pos, neg) if alpha is not None else (neg, pos)
+    s = math.sqrt(given)
+    denom = 2 * s - 2 * own
+    if denom <= 0.0:
+        raise InfeasiblePoint(
+            f"no partner on curve {n} for {name} = {given}: denominator {denom:.3e} <= 0"
+        )
+    r = 2 * other * s / denom
     if alpha is not None:
-        if alpha <= 1.0:
-            raise InfeasiblePoint(f"alpha must exceed 1, got {alpha}")
-        s = math.sqrt(alpha)
-        denom = 2 * s - (n if n % 2 == 0 else n + 1)
-        if denom <= 0.0:
-            raise InfeasiblePoint(
-                f"no partner on curve {n} for alpha = {alpha}: denominator {denom:.3e} <= 0"
-            )
-        sb = (n if n % 2 == 0 else n - 1) * s / denom
-        a, b = float(alpha), sb * sb
-    else:
-        if beta <= 1.0:
-            raise InfeasiblePoint(f"beta must exceed 1, got {beta}")
-        s = math.sqrt(beta)
-        denom = 2 * s - (n if n % 2 == 0 else n - 1)
-        if denom <= 0.0:
-            raise InfeasiblePoint(
-                f"no partner on curve {n} for beta = {beta}: denominator {denom:.3e} <= 0"
-            )
-        sa = (n if n % 2 == 0 else n + 1) * s / denom
-        a, b = sa * sa, float(beta)
-
-    if a <= 1.0 or b <= 1.0:
-        raise InfeasiblePoint(f"completed point ({a}, {b}) leaves the nontrivial region")
-    return FucikPoint(n, a, b, "even" if n % 2 == 0 else "odd", _classify(n, a, b))
+        return FucikPoint(n, alpha, r * r)
+    return FucikPoint(n, r * r, beta)
 
 
 def diagonal_point(n: int) -> FucikPoint:
     """The classical eigenvalue point (n^2, n^2) on the n-th curve."""
-    if n < 1:
-        raise IndexTooSmall(f"curve index must be >= 1, got {n}")
-    lam = float(n * n)
-    return FucikPoint(n, lam, lam, "even" if n % 2 == 0 else "odd", "diagonal")
+    return FucikPoint(n, n * n, n * n)
 
 
 def gamma_line_point(n: int, gamma: float) -> FucikPoint:
@@ -209,7 +174,8 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
 
     all lie on the line beta = 4 alpha / (2 sqrt(gamma) - 2)^2 through the
     origin, and the attached eigenfunctions are dilates of each other.
-    At gamma = 4 the family collapses to the diagonal points.
+    At gamma = 4 the family collapses to the diagonal points.  A gamma so
+    large that beta rounds to 1 or the coordinates overflow is refused.
     """
     if n % 2 != 0:
         raise OddIndex(f"gamma_line_point needs an even index, got {n}")
@@ -218,6 +184,8 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     if not (math.isfinite(gamma) and gamma >= 4.0):
         raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
     sg = math.sqrt(gamma)
-    alpha = n * n * gamma / 4.0
-    beta = n * n * gamma / (2 * sg - 2) ** 2
-    return FucikPoint(n, alpha, beta, "even", _classify(n, alpha, beta))
+    try:
+        beta = n * n * gamma / (2 * sg - 2) ** 2
+    except OverflowError:
+        raise GammaOutOfRange(f"gamma = {gamma} puts curve {n} beyond float range") from None
+    return FucikPoint(n, n * n * gamma / 4.0, beta)

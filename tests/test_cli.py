@@ -47,8 +47,7 @@ def test_point_curve_samples(capsys):
     assert len(lines) >= 3 * 50 + 1
     for line in lines[1:]:
         n_str, a_str, b_str = line.split(",")
-        p = FucikPoint(int(n_str), float(a_str), float(b_str),
-                       "even" if int(n_str) % 2 == 0 else "odd", "diagonal")
+        p = FucikPoint(int(n_str), float(a_str), float(b_str))
         assert abs(curve_residual(p)) < 1e-9
 
 
@@ -175,10 +174,12 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--n", "2", "--alpha", "9", "--beta", "4")
     assert code == 2
-    for entry in ("alpha=9", "n=2,alpha=9,alpha=10"):
+    malformed = ("n=2,alpha", "n=x,alpha=9", "n=2.5,alpha=9", "n=2,alpha=abc")
+    for entry in ("alpha=9", "n=2,alpha=9,alpha=10", *malformed):
         code, out, err = run(capsys, "check-theorem1", "--mode", "finite", "--entry", entry)
         assert code == 2 and out == ""
         assert entry in err
+        assert entry not in malformed or "n=<int>,alpha=<float>" in err
     with pytest.raises(SystemExit):
         main(["no-such-command"])
 

@@ -43,8 +43,10 @@ def test_amplitudes_by_case():
 
 
 def test_breakpoints_examples():
-    assert np.allclose(breakpoints(build(complete_point(2, alpha=9))),
-                       [0, math.pi / 3, math.pi], atol=1e-14)
+    f = build(complete_point(2, alpha=9))
+    assert f.l1 == pytest.approx(math.pi / 3, abs=1e-15)
+    assert f.l2 == pytest.approx(2 * math.pi / 3, abs=1e-15)
+    assert np.allclose(breakpoints(f), [0, math.pi / 3, math.pi], atol=1e-14)
     assert np.allclose(breakpoints(build(diagonal_point(2))),
                        [0, math.pi / 2, math.pi], atol=1e-14)
     assert np.allclose(breakpoints(build(diagonal_point(1))), [0, math.pi], atol=1e-15)
@@ -72,11 +74,11 @@ def test_sup_norm_one(n, ratio, side):
     xs = np.linspace(0, math.pi, 10 ** 4)
     grid_max = np.max(np.abs(f(xs)))
     # analytic peak locations: quarter-period points inside each bump
-    l1, L = f.bumps.l1, f.bumps.l
+    l1, L = f.l1, f.l1 + f.l2
     peaks = []
     k = 0
     while k * L < math.pi:
-        for c in (k * L + l1 / 2, k * L + l1 + f.bumps.l2 / 2):
+        for c in (k * L + l1 / 2, k * L + l1 + f.l2 / 2):
             if c < math.pi:
                 peaks.append(c)
         k += 1
@@ -88,7 +90,7 @@ def test_sup_norm_one(n, ratio, side):
 def test_bump_sign_structure():
     p = complete_point(5, alpha=42.0)
     f = build(p)
-    l1, l2, L = f.bumps.l1, f.bumps.l2, f.bumps.l
+    l1, l2, L = f.l1, f.l2, f.l1 + f.l2
     # values at bump midpoints alternate sign
     mids, k = [], 0
     while k * L + l1 / 2 < math.pi:
@@ -148,10 +150,10 @@ def test_domain_guards():
 
 
 def test_build_rejects_off_curve():
-    for bad in (FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant"),
-                FucikPoint(4, math.nan, 16.0, "even", "alpha_dominant")):
+    # build takes a FucikPoint, and no off-curve or NaN one can be made
+    for n, alpha, beta in ((2, 9.0, 9.0), (4, math.nan, 16.0)):
         with pytest.raises(NotOnCurve):
-            build(bad)
+            build(FucikPoint(n, alpha, beta))
 
 
 def test_sine_mode():

@@ -87,13 +87,13 @@ def _pair_reference(p, q):
     mid = x[:-1] + h / 2
 
     def local(e):
-        length = e.bumps.l
+        length = e.l1 + e.l2
         k = np.minimum(np.floor(mid / length), max(math.ceil(PI / length) - 1, 0))
         t = mid - k * length
-        pos = t < e.bumps.l1
+        pos = t < e.l1
         return (np.where(pos, e.positive_amplitude, -e.negative_amplitude),
                 np.where(pos, e.point.sqrt_alpha, e.point.sqrt_beta),
-                np.where(pos, t, t - e.bumps.l1))
+                np.where(pos, t, t - e.l1))
 
     a, w, s = local(f)
     b, v, t = local(g)

@@ -308,7 +308,7 @@ def test_finite_perturbation_validation():
     with pytest.raises(ValueError):
         nr.FinitePerturbation((complete_point(2, alpha=9), complete_point(2, alpha=9)))
     with pytest.raises(NotOnCurve):
-        nr.FinitePerturbation((FucikPoint(4, math.nan, 16.0, "even", "alpha_dominant"),))
+        nr.FinitePerturbation((FucikPoint(4, math.nan, 16.0),))
 
 
 def test_gamma_line_range_guard():

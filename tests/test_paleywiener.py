@@ -71,7 +71,7 @@ def test_even_k_isometry_by_quadrature():
     for k in (2, 4, 6):
         tk = pw.apply_Tk(k, f2)
         bp = sorted(set(float(b) for b in breakpoints(f2)) |
-                    {2 * (m * PI + t) / k for m in range(k) for t in (0.0, f2.bumps.l1, PI)})
+                    {2 * (m * PI + t) / k for m in range(k) for t in (0.0, f2.l1, PI)})
         bp = [b for b in bp if 0.0 <= b <= PI + 1e-12]
         if bp[-1] < PI:
             bp.append(PI)

@@ -1,5 +1,6 @@
 """Curve membership, coordinate completion, and point classification."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,23 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import curve_points
-from fucik.errors import GammaOutOfRange, IndexTooSmall, InfeasiblePoint, NotOnCurve, OddIndex
+from fucik.errors import (
+    FucikError,
+    GammaOutOfRange,
+    IndexTooSmall,
+    InfeasiblePoint,
+    NotOnCurve,
+    OddIndex,
+)
+from fucik.nearness import bound_Cn
+from fucik.paleywiener import fourier_Ak
 from fucik.spectrum import (
     TAU_CURVE,
+    FucikPoint,
     complete_point,
     curve_residual,
     diagonal_point,
     gamma_line_point,
-    make_point,
 )
 
 
@@ -39,9 +49,8 @@ def test_curve_residual_examples():
     assert abs(curve_residual(complete_point(2, alpha=9))) <= 1e-12
     assert curve_residual(diagonal_point(2)) == pytest.approx(0.0, abs=1e-15)
     # (2, 9, 9) is off the curve by exactly -pi/3
-    from fucik.spectrum import FucikPoint
-    bad = FucikPoint(2, 9.0, 9.0, "even", "alpha_dominant")
-    assert curve_residual(bad) == pytest.approx(-math.pi / 3, abs=1e-14)
+    with pytest.raises(NotOnCurve, match=r"defect -1\.047e\+00 "):
+        FucikPoint(2, 9.0, 9.0)
 
 
 def test_diagonal_points():
@@ -91,14 +100,6 @@ def test_gamma_line_on_line_identity():
             assert lhs == pytest.approx(4 * p.alpha, rel=1e-13)
 
 
-def test_bump_lengths():
-    p = complete_point(2, alpha=9)
-    b = p.bump_lengths()
-    assert b.l1 == pytest.approx(math.pi / 3, abs=1e-15)
-    assert b.l2 == pytest.approx(2 * math.pi / 3, abs=1e-15)
-    assert b.l == pytest.approx(math.pi, abs=1e-15)
-
-
 def test_errors():
     with pytest.raises(IndexTooSmall):
         complete_point(1, alpha=2.0)
@@ -113,9 +114,19 @@ def test_errors():
     with pytest.raises(ValueError):
         complete_point(2, alpha=9.0, beta=2.25)
     with pytest.raises(NotOnCurve):
-        make_point(2, 9.0, 9.0)
+        FucikPoint(2, 9.0, 9.0)
     with pytest.raises(NotOnCurve):
-        make_point(4, math.nan, 16.0)
+        FucikPoint(4, math.nan, 16.0)
+    with pytest.raises(IndexTooSmall):
+        FucikPoint(0, 1.0, 1.0)
+    with pytest.raises(InfeasiblePoint):
+        FucikPoint(1, 4.0, 4.0)
+    with pytest.raises(InfeasiblePoint):
+        FucikPoint(2, 0.81, 1.5)
+    # a point cannot be edited off its curve either
+    p = complete_point(2, alpha=9)
+    with pytest.raises(NotOnCurve):
+        dataclasses.replace(p, alpha=1.01 * p.alpha)
 
 
 def test_non_finite_coordinates_rejected():
@@ -126,17 +137,29 @@ def test_non_finite_coordinates_rejected():
             complete_point(4, beta=bad)
         with pytest.raises(GammaOutOfRange):
             gamma_line_point(4, bad)
+    # alpha = inf passes the curve equation (defect -9.4e-10) but is no point
+    with pytest.raises(InfeasiblePoint):
+        FucikPoint(2, math.inf, 1.0000000006)
+    with pytest.raises(InfeasiblePoint):
+        bound_Cn(2, math.inf, 1.0000000006)
+    # beta rounds to 1.0 at gamma = 1e200; the coordinates overflow at 1e308
+    for gamma in (1e200, 1e308):
+        with pytest.raises(FucikError):
+            gamma_line_point(2, gamma)
+        with pytest.raises(FucikError):
+            fourier_Ak(gamma, 3)
 
 
-def test_make_point_accepts_valid():
-    p = make_point(2, 9.0, 2.25)
-    assert p.case == "alpha_dominant"
+def test_constructor_accepts_valid():
+    p = FucikPoint(2, 9, 2.25)
+    assert (p.alpha, p.beta) == (9.0, 2.25) and isinstance(p.alpha, float)
+    assert (p.parity, p.case) == ("even", "alpha_dominant")
     assert abs(curve_residual(p)) <= TAU_CURVE
-    trivial = make_point(1, 1.0, 1.0)
-    assert trivial.case == "diagonal"
+    trivial = FucikPoint(1, 1.0, 1.0)
+    assert (trivial.parity, trivial.case) == ("odd", "diagonal")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(p=curve_points())
-def test_completion_round_trips_through_make_point(p):
-    assert make_point(p.n, p.alpha, p.beta) == p
+def test_completion_round_trips_through_constructor(p):
+    assert FucikPoint(p.n, p.alpha, p.beta) == p
