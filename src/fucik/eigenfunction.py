@@ -88,10 +88,11 @@ def evaluate(f: FucikEigenfunction, x):
 
     Branch selection is exact: x is located inside its bump pair
     [k l, k l + l1) or [k l + l1, (k+1) l).  Points within 1e-12 outside
-    the domain are clamped onto it; anything further raises OutOfDomain.
+    the domain are clamped onto it; anything further, and NaN, raises
+    OutOfDomain.
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -_EDGE_SLACK) or np.any(arr > math.pi + _EDGE_SLACK):
+    if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
         raise OutOfDomain("evaluation point outside [0, pi]")
     arr = np.clip(arr, 0.0, math.pi)
 

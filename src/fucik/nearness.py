@@ -15,13 +15,19 @@ Both are one-sided: a failed check never certifies the opposite.  Because
 the criteria involve infinite sums, only system families with analytically
 boundable tails are accepted: finite perturbations of the diagonal, power
 families max(...) <= n + sqrt(c_n) n^{(1-eps)/2}, and the dilation line
-family parametrized by gamma.  The Riemann zeta values needed by the tail
-bounds are computed here as well (Euler-Maclaurin).
+family parametrized by gamma.
+
+With every odd entry diagonal each C_n is K_EVEN times the even-tail
+summand, so the even-tail criterion reuses the summation criterion's sums
+divided by K_EVEN.  The Riemann zeta values and the remainders beyond the
+partial sums come from one power-sum routine (explicit terms below 1000,
+Euler-Maclaurin beyond), never as zeta minus a partial sum.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence, Union
@@ -41,18 +47,31 @@ K_EVEN = 4 * (3 + math.pi ** 2) * math.pi / 9
 #: strictness margin: certification demands total < pi/2 - MARGIN
 MARGIN = 1e-12
 
+#: largest growth constant c_n of a power family: with every K_n below 71
+#: and zeta(s) - 1 below 1e6, the criterion sums stay finite
+_C_MAX = 1e300
+
 Branch = Literal[
     "even", "odd_alpha_dominant", "odd_beta_dominant", "odd_alpha_uniform", "odd_beta_uniform"
 ]
 Verdict = Literal["riesz_basis_certified", "inconclusive"]
 
 
-def _k_odd_alpha(n: int) -> float:
-    return 4 * math.pi * n * n * (n * n + 1) / (n - 1) ** 4
+def _k(n: int, side: Literal["alpha", "beta"]) -> float:
+    """Leading constant K_n of C_n = K_n (max(sqrt(alpha), sqrt(beta))/n - 1)^2.
 
-
-def _k_odd_beta(n: int) -> float:
+    ``side`` names the dominant coordinate; it matters for odd n only.
+    """
+    if n % 2 == 0:
+        return K_EVEN
+    if side == "alpha":
+        return 4 * math.pi * n * n * (n * n + 1) / (n - 1) ** 4
     return 5 * math.pi * n * n * (n * n + 1) / (n + 1) ** 4
+
+
+def _cn(p: FucikPoint) -> float:
+    side = "alpha" if p.alpha >= p.beta else "beta"
+    return _k(p.n, side) * (max(p.sqrt_alpha, p.sqrt_beta) / p.n - 1.0) ** 2
 
 
 def bound_Cn(n: int, alpha: float, beta: float) -> float:
@@ -69,13 +88,7 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
     """
     if n < 2:
         raise IndexTooSmall(f"bound_Cn needs n >= 2, got {n}")
-    p = FucikPoint(n, alpha, beta)
-    sa, sb = p.sqrt_alpha, p.sqrt_beta
-    if n % 2 == 0:
-        return K_EVEN * (max(sa, sb) / n - 1.0) ** 2
-    if p.alpha >= p.beta:
-        return _k_odd_alpha(n) * (sa / n - 1.0) ** 2
-    return _k_odd_beta(n) * (sb / n - 1.0) ** 2
+    return _cn(FucikPoint(n, alpha, beta))
 
 
 _B2K_OVER_FACT = (
@@ -84,31 +97,45 @@ _B2K_OVER_FACT = (
     (1.0 / 42) / 720.0,         # B6 / 6!
     (-1.0 / 30) / 40320.0,      # B8 / 8!
 )
-_ZETA_N = 1000
+_EM_START = 1000
 
 
-@lru_cache(maxsize=256)
-def zeta(s: float) -> float:
-    """Riemann zeta for finite s > 1 + 1e-6, absolute error below 1e-12.
+def _power_tail(start: int, s: float, step: int = 1) -> float:
+    """Sum of k^{-s} over k = start, start + step, ... for start >= 1, s > 1 + 1e-6.
 
-    Partial sum of 1000 terms plus the Euler-Maclaurin tail with four
-    Bernoulli corrections; at these depths the first omitted correction is
-    many orders below the target accuracy for every admissible s.  Values
-    are cached (the function is pure and the criteria reuse a handful of
-    exponents thousands of times).
+    Terms below 1000 are summed explicitly; the rest is the Euler-Maclaurin
+    sum from the first k >= 1000 with four Bernoulli corrections in powers
+    of step / k.  At these depths the first omitted correction is many
+    orders below 1e-12 of the result for every admissible s, and no step
+    subtracts nearly equal sums.
     """
     if not 1.0 + 1e-6 < s < math.inf:
         raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {s}")
-    n = _ZETA_N
-    head = math.fsum(k ** (-s) for k in range(1, n))
-    tail = n ** (1.0 - s) / (s - 1.0) + 0.5 * n ** (-s)
+    n = start if start >= _EM_START else start - (start - _EM_START) // step * step
+    head = math.fsum(k ** (-s) for k in range(start, n, step))
+    tail = n ** (1.0 - s) / ((s - 1.0) * step) + 0.5 * n ** (-s)
     poch = s
-    power = float(n) ** (-s - 1.0)
+    power = step * float(n) ** (-s - 1.0)
     for i, coeff in enumerate(_B2K_OVER_FACT):
         tail += coeff * poch * power
         poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
-        power /= n * n
+        power /= (n / step) ** 2
     return head + tail
+
+
+@lru_cache(maxsize=256)
+def _zeta_minus_one(s: float) -> float:
+    """zeta(s) - 1, summed from k = 2 so that it keeps its relative accuracy.
+
+    Cached: the function is pure and the caps reuse a handful of exponents
+    once per odd index.
+    """
+    return _power_tail(2, s)
+
+
+def zeta(s: float) -> float:
+    """Riemann zeta for finite s > 1 + 1e-6, absolute error below 1e-12."""
+    return 1.0 + _zeta_minus_one(s)
 
 
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
@@ -121,10 +148,9 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    z = zeta(1.0 + epsilon) - 1.0
-    if not z > 0:
-        raise ValueError(f"zeta(1 + epsilon) - 1 is not resolved in floating point "
-                         f"at epsilon = {epsilon}")
+    z = _zeta_minus_one(1.0 + epsilon)
+    if not z >= sys.float_info.min:
+        raise ValueError(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2)) / z
     if branch == "odd_alpha_dominant":
@@ -169,7 +195,7 @@ class BranchRule:
 
     Exactly one of ``c`` (absolute constant) or ``cap_fraction`` (fraction
     of the applicable corollary cap, evaluated per index for odd n) must
-    be given.  ``side`` says which coordinate dominates when the point is
+    be given, at most 1e300.  ``side`` says which coordinate dominates when the point is
     materialized.
     """
 
@@ -181,8 +207,8 @@ class BranchRule:
         if (self.c is None) == (self.cap_fraction is None):
             raise ValueError("give exactly one of c= or cap_fraction=")
         value = self.c if self.c is not None else self.cap_fraction
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"rule constants must be finite and nonnegative, got {value}")
+        if not 0 <= value <= _C_MAX:
+            raise ValueError(f"rule constants must lie in [0, {_C_MAX}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -202,6 +228,11 @@ class FinitePerturbation:
 
     def point(self, n: int) -> FucikPoint:
         return self._by_n.get(n) or diagonal_point(n)
+
+    def _require_odd_diagonal(self) -> None:
+        for e in self.entries:
+            if e.n % 2 == 1 and e.case != "diagonal":
+                raise OddEntriesNotDiagonal(f"entry for n = {e.n} is not diagonal")
 
 
 @dataclass(frozen=True)
@@ -230,11 +261,11 @@ class PowerFamily:
             return 0.0
         if rule.c is not None:
             return rule.c
-        if n % 2 == 0:
-            branch: Branch = "even"
-        else:
-            branch = "odd_alpha_dominant" if rule.side == "alpha" else "odd_beta_dominant"
-        return rule.cap_fraction * corollary_cn_cap(n, self.epsilon, branch)
+        branch = "even" if n % 2 == 0 else f"odd_{rule.side}_dominant"
+        c = rule.cap_fraction * corollary_cn_cap(n, self.epsilon, branch)
+        if not c <= _C_MAX:
+            raise ValueError(f"growth constant c_{n} = {c} exceeds {_C_MAX}")
+        return c
 
     def dominant_sqrt(self, n: int) -> float:
         return n + math.sqrt(self.c_value(n)) * n ** ((1.0 - self.epsilon) / 2.0)
@@ -250,6 +281,10 @@ class PowerFamily:
             return complete_point(n, alpha=s * s)
         return complete_point(n, beta=s * s)
 
+    def _require_odd_diagonal(self) -> None:
+        if self.odd is not None:
+            raise OddEntriesNotDiagonal("power family has a nondiagonal odd rule")
+
 
 @dataclass(frozen=True)
 class GammaLine:
@@ -264,6 +299,9 @@ class GammaLine:
         if n >= 2 and n % 2 == 0:
             return gamma_line_point(n, self.gamma)
         return diagonal_point(n)
+
+    def _require_odd_diagonal(self) -> None:
+        """Odd entries of a gamma line are sin(n x) by construction."""
 
 
 SystemSpec = Union[FinitePerturbation, PowerFamily, GammaLine]
@@ -287,17 +325,11 @@ class NearnessReport:
     r: float
 
 
-def _require_partial(n_partial: int) -> None:
+def _require_checkable(system: SystemSpec, n_partial: int) -> None:
     if not n_partial >= 2:
         raise ValueError(f"n_partial must be at least 2, got {n_partial}")
-
-
-def _zeta_remainders(n_cut: int, s: float) -> tuple[float, float]:
-    """Remainders of sum n^{-s} beyond n_cut, split by parity (even, odd)."""
-    z = zeta(s)
-    r_even = 2.0 ** (-s) * (z - math.fsum(m ** (-s) for m in range(1, n_cut // 2 + 1)))
-    r_all = z - math.fsum(m ** (-s) for m in range(1, n_cut + 1))
-    return r_even, r_all - r_even
+    if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
+        raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
 
 
 def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
@@ -309,40 +341,26 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     whose C_n terms are constant in n; those come back inconclusive).
     ``n_partial`` must be at least 2.
     """
-    _require_partial(n_partial)
+    _require_checkable(system, n_partial)
     threshold = math.pi / 2
 
     if isinstance(system, FinitePerturbation):
         partial = math.fsum(
-            bound_Cn(e.n, e.alpha, e.beta) for e in system.entries
-            if e.n >= 2 and e.case != "diagonal"
+            _cn(e) for e in system.entries if e.n >= 2 and e.case != "diagonal"
         )
         tail = 0.0
     elif isinstance(system, PowerFamily):
         s_exp = 1.0 + system.epsilon
-        terms = []
-        for n in range(2, n_partial + 1):
-            rule = system._rule(n)
-            if rule is None:
-                continue
-            c_n = system.c_value(n)
-            if n % 2 == 0:
-                k_n = K_EVEN
-            else:
-                k_n = _k_odd_alpha(n) if rule.side == "alpha" else _k_odd_beta(n)
-            terms.append(k_n * c_n * float(n) ** (-s_exp))
-        partial = math.fsum(terms)
+        partial = math.fsum(
+            _k(n, rule.side) * system.c_value(n) * float(n) ** (-s_exp)
+            for n in range(2, n_partial + 1) if (rule := system._rule(n)) is not None
+        )
         tail = _power_family_tail(system, n_partial, s_exp)
-    elif isinstance(system, GammaLine):
-        if system.gamma == 4.0:
-            partial, tail = 0.0, 0.0
-        else:
-            sg = math.sqrt(system.gamma)
-            per_term = K_EVEN * (sg / 2 - 1.0) ** 2
-            partial = per_term * (n_partial // 2)
-            tail = math.inf
+    elif system.gamma == 4.0:
+        partial, tail = 0.0, 0.0
     else:
-        raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
+        sg = math.sqrt(system.gamma)
+        partial, tail = K_EVEN * (sg / 2 - 1.0) ** 2 * (n_partial // 2), math.inf
 
     total = partial + tail
     verdict: Verdict = "riesz_basis_certified" if total < threshold - MARGIN else "inconclusive"
@@ -350,26 +368,21 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
 
 
 def _power_family_tail(system: PowerFamily, n_cut: int, s_exp: float) -> float:
-    r_even, r_odd = _zeta_remainders(n_cut, s_exp)
+    first_even, first_odd = n_cut + 2 - n_cut % 2, n_cut + 1 + n_cut % 2
+    # sup of K_n past the cut: for odd n on the alpha side K decreases, so the
+    # first odd index dominates; on the beta side it increases toward 5 pi
+    odd_alpha = system.odd is not None and system.odd.side == "alpha"
+    k_odd = _k(first_odd, "alpha") if odd_alpha else 5 * math.pi
     tail = 0.0
-    if system.even is not None:
-        if system.even.cap_fraction is not None:
-            coeff = system.even.cap_fraction * (math.pi / 2) / (zeta(s_exp) - 1.0)
-        else:
-            coeff = K_EVEN * system.even.c
-        tail += coeff * r_even
-    if system.odd is not None:
-        rule = system.odd
+    for rule, k_sup, first in ((system.even, K_EVEN, first_even), (system.odd, k_odd, first_odd)):
+        if rule is None:
+            continue
+        remainder = _power_tail(first, s_exp, step=2)
         if rule.cap_fraction is not None:
-            coeff = rule.cap_fraction * (math.pi / 2) / (zeta(s_exp) - 1.0)
-        elif rule.side == "alpha":
-            # K decreases in n for n >= 3, so the first odd index past the
-            # cut dominates the whole tail
-            m0 = n_cut + 1 if (n_cut + 1) % 2 == 1 else n_cut + 2
-            coeff = _k_odd_alpha(m0) * rule.c
+            # remainder / (zeta - 1) <= 1 keeps the product finite
+            tail += rule.cap_fraction * (math.pi / 2) * (remainder / _zeta_minus_one(s_exp))
         else:
-            coeff = 5 * math.pi * rule.c  # K increases toward 5 pi
-        tail += coeff * r_odd
+            tail += k_sup * rule.c * remainder
     return tail
 
 
@@ -379,47 +392,13 @@ def theorem2_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     Certified when sum over even n of (max(sqrt(alpha), sqrt(beta))/n - 1)^2
     is finite (threshold is infinity: only convergence matters).  Raises
     OddEntriesNotDiagonal when an odd-index entry deviates from sin(n x).
-    ``n_partial`` must be at least 2.
+    The sums are those of :func:`theorem1_check` divided by K_EVEN, and
+    ``r`` is its ``total_upper``.  ``n_partial`` must be at least 2.
     """
-    _require_partial(n_partial)
-    threshold = math.inf
-
-    if isinstance(system, FinitePerturbation):
-        for e in system.entries:
-            if e.n % 2 == 1 and e.case != "diagonal":
-                raise OddEntriesNotDiagonal(f"entry for n = {e.n} is not diagonal")
-        partial = math.fsum(
-            (max(e.sqrt_alpha, e.sqrt_beta) / e.n - 1.0) ** 2
-            for e in system.entries if e.n % 2 == 0
-        )
-        tail = 0.0
-    elif isinstance(system, PowerFamily):
-        if system.odd is not None:
-            raise OddEntriesNotDiagonal("power family has a nondiagonal odd rule")
-        s_exp = 1.0 + system.epsilon
-        if system.even is None:
-            partial = tail = 0.0
-        else:
-            partial = math.fsum(
-                system.c_value(n) * float(n) ** (-s_exp)
-                for n in range(2, n_partial + 1, 2)
-            )
-            r_even, _ = _zeta_remainders(n_partial, s_exp)
-            if system.even.cap_fraction is not None:
-                coeff = system.even.cap_fraction * corollary_cn_cap(2, system.epsilon, "even")
-            else:
-                coeff = system.even.c
-            tail = coeff * r_even
-    elif isinstance(system, GammaLine):
-        if system.gamma == 4.0:
-            partial, tail = 0.0, 0.0
-        else:
-            sg = math.sqrt(system.gamma)
-            partial = (sg / 2 - 1.0) ** 2 * (n_partial // 2)
-            tail = math.inf
-    else:
-        raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
-
+    _require_checkable(system, n_partial)
+    system._require_odd_diagonal()
+    c1 = theorem1_check(system, n_partial)
+    partial, tail = c1.partial_sum / K_EVEN, c1.tail_bound / K_EVEN
     total = partial + tail
-    verdict: Verdict = "riesz_basis_certified" if total < threshold else "inconclusive"
-    return NearnessReport(partial, tail, total, threshold, verdict, r=K_EVEN * total)
+    verdict: Verdict = "riesz_basis_certified" if total < math.inf else "inconclusive"
+    return NearnessReport(partial, tail, total, math.inf, verdict, r=c1.total_upper)

@@ -47,9 +47,10 @@ class PiecewiseIntegrand:
         b = np.asarray(self.breakpoints, dtype=float)
         if b.ndim != 1 or b.size < 2:
             raise ValueError("breakpoints must list at least [0, pi]")
-        if abs(b[0]) > 1e-12 or abs(b[-1] - math.pi) > 1e-12:
+        # comparisons written so that a NaN breakpoint fails them
+        if not (abs(b[0]) <= 1e-12 and abs(b[-1] - math.pi) <= 1e-12):
             raise ValueError("breakpoints must start at 0 and end at pi")
-        if np.any(np.diff(b) < -1e-15):
+        if not np.all(np.diff(b) >= -1e-15):
             raise ValueError("breakpoints must be sorted ascending")
         b = np.unique(np.clip(b, 0.0, math.pi))
         return np.column_stack([b[:-1], b[1:]])

@@ -97,6 +97,14 @@ def test_check_theorem1_exit_codes(capsys):
     assert doc["total_upper"] == pytest.approx(4.4923394, abs=1e-6)
 
 
+def test_huge_growth_constant_is_usage_error(capsys):
+    for cmd in ("check-theorem1", "check-theorem2"):
+        code, out, err = run(capsys, cmd, "--mode", "power", "--epsilon", "0.1",
+                             "--even-c", "5e306")
+        assert code == 2 and out == ""
+        assert "rule constants" in err
+
+
 def test_check_theorem2_gamma_line(capsys):
     code, out, _ = run(capsys, "check-theorem2", "--mode", "gamma-line", "--gamma", "5")
     assert code == 1

@@ -145,6 +145,9 @@ def test_domain_guards():
         evaluate(f, -0.5)
     with pytest.raises(OutOfDomain):
         evaluate(f, math.pi + 0.1)
+    for bad in (math.nan, np.array([0.0, 1.0, math.nan, math.pi])):
+        with pytest.raises(OutOfDomain):
+            evaluate(f, bad)
     # tiny overshoot is clamped
     assert evaluate(f, math.pi + 5e-13) == pytest.approx(0.0, abs=1e-12)
 

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paper_formulas as paper
 from conftest import curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
+from fucik import paleywiener as pw
 from fucik.errors import DivergentArgument, NotOnCurve, OddEntriesNotDiagonal, TailNotBoundable
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point
 
@@ -86,6 +89,19 @@ def test_zeta_against_brute_force():
     assert partial + tail_lo - 1e-9 <= nr.zeta(s) <= partial + tail_hi + 1e-9
 
 
+@pytest.mark.parametrize("eps", [10.0, 30.0, 52.0, 60.0])
+def test_zeta_minus_one_keeps_relative_accuracy(eps):
+    """zeta(1 + eps) - 1 and the caps built on it, against the leading terms.
+
+    Past k = 200 the omitted terms are below 1e-20 of the sum for eps >= 10.
+    """
+    s = 1.0 + eps
+    want = math.fsum(k ** -s for k in range(2, 200))
+    assert nr._zeta_minus_one(s) == pytest.approx(want, rel=1e-12, abs=0)
+    cap = nr.corollary_cn_cap(4, eps, "even")
+    assert cap * want == pytest.approx(9 / (8 * (3 + PI ** 2)), rel=1e-12, abs=0)
+
+
 def test_zeta_pole_guard():
     with pytest.raises(DivergentArgument):
         nr.zeta(1.0)
@@ -112,8 +128,9 @@ def test_cap_examples():
 
 
 def test_cap_rejects_nan_and_unresolved_epsilon():
-    # 2^-(1 + eps) drops below one ulp of zeta(1 + eps) ~ 1 past eps ~ 52
-    for bad in (math.nan, 0.0, -0.5, 60.0):
+    # zeta(1 + eps) - 1 ~ 2^-(1 + eps) is subnormal past eps ~ 1021 and zero
+    # past eps ~ 1073; either way the cap would not be finite
+    for bad in (math.nan, 0.0, -0.5, 1050.0, 1100.0):
         with pytest.raises(ValueError):
             nr.corollary_cn_cap(4, bad, "even")
     with pytest.raises(DivergentArgument):
@@ -197,7 +214,7 @@ def test_theorem1_partial_matches_bound_cn():
     for n in (2, 3, 6, 11):
         p = fam.point(n)
         direct = nr.bound_Cn(n, p.alpha, p.beta)
-        k = nr.K_EVEN if n % 2 == 0 else nr._k_odd_alpha(n)
+        k = nr.K_EVEN if n % 2 == 0 else nr._k(n, "alpha")
         term = k * fam.c_value(n) * n ** (-1.5)
         assert direct == pytest.approx(term, rel=1e-10)
 
@@ -242,6 +259,83 @@ def test_theorem2_finite_even_perturbation():
     assert rep.verdict == "riesz_basis_certified"
     assert rep.partial_sum == pytest.approx((3 / 2 - 1) ** 2, abs=1e-14)
     assert rep.r == pytest.approx(nr.K_EVEN * rep.total_upper)
+
+
+@pytest.mark.parametrize("eps, n_partial", [(3.0, 2000), (20.0, 2000), (320.0, 7)])
+def test_c_rule_tails_cover_the_omitted_terms(eps, n_partial):
+    """Each parity class's tail bound is at least its next omitted terms."""
+    s = 1.0 + eps
+    omitted = range(n_partial + 1, n_partial + 2001)
+    for parity, cls in ((0, "even"), (1, "odd")):
+        fam = nr.PowerFamily(epsilon=eps, **{cls: nr.BranchRule(c=0.4, side="alpha")})
+        want = math.fsum(nr._k(n, "alpha") * 0.4 * n ** -s for n in omitted if n % 2 == parity)
+        assert nr.theorem1_check(fam, n_partial).tail_bound >= want > 0.0
+    even = nr.PowerFamily(epsilon=eps, even=nr.BranchRule(c=0.4))
+    want = math.fsum(0.4 * n ** -s for n in omitted if n % 2 == 0)
+    assert nr.theorem2_check(even, n_partial).tail_bound >= want > 0.0
+
+
+@st.composite
+def even_only_systems(draw):
+    kind = draw(st.sampled_from(["finite", "c", "cap", "gamma"]))
+    if kind == "finite":
+        entries = []
+        for n in draw(st.lists(st.sampled_from(range(2, 41, 2)), max_size=5, unique=True)):
+            s = n * draw(st.floats(1.001, 1.9))
+            side = draw(st.sampled_from(["alpha", "beta"]))
+            entries.append(complete_point(n, **{side: s * s}))
+        return nr.FinitePerturbation(tuple(entries))
+    if kind == "gamma":
+        return nr.GammaLine(draw(st.floats(4.0, pw.GAMMA_MAX)))
+    value = draw(st.floats(0.0, 1.0))
+    side = draw(st.sampled_from(["alpha", "beta"]))
+    rule = nr.BranchRule(c=value, side=side) if kind == "c" else \
+        nr.BranchRule(cap_fraction=value, side=side)
+    return nr.PowerFamily(epsilon=draw(st.floats(0.1, 20.0)), even=rule)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(system=even_only_systems(), n_partial=st.sampled_from([2, 7, 50, 2000]))
+def test_criterion2_matches_even_only_sums(system, n_partial):
+    """Criterion 2 against its definition, summed from the system's points.
+
+    The partial sum is (max(sqrt(alpha), sqrt(beta))/n - 1)^2 over the even
+    entries up to ``n_partial`` (all entries of a finite system); a power
+    family's tail c 2^{-s} sum_{m > M} m^{-s} lies between the integrals of
+    x^{-s} from M + 1 and from M.
+    """
+    rep = nr.theorem2_check(system, n_partial)
+    if isinstance(system, nr.FinitePerturbation):
+        points = list(system.entries)
+    else:
+        points = [system.point(n) for n in range(2, n_partial + 1, 2)]
+    want = math.fsum((max(p.sqrt_alpha, p.sqrt_beta) / p.n - 1.0) ** 2 for p in points)
+    assert rep.partial_sum == pytest.approx(want, rel=1e-9, abs=1e-12)
+    if isinstance(system, nr.PowerFamily):
+        s, m = 1.0 + system.epsilon, n_partial // 2
+        scale = system.c_value(2) * 2.0 ** -s / (s - 1.0)
+        lo, hi = scale * (m + 1) ** (1.0 - s), scale * m ** (1.0 - s)
+        assert lo * (1 - 1e-12) <= rep.tail_bound <= hi * (1 + 1e-12)
+    elif isinstance(system, nr.GammaLine) and system.gamma != 4.0:
+        assert rep.tail_bound == math.inf and rep.verdict == "inconclusive"
+    else:
+        assert rep.tail_bound == 0.0 and rep.verdict == "riesz_basis_certified"
+
+
+def test_huge_growth_constants_are_refused():
+    """Rule constants are capped at 1e300 so that the criterion sums stay finite."""
+    for c in (5e306, 1e307):
+        with pytest.raises(ValueError):
+            nr.BranchRule(c=c)
+        with pytest.raises(ValueError):
+            nr.BranchRule(cap_fraction=c)
+    fam = nr.PowerFamily(epsilon=0.1, even=nr.BranchRule(c=1e300))
+    for check in (nr.theorem1_check, nr.theorem2_check):
+        rep = check(fam)
+        assert math.isfinite(rep.total_upper) and math.isfinite(rep.r)
+    # a fraction of a huge cap: c_2 overflows and is refused, not summed to NaN
+    with pytest.raises(ValueError):
+        nr.theorem1_check(nr.PowerFamily(epsilon=1000.0, even=nr.BranchRule(cap_fraction=1e10)))
 
 
 # ----------------------------------------------------------------------

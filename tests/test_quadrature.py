@@ -1,10 +1,13 @@
 """The quadrature oracle: exactness, honesty, and stability checks."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fucik import quadrature
 from fucik.errors import NoConvergence
 from fucik.quadrature import PiecewiseIntegrand, inner_numeric, integrate, merged_breakpoints
 
@@ -71,8 +74,39 @@ def test_piecewise_integrand_validation():
         PiecewiseIntegrand(np.sin, [0.1, math.pi]).pieces()
     with pytest.raises(ValueError):
         PiecewiseIntegrand(np.sin, [0.0, 2.0]).pieces()
+    # NaN at the start, inside and at the end, refused before any refinement
+    for points in ([math.nan, math.pi], [0.0, math.nan, math.pi], [0.0, 1.0, math.nan]):
+        with pytest.raises(ValueError):
+            PiecewiseIntegrand(np.sin, points).pieces()
     with pytest.raises(ValueError):
         integrate(PiecewiseIntegrand(np.sin, [0, math.pi]), tol=1e-15)
+
+
+def _package_imports(source):
+    """Modules of the fucik package that a source text imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name.partition(".")[2] or "fucik"
+                         for a in node.names if a.name.partition(".")[0] == "fucik")
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0 and module.partition(".")[0] != "fucik":
+                continue
+            if node.level == 0:
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.partition(".")[0])
+            else:
+                found.update(a.name for a in node.names)
+    return found
+
+
+def test_oracle_imports_only_errors():
+    """The oracle shares no algebra with what it checks: of the package it
+    imports only the errors module."""
+    assert _package_imports(Path(quadrature.__file__).read_text()) == {"errors"}
+    assert _package_imports("from . import closedform\nimport fucik") == {"closedform", "fucik"}
 
 
 def test_tolerance_validation():
