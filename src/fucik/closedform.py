@@ -12,7 +12,9 @@ The sums over the bump train collapse through the closed progression
 identity.  The squared norm is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2
 and the squared distance to sin(n x) follows by polarization.  Products
 of two eigenfunctions (:func:`pair_products`) are integrated exactly on
-each piece between their merged junction points.
+each piece between their merged junction points.  Where the junctions
+fall and which bump holds a point is not decided here: both come from the
+layout rules of :mod:`fucik.eigenfunction`.
 
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
 :func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``.
@@ -37,7 +39,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .eigenfunction import JUNCTION_SLACK, amplitudes
+from .eigenfunction import amplitudes, junctions, local_waves
 from .spectrum import FucikPoint
 
 #: largest comparator index accepted by inner_cross_index
@@ -102,7 +104,7 @@ def _norm(p: FucikPoint) -> float:
 
 
 def _same_index(p: FucikPoint, diagonal_value: float, off_diagonal) -> ClosedFormValue:
-    if p.n == 1 or p.case == "diagonal":
+    if p.case == "diagonal":
         return ClosedFormValue(diagonal_value, "diagonal")
     return ClosedFormValue(off_diagonal(p), _case(p))
 
@@ -152,7 +154,7 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
         raise ValueError("use inner_same_index for m == n")
 
     n = p.n
-    if p.n == 1 or p.case == "diagonal":
+    if p.case == "diagonal":
         return ClosedFormValue(0.0, "diagonal")
     if m % 2 == 0 and (n % 2 == 1 or m < n):
         return ClosedFormValue(0.0, _case(p))
@@ -166,10 +168,10 @@ class BumpTable:
     Row r describes the eigenfunction at the r-th point: its index ``n``,
     the frequencies ``sa`` = sqrt(alpha) and ``sb`` = sqrt(beta), the bump
     amplitudes ``a_pos`` and ``a_neg``, the bump lengths ``l1`` and ``l2``,
-    the period ``l`` = l1 + l2, the index ``last_bump`` of the bump pair
-    that holds x = pi, and the ``junctions`` row of
-    :func:`fucik.eigenfunction.breakpoints` padded with pi to the common
-    width max(n) + 2.
+    the period ``l`` = l1 + l2, and its ``junctions`` row from
+    :func:`fucik.eigenfunction.junctions`, padded with pi to the common
+    width max(n) + 2.  Where x falls in the bump train is left to
+    :func:`fucik.eigenfunction.local_waves`.
     """
 
     n: np.ndarray
@@ -180,7 +182,6 @@ class BumpTable:
     l1: np.ndarray
     l2: np.ndarray
     l: np.ndarray
-    last_bump: np.ndarray
     junctions: np.ndarray
 
 
@@ -192,15 +193,8 @@ def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
     a_pos, a_neg = np.array([amplitudes(p) for p in points]).reshape(-1, 2).T
     l1, l2 = np.pi / sa, np.pi / sb
     l = l1 + l2
-    # candidate junctions k l + l1, (k + 1) l for k = 0, 1, ...; the first
-    # one within JUNCTION_SLACK of pi, and every later one, becomes pi
-    j = np.arange(1, int(n.max(initial=0)) + 2)
-    k = (j - 1) // 2
-    cand = np.where(j % 2 == 1, k * l[:, None] + l1[:, None], (k + 1) * l[:, None])
-    cand = np.where(cand < np.pi - JUNCTION_SLACK, cand, np.pi)
-    junctions = np.concatenate((np.zeros((n.size, 1)), cand), axis=1)
     return BumpTable(n, sa, sb, a_pos, a_neg, l1, l2, l,
-                     np.maximum(np.ceil(np.pi / l) - 1, 0), junctions)
+                     junctions(l1[:, None], l[:, None], int(n.max(initial=0)) + 1))
 
 
 def norms_sq(t: BumpTable) -> np.ndarray:
@@ -246,17 +240,6 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
     return np.where(zero, 0.0, value)
 
 
-def _local_waves(t: BumpTable, rows: np.ndarray, x: np.ndarray):
-    """(amplitude, frequency, offset into the bump) of each row's f at x."""
-    l1, l = t.l1[rows, None], t.l[rows, None]
-    k = np.minimum(np.floor(x / l), t.last_bump[rows, None])
-    s = x - k * l
-    pos = s < l1
-    return (np.where(pos, t.a_pos[rows, None], -t.a_neg[rows, None]),
-            np.where(pos, t.sa[rows, None], t.sb[rows, None]),
-            np.where(pos, s, s - l1))
-
-
 def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
     """<f_i[k], f_j[k]> for each k, integrated exactly over merged junctions.
 
@@ -267,6 +250,8 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     h cos(phase at the midpoint) sinc(frequency h / 2).  The two junction
     rows of a pair are concatenated and sorted; padding and shared
     junction points give pieces with h = 0, which contribute exactly 0.
+    The sinusoid of each factor on a piece comes from
+    :func:`fucik.eigenfunction.local_waves` at the piece's midpoint.
     The pairs run in chunks of a fixed element count per array, so peak
     memory does not grow with the truncation order.
     """
@@ -274,6 +259,7 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     j = np.asarray(j, dtype=np.intp)
     out = np.empty(i.size)
     width = t.n + 2
+    bumps = (t.a_pos, t.a_neg, t.sa, t.sb, t.l1, t.l)
     step = max(1, _PAIR_CHUNK // (2 * t.junctions.shape[1]))
     for lo in range(0, i.size, step):
         ii, jj = i[lo:lo + step], j[lo:lo + step]
@@ -281,17 +267,9 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
                                     t.junctions[jj, :width[jj].max()]), axis=1), axis=1)
         h = np.diff(x, axis=1)
         mid = x[:, :-1] + h / 2
-        a, w, s = _local_waves(t, ii, mid)
-        b, v, u = _local_waves(t, jj, mid)
+        a, w, s = local_waves(*(col[ii, None] for col in bumps), mid)
+        b, v, u = local_waves(*(col[jj, None] for col in bumps), mid)
         minus = np.cos(w * s - v * u) * np.sinc((w - v) * h / (2 * np.pi))
         plus = np.cos(w * s + v * u) * np.sinc((w + v) * h / (2 * np.pi))
         out[lo:lo + step] = 0.5 * np.sum(a * b * h * (minus - plus), axis=1)
     return out
-
-
-def inner_pair(p: FucikPoint, q: FucikPoint) -> float:
-    """Scalar product of the eigenfunctions at p and q, integrated exactly.
-
-    The one-pair call of :func:`pair_products`.
-    """
-    return float(pair_products(bump_table((p, q)), [0], [1])[0])

@@ -19,6 +19,8 @@ sin(n x).  The representation extends l-periodically to all x >= 0, which
 is what the dilation identities of :mod:`fucik.paleywiener` rely on.
 
 Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays.
+Only this module places the bumps, by two rules that broadcast over one
+function or a stacked table of many: :func:`junctions` and :func:`local_waves`.
 """
 
 from __future__ import annotations
@@ -83,29 +85,48 @@ def build(p: FucikPoint) -> FucikEigenfunction:
                               positive_amplitude=amp_pos, negative_amplitude=amp_neg)
 
 
+def junctions(l1, l, count: int) -> np.ndarray:
+    """Rows [0, l1, l, l + l1, 2 l, ...] of ``count`` + 1 junction points.
+
+    Column arrays ``l1``, ``l`` = l1 + l2 give one row per eigenfunction.  The
+    row increases, so the first point within :data:`JUNCTION_SLACK` of pi
+    and every later one become pi.
+    """
+    j = np.arange(count + 1)
+    x = j // 2 * l + j % 2 * l1
+    return np.where(x < np.pi - JUNCTION_SLACK, x, np.pi)
+
+
+def local_waves(a_pos, a_neg, sa, sb, l1, l, x):
+    """(amplitude, frequency, offset): f(x) = amplitude sin(frequency offset).
+
+    The offset runs from the start of the bump that holds x; bump data
+    broadcast as in :func:`junctions`.  x = pi stays in the last bump pair,
+    ceil(pi / l) - 1 >= 0, instead of opening a fresh one.
+    """
+    k = np.minimum(np.floor(x / l), np.ceil(np.pi / l) - 1)
+    t = x - k * l
+    pos = t < l1
+    return np.where(pos, a_pos, -a_neg), np.where(pos, sa, sb), np.where(pos, t, t - l1)
+
+
 def evaluate(f: FucikEigenfunction, x):
     """Evaluate f at x in [0, pi] (scalar or array).
 
     Branch selection is exact: x is located inside its bump pair
-    [k l, k l + l1) or [k l + l1, (k+1) l).  Points within 1e-12 outside
-    the domain are clamped onto it; anything further, and NaN, raises
-    OutOfDomain.
+    [k l, k l + l1) or [k l + l1, (k+1) l) by :func:`local_waves`.  Points
+    within 1e-12 outside the domain are clamped onto it; anything further,
+    and NaN, raises OutOfDomain.
     """
     arr = np.asarray(x, dtype=float)
     if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
         raise OutOfDomain("evaluation point outside [0, pi]")
     arr = np.clip(arr, 0.0, math.pi)
-
-    sa, sb = f.point.sqrt_alpha, f.point.sqrt_beta
-    l1, L = f.l1, f.l1 + f.l2
-    # clamp k so that x = pi falls into the last bump instead of a fresh one
-    k = np.floor(arr / L)
-    k = np.minimum(k, max(math.ceil(math.pi / L) - 1, 0))
-    t = arr - k * L
-    pos = f.positive_amplitude * np.sin(sa * t)
-    neg = -f.negative_amplitude * np.sin(sb * (t - l1))
-    out = np.where(t < l1, pos, neg)
-    if np.isscalar(x) or np.ndim(x) == 0:
+    amp, freq, offset = local_waves(f.positive_amplitude, f.negative_amplitude,
+                                    f.point.sqrt_alpha, f.point.sqrt_beta,
+                                    f.l1, f.l1 + f.l2, arr)
+    out = amp * np.sin(freq * offset)
+    if arr.ndim == 0:
         return float(out)
     return out
 
@@ -114,16 +135,8 @@ def breakpoints(f: FucikEigenfunction) -> np.ndarray:
     """Sorted junction points {0, l1, l, l+l1, 2l, ...} within [0, pi].
 
     These are the only points where f is not smooth; the quadrature oracle
-    never integrates across them.
+    never integrates across them.  n + 2 candidates always reach pi, even
+    when the curve defect leaves the last bump ending short of it.
     """
-    l1, L = f.l1, f.l1 + f.l2
-    pts = [0.0]
-    k = 0
-    while True:
-        for candidate in (k * L + l1, (k + 1) * L):
-            if candidate < math.pi - JUNCTION_SLACK:
-                pts.append(candidate)
-            else:
-                pts.append(math.pi)
-                return np.asarray(pts)
-        k += 1
+    row = junctions(f.l1, f.l1 + f.l2, f.point.n + 2)
+    return row[:np.argmax(row == np.pi) + 1]

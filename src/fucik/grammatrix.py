@@ -25,6 +25,11 @@ from .nearness import SystemSpec
 MAX_ORDER = 512
 
 
+def _require_order(N: int) -> None:
+    if not (1 <= N <= MAX_ORDER):
+        raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}], got {N}")
+
+
 @dataclass(frozen=True)
 class GramTruncation:
     """N x N symmetric matrix of inner products <psi_i, psi_j>.
@@ -50,8 +55,7 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     pairwise products (:func:`~fucik.closedform.pair_products`).
     ``max_workers`` is accepted for older callers and ignored.
     """
-    if not (1 <= N <= MAX_ORDER):
-        raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}], got {N}")
+    _require_order(N)
     points = [system.point(i) for i in range(1, N + 1)]
     sine = np.array([p.case == "diagonal" for p in points])
     s, e = np.flatnonzero(sine), np.flatnonzero(~sine)
@@ -84,12 +88,17 @@ def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
 def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, float]]:
     """Extreme normalized eigenvalues for a nested family of truncations.
 
-    ``Ns`` must be ascending.  The largest Gram matrix is assembled once
-    and the smaller truncations are its leading submatrices, so the
+    ``Ns`` must be a nonempty ascending list of orders in [1, MAX_ORDER],
+    all checked before any work.  The largest Gram matrix is assembled
+    once and the smaller truncations are its leading submatrices, so the
     interlacing monotonicity (lambda_min nonincreasing, lambda_max
     nondecreasing) is exact by construction.
     """
     sizes = list(Ns)
+    if not sizes:
+        raise ValueError("riesz_scan needs at least one truncation order")
+    for n in sizes:
+        _require_order(n)
     if sizes != sorted(sizes):
         raise ValueError("truncation orders must be ascending")
     full = build_gram(system, sizes[-1])

@@ -138,14 +138,21 @@ def zeta(s: float) -> float:
     return 1.0 + _zeta_minus_one(s)
 
 
+def _require_index(n: int) -> None:
+    if not n >= 1:
+        raise IndexTooSmall(f"curve index must be >= 1, got {n}")
+
+
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     """Strict cap on the growth constant c_n for the given branch.
 
     Any power family max(sqrt(alpha(n)), sqrt(beta(n))) <= n + sqrt(c_n)
     n^{(1-eps)/2} whose constants stay strictly below these caps satisfies
     the summation criterion.  The two ``*_uniform`` branches return the
-    weaker n-independent constants (1/46 and 1/10 numerators).
+    weaker n-independent constants (1/46 and 1/10 numerators).  An index
+    n < 1 raises IndexTooSmall.
     """
+    _require_index(n)
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     z = _zeta_minus_one(1.0 + epsilon)
@@ -166,9 +173,13 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
 
 def region_boundary(epsilon: float, branch: Branch,
                     n_range: Sequence[int]) -> list[tuple[int, float]]:
-    """Boundary values n + sqrt(cap) n^{(1-eps)/2} for region plots."""
+    """Boundary values n + sqrt(cap) n^{(1-eps)/2} for region plots.
+
+    The row n = 1 uses the cap of n = 2; an index n < 1 raises IndexTooSmall.
+    """
     out = []
     for n in n_range:
+        _require_index(n)
         cap = corollary_cn_cap(max(n, 2), epsilon, branch)
         out.append((n, n + math.sqrt(cap) * n ** ((1.0 - epsilon) / 2.0)))
     return out
@@ -346,7 +357,7 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
 
     if isinstance(system, FinitePerturbation):
         partial = math.fsum(
-            _cn(e) for e in system.entries if e.n >= 2 and e.case != "diagonal"
+            _cn(e) for e in system.entries if e.case != "diagonal"
         )
         tail = 0.0
     elif isinstance(system, PowerFamily):

@@ -56,6 +56,7 @@ class FucikPoint:
             "diagonal" means alpha = beta = n^2.
 
     Raises:
+        ValueError: if n is not integral; an integral float is stored as int.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), and for
             n >= 2 if a coordinate is at or below 1 or infinite.
@@ -71,6 +72,10 @@ class FucikPoint:
 
     def __post_init__(self):
         n, alpha, beta = self.n, self.alpha, self.beta
+        if not float(n).is_integer():
+            raise ValueError(f"curve index must be an integer, got {n}")
+        n = int(n)
+        object.__setattr__(self, "n", n)
         if n < 1:
             raise IndexTooSmall(f"curve index must be >= 1, got {n}")
         if n == 1:

@@ -4,11 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fucik.eigenfunction import SineMode, breakpoints, build, evaluate
+from conftest import curve_points
+from fucik.closedform import bump_table
+from fucik.eigenfunction import SineMode, breakpoints, build, evaluate, local_waves
 from fucik.errors import NotOnCurve, OutOfDomain
 from fucik.paleywiener import dilation_factor
-from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
+from fucik.spectrum import (
+    FucikPoint,
+    complete_point,
+    curve_residual,
+    diagonal_point,
+    gamma_line_point,
+)
 
 
 def test_diagonal_equals_sine():
@@ -50,6 +60,36 @@ def test_breakpoints_examples():
     assert np.allclose(breakpoints(build(diagonal_point(2))),
                        [0, math.pi / 2, math.pi], atol=1e-14)
     assert np.allclose(breakpoints(build(diagonal_point(1))), [0, math.pi], atol=1e-15)
+
+
+@pytest.mark.parametrize("defect", [-9e-10, -5e-10])
+def test_breakpoints_reach_pi_past_a_short_bump(defect):
+    # a valid point whose last bump is shorter than its curve defect: the
+    # junctions 0, l1, l, l + l1 all fall short of pi, and pi closes them
+    l1 = math.pi / 1e10
+    p = FucikPoint(2, 1e20, (math.pi / (math.pi + defect - l1)) ** 2)
+    f = build(p)
+    assert curve_residual(p) == pytest.approx(defect, abs=1e-12)
+    l = f.l1 + f.l2
+    assert np.array_equal(breakpoints(f), [0.0, f.l1, l, l + f.l1, math.pi])
+
+
+def test_pi_stays_in_the_last_bump():
+    # on the diagonal pi / l = n / 2 is integral for even n: x = pi ends
+    # bump n at offset l2 instead of starting bump n + 1 at offset 0
+    for n in range(2, 41, 2):
+        f = build(diagonal_point(n))
+        _, _, offset = local_waves(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+                                   f.point.sqrt_beta, f.l1, f.l1 + f.l2, math.pi)
+        assert offset == pytest.approx(f.l2, abs=1e-12), n
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(curve_points(), min_size=1, max_size=5))
+def test_bump_table_junctions_match_breakpoints(points):
+    # the stacked rows and the per-function junctions follow one layout
+    for p, row in zip(points, bump_table(points).junctions):
+        assert np.array_equal(row[:np.argmax(row == math.pi) + 1], breakpoints(build(p)))
 
 
 @pytest.mark.parametrize("n,ratio,side", [

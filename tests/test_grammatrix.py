@@ -80,7 +80,12 @@ def test_gram_symmetry_and_quadrature_entries():
 
 
 def _pair_reference(p, q):
-    """Per-pair exact product: union of both junction sets, one sinc form per piece."""
+    """Per-pair exact product: union of both junction sets, one sinc form per piece.
+
+    It finds the bump that holds each point with its own arithmetic
+    (``local``), so it checks :func:`fucik.eigenfunction.local_waves` as
+    well as the product kernel.
+    """
     f, g = build(p), build(q)
     x = np.union1d(breakpoints(f), breakpoints(g))
     h = np.diff(x)
@@ -103,7 +108,11 @@ def _pair_reference(p, q):
 
 
 def _scalar_gram(system, N):
-    """The loop route: one scalar closed-form call per entry (reference)."""
+    """The loop route: one scalar call per entry (reference).
+
+    Eigenfunction pairs come from :func:`_pair_reference`, not from
+    :func:`fucik.closedform.pair_products`, so the route is independent.
+    """
     points = {i: system.point(i) for i in range(1, N + 1)}
     m = np.zeros((N, N))
     for i in range(1, N + 1):
@@ -118,8 +127,7 @@ def _scalar_gram(system, N):
             elif q.case == "diagonal":
                 m[i - 1, j - 1] = cf.inner_cross_index(p, j).value
             else:
-                m[i - 1, j - 1] = cf.inner_pair(p, q)
-                assert m[i - 1, j - 1] == pytest.approx(_pair_reference(p, q), abs=1e-13)
+                m[i - 1, j - 1] = _pair_reference(p, q)
             m[j - 1, i - 1] = m[i - 1, j - 1]
     return m
 
@@ -203,6 +211,15 @@ def test_extreme_eigenvalues_rejects_nan_entry():
 def test_riesz_scan_requires_ascending():
     with pytest.raises(ValueError):
         gm.riesz_scan(nr.FinitePerturbation(()), [8, 4])
+
+
+def test_riesz_scan_validates_orders():
+    # refused before any work, with build_gram's message for a bad order
+    with pytest.raises(ValueError, match="at least one"):
+        gm.riesz_scan(nr.GammaLine(5.0), [])
+    for sizes in ([0, 8], [8, 513], [4, -1]):
+        with pytest.raises(ValueError, match=r"must lie in \[1, 512\]"):
+            gm.riesz_scan(nr.GammaLine(5.0), sizes)
 
 
 def test_riesz_scan_runs_on_wild_system():

@@ -12,7 +12,13 @@ from conftest import curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
 from fucik import paleywiener as pw
-from fucik.errors import DivergentArgument, NotOnCurve, OddEntriesNotDiagonal, TailNotBoundable
+from fucik.errors import (
+    DivergentArgument,
+    IndexTooSmall,
+    NotOnCurve,
+    OddEntriesNotDiagonal,
+    TailNotBoundable,
+)
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point
 
 PI = math.pi
@@ -137,6 +143,17 @@ def test_cap_rejects_nan_and_unresolved_epsilon():
         nr.corollary_cn_cap(4, math.inf, "even")
 
 
+def test_cap_helpers_refuse_index_below_one():
+    # unguarded, n = 0 divides by zero and n = -3 takes a complex power
+    for n in (0, -3):
+        with pytest.raises(IndexTooSmall):
+            nr.corollary_cn_cap(n, 0.5, "odd_beta_dominant")
+        for eps in (0.5, 3.0):
+            with pytest.raises(IndexTooSmall):
+                nr.region_boundary(eps, "even", [2, n])
+    assert nr.corollary_cn_cap(1, 0.5, "odd_alpha_dominant") == 0.0
+
+
 def test_uniform_caps_below_pointwise():
     for eps in (0.1, 0.5, 1.0):
         for n in range(3, 60, 2):
@@ -192,6 +209,31 @@ def test_theorem1_power_family_at_full_caps_not_certified():
                          odd=nr.BranchRule(cap_fraction=1.0, side="beta"))
     rep = nr.theorem1_check(fam)
     assert rep.verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("q, verdict", [
+    (1 - 6e-14, "inconclusive"),            # total pi/2 - 9.4e-14, inside MARGIN
+    (1 - 1e-11, "riesz_basis_certified"),   # total pi/2 - 1.6e-11, outside it
+])
+def test_theorem1_margin_from_both_sides(q, verdict):
+    fam = nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(cap_fraction=q),
+                         odd=nr.BranchRule(cap_fraction=q))
+    rep = nr.theorem1_check(fam)
+    assert rep.total_upper == pytest.approx(q * PI / 2, abs=1e-14)
+    assert rep.verdict == verdict
+
+
+@pytest.mark.parametrize("eps", [0.3, 1.2])
+@pytest.mark.parametrize("even_side", ["alpha", "beta"])
+@pytest.mark.parametrize("odd_side", ["alpha", "beta"])
+def test_built_points_obey_distance_bound(eps, even_side, odd_side):
+    # the paper's dist^2 <= C_n, for the eigenfunctions actually built and
+    # through the exact bump route; the smallest margin is about 5.6e-8
+    fam = nr.PowerFamily(epsilon=eps, even=nr.BranchRule(cap_fraction=0.9, side=even_side),
+                         odd=nr.BranchRule(cap_fraction=0.9, side=odd_side))
+    for n in range(2, 2001):
+        p = fam.point(n)
+        assert cf.dist_sq_to_sine(p).value <= nr.bound_Cn(n, p.alpha, p.beta), n
 
 
 def test_theorem1_gamma_line():

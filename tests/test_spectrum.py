@@ -129,6 +129,20 @@ def test_errors():
         dataclasses.replace(p, alpha=1.01 * p.alpha)
 
 
+def test_non_integral_index_refused():
+    # n = 2.5 would count (n + 1) // 2 = 1.0 and n // 2 = 1.0 bumps, so the
+    # point (2.5, 9, 2.25) would satisfy a curve equation and reach every
+    # closed form
+    for make in (lambda: complete_point(2.5, alpha=9.0), lambda: FucikPoint(2.5, 9.0, 2.25),
+                 lambda: bound_Cn(2.5, 9.0, 2.25), lambda: FucikPoint(math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            make()
+    # an integral float is accepted and stored as int
+    p = complete_point(4.0, alpha=30.0)
+    assert type(p.n) is int and p == complete_point(4, alpha=30.0)
+    assert type(FucikPoint(1.0, 1.0, 1.0).n) is int
+
+
 def test_non_finite_coordinates_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(InfeasiblePoint):
