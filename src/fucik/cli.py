@@ -28,9 +28,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, closedform, grammatrix, nearness, paleywiener
-from .eigenfunction import SineMode, breakpoints, build
+from .eigenfunction import build, evaluate_bumps, junctions
 from .errors import FucikError
-from .quadrature import inner_numeric, merged_breakpoints
+from .quadrature import integrate_many, merged_breakpoints
 from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point
 
 _SCHEMA = "1"
@@ -170,48 +170,71 @@ def _curve_samples(n: int, count: int):
     return out
 
 
+class _Stack:
+    """Eigenfunctions stacked as bump columns, for the batched oracle.
+
+    ``self(rows, x)`` evaluates function ``rows[i]`` at the points ``x[i]``
+    (``rows`` broadcasts against ``x``) in one array pass.  ``junctions``
+    holds each function's breakpoint row, padded with pi to a common width.
+    """
+
+    def __init__(self, points):
+        funcs = [build(p) for p in points]
+        self.n = np.array([p.n for p in points])
+        self.bumps = np.array([(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+                                f.point.sqrt_beta, f.l1, f.l1 + f.l2) for f in funcs]).T
+        *_, l1, l = self.bumps
+        self.junctions = junctions(l1[:, None], l[:, None], int(self.n.max()) + 2)
+
+    def __call__(self, rows, x):
+        return evaluate_bumps(*self.bumps[:, rows], x)
+
+
 def _suite_closedform(args, tol: float, checks: list) -> None:
+    points = [p for n in range(2, args.nmax + 1) for p in _curve_samples(n, args.points)]
+    fs = _Stack(points)
+
+    def integrand(owner, x):
+        # three integrals per function: f^2, (f - sin n x)^2 and f sin n x
+        rows = owner // 3
+        f = fs(rows, x)
+        sine = np.sin(fs.n[rows] * x)
+        return np.choose(owner % 3, (f * f, (f - sine) * (f - sine), f * sine))
+
+    quad = integrate_many(integrand, np.repeat(fs.junctions, 3, axis=0)).reshape(-1, 3)
     worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
-    for n in range(2, args.nmax + 1):
-        for p in _curve_samples(n, args.points):
-            f = build(p)
-            bp = breakpoints(f)
-            sine = SineMode(n)
-            quad_norm = inner_numeric(f, f, bp)
-            quad_dist = inner_numeric(lambda x: f(x) - sine(x),
-                                      lambda x: f(x) - sine(x), bp)
-            quad_inner = inner_numeric(f, sine, bp)
-            worst["norm_sq"] = max(worst["norm_sq"], abs(closedform.norm_sq(p).value - quad_norm))
-            worst["dist_sq"] = max(worst["dist_sq"], abs(closedform.dist_sq_to_sine(p).value - quad_dist))
-            worst["inner_same"] = max(worst["inner_same"], abs(closedform.inner_same_index(p).value - quad_inner))
+    for p, (quad_norm, quad_dist, quad_inner) in zip(points, quad):
+        worst["norm_sq"] = max(worst["norm_sq"], abs(closedform.norm_sq(p).value - quad_norm))
+        worst["dist_sq"] = max(worst["dist_sq"], abs(closedform.dist_sq_to_sine(p).value - quad_dist))
+        worst["inner_same"] = max(worst["inner_same"], abs(closedform.inner_same_index(p).value - quad_inner))
     for name, delta in worst.items():
         checks.append(_check(f"closedform_vs_oracle_{name}", delta <= tol, tol, delta))
 
 
 def _suite_quadrature(args, tol: float, checks: list) -> None:
-    from .quadrature import PiecewiseIntegrand, integrate
-    worst = 0.0
-    for j, k in [(1, 1), (2, 3), (7, 7), (16, 16), (5, 12), (31, 33), (64, 64)]:
-        got = integrate(PiecewiseIntegrand(lambda x, a=j, b=k: np.sin(a * x) * np.sin(b * x),
-                                           [0.0, math.pi]))
-        want = math.pi / 2 if j == k else 0.0
-        worst = max(worst, abs(got - want))
+    pairs = [(1, 1), (2, 3), (7, 7), (16, 16), (5, 12), (31, 33), (64, 64)]
+    # then sin(9 x)^2 twice: once whole, once split at extra breakpoints
+    j, k = np.array(pairs + [(9, 9), (9, 9)]).T
+    quad = integrate_many(lambda owner, x: np.sin(j[owner] * x) * np.sin(k[owner] * x),
+                          [[0.0, math.pi]] * (len(pairs) + 1) + [[0.0, 0.7, 1.1, 2.0, math.pi]])
+    want = [math.pi / 2 if a == b else 0.0 for a, b in pairs]
+    worst = float(np.max(np.abs(quad[:len(pairs)] - want)))
     checks.append(_check("trig_orthogonality", worst <= tol, tol, worst))
-    base = integrate(PiecewiseIntegrand(lambda x: np.sin(9 * x) ** 2, [0.0, math.pi]))
-    split = integrate(PiecewiseIntegrand(lambda x: np.sin(9 * x) ** 2,
-                                         [0.0, 0.7, 1.1, 2.0, math.pi]))
-    checks.append(_check("breakpoint_insensitivity", abs(base - split) <= tol, tol,
-                         abs(base - split)))
+    split = abs(quad[-2] - quad[-1])
+    checks.append(_check("breakpoint_insensitivity", split <= tol, tol, split))
 
 
 def _suite_paleywiener(args, tol: float, checks: list) -> None:
+    gammas = (4.5, 5.0, 5.5)
+    ks = np.arange(1, 41)
+    f2s = _Stack([complete_point(2, alpha=gamma) for gamma in gammas])
+    quad = (2 / math.pi) * integrate_many(
+        lambda owner, x: f2s(owner // ks.size, x) * np.sin(ks[owner % ks.size] * x),
+        np.repeat(f2s.junctions, ks.size, axis=0)).reshape(len(gammas), ks.size)
     worst = 0.0
-    for gamma in (4.5, 5.0, 5.5):
-        f2 = build(complete_point(2, alpha=gamma))
-        bp = breakpoints(f2)
-        for k in range(1, 41):
-            quad = (2 / math.pi) * inner_numeric(f2, SineMode(k), bp)
-            worst = max(worst, abs(paleywiener.fourier_Ak(gamma, k) - quad))
+    for gamma, row in zip(gammas, quad):
+        for k, value in zip(ks, row):
+            worst = max(worst, abs(paleywiener.fourier_Ak(gamma, int(k)) - value))
     checks.append(_check("fourier_Ak_vs_oracle", worst <= tol, tol, worst))
 
     bound_ok = True
@@ -246,12 +269,15 @@ def _suite_gram(args, tol: float, checks: list) -> None:
     asym = float(np.max(np.abs(g5.entries - g5.entries.T)))
     checks.append(_check("gram_symmetry", asym <= 1e-12, 1e-12, asym))
     # the eigenfunction pairs, integrated exactly by assembly, against quadrature
-    funcs = {i: build(p) for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
-    worst = 0.0
-    for i, j in combinations(funcs, 2):
-        f, h = funcs[i], funcs[j]
-        quad = inner_numeric(f, h, merged_breakpoints(breakpoints(f), breakpoints(h)), 1e-11)
-        worst = max(worst, abs(g5.entries[i - 1, j - 1] - quad))
+    points = {i: p for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
+    fs = _Stack(list(points.values()))
+    left, right = np.array(list(combinations(range(len(points)), 2))).T
+    quad = integrate_many(
+        lambda owner, x: fs(left[owner], x) * fs(right[owner], x),
+        [merged_breakpoints(fs.junctions[a], fs.junctions[b]) for a, b in zip(left, right)],
+        1e-11)
+    index = np.array(list(points)) - 1
+    worst = float(np.max(np.abs(g5.entries[index[left], index[right]] - quad)))
     checks.append(_check("gram_entries_vs_oracle", worst <= tol, tol, worst))
 
 

@@ -18,7 +18,8 @@ with k = 0, 1, 2, ...  On the diagonal alpha = beta = n^2 both reduce to
 sin(n x).  The representation extends l-periodically to all x >= 0, which
 is what the dilation identities of :mod:`fucik.paleywiener` rely on.
 
-Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays.
+Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays, and
+:func:`evaluate_bumps` evaluates a stacked table of many functions at once.
 Only this module places the bumps, by two rules that broadcast over one
 function or a stacked table of many: :func:`junctions` and :func:`local_waves`.
 """
@@ -110,6 +111,27 @@ def local_waves(a_pos, a_neg, sa, sb, l1, l, x):
     return np.where(pos, a_pos, -a_neg), np.where(pos, sa, sb), np.where(pos, t, t - l1)
 
 
+def _on_domain(x) -> np.ndarray:
+    """x as floats on [0, pi]: points within 1e-12 outside are clamped onto
+    it; anything further, and NaN, raises OutOfDomain."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
+        raise OutOfDomain("evaluation point outside [0, pi]")
+    # the same values as np.clip once NaN is refused, at half its cost
+    return np.minimum(np.maximum(arr, 0.0), math.pi)
+
+
+def evaluate_bumps(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
+    """Values at x in [0, pi] of the eigenfunctions with the given bump data.
+
+    The bump data broadcast against x as in :func:`local_waves`, so one
+    call evaluates one function, or a different function at every point.
+    Points are clamped or refused as in :func:`evaluate`.
+    """
+    amp, freq, offset = local_waves(a_pos, a_neg, sa, sb, l1, l, _on_domain(x))
+    return amp * np.sin(freq * offset)
+
+
 def evaluate(f: FucikEigenfunction, x):
     """Evaluate f at x in [0, pi] (scalar or array).
 
@@ -118,15 +140,9 @@ def evaluate(f: FucikEigenfunction, x):
     within 1e-12 outside the domain are clamped onto it; anything further,
     and NaN, raises OutOfDomain.
     """
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
-        raise OutOfDomain("evaluation point outside [0, pi]")
-    arr = np.clip(arr, 0.0, math.pi)
-    amp, freq, offset = local_waves(f.positive_amplitude, f.negative_amplitude,
-                                    f.point.sqrt_alpha, f.point.sqrt_beta,
-                                    f.l1, f.l1 + f.l2, arr)
-    out = amp * np.sin(freq * offset)
-    if arr.ndim == 0:
+    out = evaluate_bumps(f.positive_amplitude, f.negative_amplitude,
+                         f.point.sqrt_alpha, f.point.sqrt_beta, f.l1, f.l1 + f.l2, x)
+    if out.ndim == 0:
         return float(out)
     return out
 

@@ -10,8 +10,10 @@ import shlex
 import pytest
 from hypothesis import given, settings
 
-from conftest import curve_points
+from conftest import curve_points, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import cli, closedform, grammatrix, nearness, paleywiener
+from fucik.eigenfunction import SineMode, breakpoints, build
+from fucik.quadrature import inner_numeric, merged_breakpoints
 from fucik.cli import MAX_ROWS, main
 from fucik.spectrum import FucikPoint, complete_point, curve_residual
 
@@ -159,6 +161,47 @@ def test_verify_closedform_suite_small(capsys):
     names = {c["name"] for c in doc["checks"]}
     assert "closedform_vs_oracle_dist_sq" in names
     assert all(c["observed"] <= c["tolerance"] for c in doc["checks"])
+
+
+def test_verify_suites_match_the_per_integral_oracle(capsys):
+    # the suites hand all their integrals to the oracle at once; a loop of
+    # single integrals must reproduce every observed value bit for bit
+    code, out, _ = run(capsys, "verify", "--nmax", "6", "--points", "3")
+    assert code == 0
+    assert run(capsys, "verify", "--nmax", "6", "--points", "3")[1] == out
+    observed = {c["name"]: c["observed"] for c in json.loads(out)["checks"]}
+
+    worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
+    for n in range(2, 7):
+        for p in cli._curve_samples(n, 3):
+            for name, exact, quad in (
+                    ("norm_sq", closedform.norm_sq(p), quad_norm_sq(p)),
+                    ("dist_sq", closedform.dist_sq_to_sine(p), quad_dist_sq(p)),
+                    ("inner_same", closedform.inner_same_index(p), quad_inner(p, n))):
+                worst[name] = max(worst[name], abs(exact.value - quad))
+    for name, delta in worst.items():
+        assert observed[f"closedform_vs_oracle_{name}"] == delta, name
+
+    worst = 0.0
+    for gamma in (4.5, 5.0, 5.5):
+        f2 = build(complete_point(2, alpha=gamma))
+        for k in range(1, 41):
+            quad = (2 / math.pi) * inner_numeric(f2, SineMode(k), breakpoints(f2))
+            worst = max(worst, abs(paleywiener.fourier_Ak(gamma, k) - quad))
+    assert observed["fourier_Ak_vs_oracle"] == worst
+
+    system = nearness.GammaLine(5.0)
+    g5 = grammatrix.build_gram(system, 8)
+    funcs = {i: build(p) for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
+    worst = 0.0
+    for i in funcs:
+        for j in funcs:
+            if i < j:
+                f, h = funcs[i], funcs[j]
+                quad = inner_numeric(f, h, merged_breakpoints(breakpoints(f), breakpoints(h)),
+                                     1e-11)
+                worst = max(worst, abs(g5.entries[i - 1, j - 1] - quad))
+    assert observed["gram_entries_vs_oracle"] == worst
 
 
 def test_csv_determinism(capsys):

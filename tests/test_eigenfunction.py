@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import curve_points
 from fucik.closedform import bump_table
-from fucik.eigenfunction import SineMode, breakpoints, build, evaluate, local_waves
+from fucik.eigenfunction import (
+    SineMode,
+    breakpoints,
+    build,
+    evaluate,
+    evaluate_bumps,
+    local_waves,
+)
 from fucik.errors import NotOnCurve, OutOfDomain
 from fucik.paleywiener import dilation_factor
 from fucik.spectrum import (
@@ -190,6 +197,30 @@ def test_domain_guards():
             evaluate(f, bad)
     # tiny overshoot is clamped
     assert evaluate(f, math.pi + 5e-13) == pytest.approx(0.0, abs=1e-12)
+    assert evaluate(f, -5e-13) == evaluate(f, 0.0)
+    # the stacked route shares the guard
+    bumps = (f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+             f.point.sqrt_beta, f.l1, f.l1 + f.l2)
+    for bad in (-0.5, math.pi + 0.1, np.array([[0.0, math.nan]])):
+        with pytest.raises(OutOfDomain):
+            evaluate_bumps(*bumps, bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(curve_points(), min_size=1, max_size=5), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_evaluation_matches_evaluate(points, seed):
+    # one row of bump data per point, gathered per sample: the same bits
+    # as evaluating each function on its own
+    funcs = [build(p) for p in points]
+    table = np.array([(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+                       f.point.sqrt_beta, f.l1, f.l1 + f.l2) for f in funcs]).T
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, len(funcs), size=(40, 1))
+    x = np.concatenate([rng.uniform(0.0, math.pi, (40, 7)), np.full((40, 1), math.pi),
+                        np.zeros((40, 1))], axis=1)
+    got = evaluate_bumps(*table[:, rows], x)
+    want = np.array([funcs[r](xs) for r, xs in zip(rows[:, 0], x)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_build_rejects_off_curve():

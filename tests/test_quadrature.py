@@ -3,13 +3,24 @@
 import ast
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import curve_points
 from fucik import quadrature
+from fucik.eigenfunction import breakpoints, build, junctions
 from fucik.errors import NoConvergence
-from fucik.quadrature import PiecewiseIntegrand, inner_numeric, integrate, merged_breakpoints
+from fucik.quadrature import (
+    PiecewiseIntegrand,
+    inner_numeric,
+    integrate,
+    integrate_many,
+    merged_breakpoints,
+)
 
 
 def test_trig_norm_and_orthogonality_examples():
@@ -136,3 +147,110 @@ def test_bit_stability():
     first = integrate(g, tol=1e-12)
     second = integrate(g, tol=1e-12)
     assert first == second  # identical bits, not just close
+
+
+# ----------------------------------------------------------------------
+# the batched loop
+
+
+class _Sinusoids:
+    """Integrands that are a different sinusoid a sin(w x + phase) on each
+    piece between random breakpoints; row i of ``breaks`` is padded with pi."""
+
+    def __init__(self, rng, count, max_inner=5):
+        self.breaks = np.full((count, max_inner + 2), math.pi)
+        self.breaks[:, 0] = 0.0
+        for row in self.breaks:
+            inner = np.sort(rng.uniform(0.0, math.pi, rng.integers(0, max_inner + 1)))
+            row[1:1 + inner.size] = inner
+        shape = (count, max_inner + 1)
+        self.amp = rng.uniform(-2.0, 2.0, shape)
+        self.freq = rng.uniform(0.5, 40.0, shape)
+        self.phase = rng.uniform(0.0, 2 * math.pi, shape)
+
+    def __call__(self, owner, x):
+        piece = np.sum(x[..., None] >= self.breaks[owner][..., 1:-1], axis=-1)
+        return self.amp[owner, piece] * np.sin(self.freq[owner, piece] * x
+                                               + self.phase[owner, piece])
+
+    def one(self, i):
+        return PiecewiseIntegrand(lambda x: self(i, x), list(self.breaks[i]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 120),
+       tol=st.floats(1e-13, 1e-9),
+       caps=st.sampled_from([(quadrature._CALL_NODES, quadrature._GROUP_POINTS),
+                             (96, 16), (480, 64)]))
+def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps):
+    # the small caps split every level into many evaluator calls and the
+    # batch into many groups; at the real caps 120 integrals of up to six
+    # pieces span several calls per level
+    g = _Sinusoids(np.random.default_rng(seed), count)
+    with mock.patch.multiple(quadrature, _CALL_NODES=caps[0], _GROUP_POINTS=caps[1]):
+        many = integrate_many(g, g.breaks, tol)
+        ragged = integrate_many(g, [list(row[:np.argmax(row == math.pi) + 1])
+                                    for row in g.breaks], tol)
+    loop = np.array([integrate(g.one(i), tol) for i in range(count)])
+    assert many.tobytes() == loop.tobytes()
+    assert ragged.tobytes() == loop.tobytes()
+
+
+def test_integrate_many_spans_several_calls_per_level():
+    g = _Sinusoids(np.random.default_rng(5), 150)
+    calls = []
+
+    def counted(owner, x):
+        calls.append(np.size(x))
+        return g(owner, x)
+
+    many = integrate_many(counted, g.breaks)
+    assert max(calls) <= quadrature._CALL_NODES
+    assert len(calls) > 3
+    assert many.tobytes() == np.array([integrate(g.one(i)) for i in range(150)]).tobytes()
+
+
+def test_integrate_many_runaway_member_raises():
+    def batch(owner, x):
+        rough = np.sin(1.0 / (np.abs(x - 1.0) + 1e-300))
+        return np.where(owner == 1, rough, np.sin(x))
+
+    with pytest.raises(NoConvergence):
+        integrate_many(batch, [[0, math.pi]] * 3, tol=1e-13)
+
+
+def test_integrate_many_empty_batch():
+    def never(owner, x):
+        raise AssertionError("an empty batch evaluates nothing")
+
+    for empty in ([], np.empty((0, 2))):
+        out = integrate_many(never, empty)
+        assert out.shape == (0,) and out.dtype == float
+
+
+def test_integrate_many_validation():
+    def sine(owner, x):
+        return np.sin(x)
+
+    for bad in (math.nan, 0.0, 1e-15):
+        for sets in ([[0.0, math.pi]], []):
+            with pytest.raises(ValueError):
+                integrate_many(sine, sets, tol=bad)
+    for sets in ([[0.0, math.pi], [0.0, math.nan, math.pi]], [[0.0, math.pi], [0.0]],
+                 [[0.0, 2.0, 1.0, math.pi]], np.zeros((2, 2, 2)), np.array([0.0, math.pi])):
+        with pytest.raises(ValueError):
+            integrate_many(sine, sets)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(curve_points(), min_size=1, max_size=4))
+def test_padded_junction_rows_give_the_cut_pieces(points):
+    # one junctions call on stacked columns pads short rows with pi; the
+    # padding adds no piece
+    funcs = [build(p) for p in points]
+    l1 = np.array([f.l1 for f in funcs])[:, None]
+    l = np.array([f.l1 + f.l2 for f in funcs])[:, None]
+    rows = junctions(l1, l, max(p.n for p in points) + 2)
+    for f, row in zip(funcs, rows):
+        padded = PiecewiseIntegrand(f, row).pieces()
+        assert np.array_equal(padded, PiecewiseIntegrand(f, breakpoints(f)).pieces())
