@@ -19,9 +19,13 @@ family parametrized by gamma.
 
 With every odd entry diagonal each C_n is K_EVEN times the even-tail
 summand, so the even-tail criterion reuses the summation criterion's sums
-divided by K_EVEN.  The Riemann zeta values and the remainders beyond the
-partial sums come from one power-sum routine (explicit terms below 1000,
-Euler-Maclaurin beyond), never as zeta minus a partial sum.
+divided by K_EVEN.  A power family's partial sum is computed as arrays,
+one over the even and one over the odd indices, and added by
+``math.fsum``, so it stays exactly rounded; the K_n and cap expressions
+take an int or an array, so the scalar bounds and the array sums share
+them.  The Riemann zeta values and the remainders beyond the partial
+sums come from one power-sum routine (explicit terms below 1000, summed
+as one array, Euler-Maclaurin beyond), never as zeta minus a partial sum.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal, Optional, Sequence, Union
+
+import numpy as np
 
 from . import closedform, paleywiener
 from .errors import (
@@ -57,16 +63,23 @@ Branch = Literal[
 Verdict = Literal["riesz_basis_certified", "inconclusive"]
 
 
+def _k_odd(n, side: Literal["alpha", "beta"]):
+    """K_n of an odd index n, an int or a float array, for the dominant side.
+
+    Here and in :func:`_cap_numerator`, (n -+ 1)^4 is the square of an exact
+    square, so an int n and a float array round it alike for n below 9e7.
+    """
+    if side == "alpha":
+        return 4 * math.pi * n * n * (n * n + 1) / ((n - 1) ** 2) ** 2
+    return 5 * math.pi * n * n * (n * n + 1) / ((n + 1) ** 2) ** 2
+
+
 def _k(n: int, side: Literal["alpha", "beta"]) -> float:
     """Leading constant K_n of C_n = K_n (max(sqrt(alpha), sqrt(beta))/n - 1)^2.
 
     ``side`` names the dominant coordinate; it matters for odd n only.
     """
-    if n % 2 == 0:
-        return K_EVEN
-    if side == "alpha":
-        return 4 * math.pi * n * n * (n * n + 1) / (n - 1) ** 4
-    return 5 * math.pi * n * n * (n * n + 1) / (n + 1) ** 4
+    return K_EVEN if n % 2 == 0 else _k_odd(n, side)
 
 
 def _cn(p: FucikPoint) -> float:
@@ -103,16 +116,19 @@ _EM_START = 1000
 def _power_tail(start: int, s: float, step: int = 1) -> float:
     """Sum of k^{-s} over k = start, start + step, ... for start >= 1, s > 1 + 1e-6.
 
-    Terms below 1000 are summed explicitly; the rest is the Euler-Maclaurin
-    sum from the first k >= 1000 with four Bernoulli corrections in powers
-    of step / k.  At these depths the first omitted correction is many
-    orders below 1e-12 of the result for every admissible s, and no step
-    subtracts nearly equal sums.
+    Terms below 1000 are summed explicitly, one array of powers added by
+    ``math.fsum``; the rest is the Euler-Maclaurin sum from the first
+    k >= 1000 with four Bernoulli corrections in powers of step / k.  At
+    these depths the first omitted correction is many orders below 1e-12
+    of the result for every admissible s, and no step subtracts nearly
+    equal sums.
     """
     if not 1.0 + 1e-6 < s < math.inf:
         raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {s}")
     n = start if start >= _EM_START else start - (start - _EM_START) // step * step
-    head = math.fsum(k ** (-s) for k in range(start, n, step))
+    # np.float_power calls the C library's pow, as Python's ** does; the **
+    # of a float array may take a SIMD pow that differs in the last bit
+    head = math.fsum(np.float_power(np.arange(start, n, step, dtype=float), -s).tolist())
     tail = n ** (1.0 - s) / ((s - 1.0) * step) + 0.5 * n ** (-s)
     poch = s
     power = step * float(n) ** (-s - 1.0)
@@ -134,13 +150,42 @@ def _zeta_minus_one(s: float) -> float:
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for finite s > 1 + 1e-6, absolute error below 1e-12."""
+    """Riemann zeta for finite s > 1 + 1e-6, relative error below 1e-15.
+
+    Near the pole zeta is large (about 5e5 at s = 1 + 2e-6, where floats
+    are 1e-10 apart), so only the relative error is small there.
+    """
     return 1.0 + _zeta_minus_one(s)
 
 
 def _require_index(n: int) -> None:
     if not n >= 1:
         raise IndexTooSmall(f"curve index must be >= 1, got {n}")
+
+
+def _cap_zeta(epsilon: float) -> float:
+    """zeta(1 + epsilon) - 1, the denominator of every cap, checked."""
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    z = _zeta_minus_one(1.0 + epsilon)
+    if not z >= sys.float_info.min:
+        raise ValueError(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
+    return z
+
+
+def _cap_numerator(n, branch: Branch):
+    """Cap on c_n times zeta(1 + eps) - 1; n an int or a float array."""
+    if branch == "even":
+        return 9.0 / (8 * (3 + math.pi ** 2))
+    if branch == "odd_alpha_dominant":
+        return ((n - 1) ** 2) ** 2 / (8.0 * n * n * (n * n + 1))
+    if branch == "odd_beta_dominant":
+        return ((n + 1) ** 2) ** 2 / (10.0 * n * n * (n * n + 1))
+    if branch == "odd_alpha_uniform":
+        return 1.0 / 46
+    if branch == "odd_beta_uniform":
+        return 1.0 / 10
+    raise ValueError(f"unknown branch {branch!r}")
 
 
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
@@ -153,22 +198,8 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     n < 1 raises IndexTooSmall.
     """
     _require_index(n)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    z = _zeta_minus_one(1.0 + epsilon)
-    if not z >= sys.float_info.min:
-        raise ValueError(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
-    if branch == "even":
-        return 9.0 / (8 * (3 + math.pi ** 2)) / z
-    if branch == "odd_alpha_dominant":
-        return (n - 1) ** 4 / (8.0 * n * n * (n * n + 1)) / z
-    if branch == "odd_beta_dominant":
-        return (n + 1) ** 4 / (10.0 * n * n * (n * n + 1)) / z
-    if branch == "odd_alpha_uniform":
-        return (1.0 / 46) / z
-    if branch == "odd_beta_uniform":
-        return (1.0 / 10) / z
-    raise ValueError(f"unknown branch {branch!r}")
+    z = _cap_zeta(epsilon)
+    return _cap_numerator(n, branch) / z
 
 
 def region_boundary(epsilon: float, branch: Branch,
@@ -362,10 +393,7 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
         tail = 0.0
     elif isinstance(system, PowerFamily):
         s_exp = 1.0 + system.epsilon
-        partial = math.fsum(
-            _k(n, rule.side) * system.c_value(n) * float(n) ** (-s_exp)
-            for n in range(2, n_partial + 1) if (rule := system._rule(n)) is not None
-        )
+        partial = _power_family_partial(system, n_partial, s_exp)
         tail = _power_family_tail(system, n_partial, s_exp)
     elif system.gamma == 4.0:
         partial, tail = 0.0, 0.0
@@ -376,6 +404,34 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     total = partial + tail
     verdict: Verdict = "riesz_basis_certified" if total < threshold - MARGIN else "inconclusive"
     return NearnessReport(partial, tail, total, threshold, verdict, r=total)
+
+
+def _power_family_partial(system: PowerFamily, n_cut: int, s_exp: float) -> float:
+    """Sum of K_n c_n n^{-s} over 2 <= n <= n_cut: one array per parity class.
+
+    The terms are those of :meth:`PowerFamily.c_value` and :func:`_k`, and
+    ``math.fsum`` keeps the sum exactly rounded.  A growth constant above
+    1e300 (or NaN) is refused with ValueError naming its first index.
+    """
+    terms = []
+    for first, rule in ((2, system.even), (3, system.odd)):
+        if rule is None:
+            continue
+        n = np.arange(first, n_cut + 1, 2, dtype=float)
+        if rule.c is not None:
+            c = rule.c
+        else:
+            branch = "even" if first == 2 else f"odd_{rule.side}_dominant"
+            c = np.broadcast_to(
+                rule.cap_fraction * (_cap_numerator(n, branch) / _cap_zeta(system.epsilon)), n.shape)
+            bad = np.flatnonzero(~(c <= _C_MAX))
+            if bad.size:
+                i = bad[0]
+                raise ValueError(f"growth constant c_{int(n[i])} = {c[i]} exceeds {_C_MAX}")
+        k = K_EVEN if first == 2 else _k_odd(n, rule.side)
+        # float_power, as in _power_tail: each term as the scalar route rounds it
+        terms += (k * c * np.float_power(n, -s_exp)).tolist()
+    return math.fsum(terms)
 
 
 def _power_family_tail(system: PowerFamily, n_cut: int, s_exp: float) -> float:

@@ -235,6 +235,43 @@ def test_usage_errors(capsys):
         main(["no-such-command"])
 
 
+_SUBCOMMANDS = ("point", "eval", "distance", "verify", "check-theorem1", "check-theorem2",
+                "gamma-scan", "region", "gram")
+
+
+def _help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_parser_built_once_and_unchanged_by_use(capsys):
+    """One parser serves every main call; errors and --help leave it as built."""
+    cli._build_parser.cache_clear()
+    commands = [("point", "--n", "3", "--alpha", "20"),
+                ("check-theorem1", "--mode", "power", "--epsilon", "0.5",
+                 "--even-cap-fraction", "0.5", "--odd-c", "0.01"),
+                ("region", "--epsilon", "0.5", "--branch", "even")]
+    first = [run(capsys, *argv) for argv in commands]
+    assert all(code == 0 and out for code, out, _ in first)
+
+    def rerun_matches_first():
+        capsys.readouterr()
+        return all(run(capsys, *argv)[1] == out for argv, (_, out, _) in zip(commands, first))
+
+    assert main(["point", "--n", "2"]) == 2  # usage error
+    assert rerun_matches_first()
+    for argv in (["point", "--n", "two"], ["region", "--help"]):  # argparse error, help
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert rerun_matches_first()
+    fresh = cli._build_parser.__wrapped__()
+    for argv in [["--help"], ["--version"]] + [[name, "--help"] for name in _SUBCOMMANDS]:
+        assert _help_text(capsys, main, argv) == _help_text(capsys, fresh.parse_args, argv)
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_point_non_finite_is_usage_error(capsys):
     for flag in ("--alpha", "--beta"):
         for bad in ("nan", "inf"):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paper_formulas as paper
@@ -93,6 +93,22 @@ def test_zeta_against_brute_force():
     tail_lo = (m + 1) ** (1 - s) / (s - 1)
     tail_hi = m ** (1 - s) / (s - 1)
     assert partial + tail_lo - 1e-9 <= nr.zeta(s) <= partial + tail_hi + 1e-9
+
+
+def test_zeta_relative_error_against_mpmath():
+    """zeta and zeta - 1 within 1e-15 relative on a log grid of s - 1 in [2e-6, 999].
+
+    Near the pole zeta is about 5e5 and floats there are 1e-10 apart, so
+    the bound is relative; zeta - 1 is checked against mpmath's Hurwitz
+    zeta(s, 2).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for s in 1.0 + np.logspace(math.log10(2e-6), math.log10(999.0), 80):
+            s = float(s)
+            for got, want in ((nr.zeta(s), mpmath.zeta(s)),
+                              (nr._zeta_minus_one(s), mpmath.zeta(s, 2))):
+                assert abs((got - want) / want) <= 1e-15, s
 
 
 @pytest.mark.parametrize("eps", [10.0, 30.0, 52.0, 60.0])
@@ -250,15 +266,58 @@ def test_theorem1_monotone_in_entries():
     assert more.partial_sum >= base.partial_sum
 
 
-def test_theorem1_partial_matches_bound_cn():
-    fam = nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=0.05),
-                         odd=nr.BranchRule(c=0.02, side="alpha"))
+@st.composite
+def power_families(draw):
+    """Power families with no rule, a c rule or a cap rule per parity class."""
+    def rule():
+        kind = draw(st.sampled_from(["none", "c", "cap"]))
+        value = draw(st.floats(0.0, 2.0))
+        side = draw(st.sampled_from(["alpha", "beta"]))
+        if kind == "none":
+            return None
+        return nr.BranchRule(side=side, **{"c" if kind == "c" else "cap_fraction": value})
+    return nr.PowerFamily(epsilon=draw(st.floats(0.05, 20.0)), even=rule(), odd=rule())
+
+
+def _per_index_partial(fam, n_partial):
+    """The power-family partial sum one scalar term per index, in index order."""
+    s = 1.0 + fam.epsilon
+    return math.fsum(nr._k(n, rule.side) * fam.c_value(n) * n ** -s
+                     for n in range(2, n_partial + 1) if (rule := fam._rule(n)) is not None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(fam=power_families(), n_partial=st.sampled_from([2, 3, 7, 2000, 2001]))
+def test_theorem1_array_sum_matches_per_index_reference(fam, n_partial):
+    rep = nr.theorem1_check(fam, n_partial)
+    want = _per_index_partial(fam, n_partial)
+    assert rep.partial_sum == pytest.approx(want, rel=1e-15, abs=0)
+    total = want + rep.tail_bound
+    assert rep.verdict == ("riesz_basis_certified" if total < PI / 2 - nr.MARGIN
+                           else "inconclusive")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(fam=power_families())
+@example(fam=nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=0.05),
+                            odd=nr.BranchRule(c=0.02, side="alpha")))
+def test_theorem1_partial_matches_bound_cn(fam):
+    """Each summed term K_n c_n n^{-s} is C_n at the family's own point.
+
+    Compared as sqrt(C_n / K_n) = max(sqrt(alpha), sqrt(beta))/n - 1, which
+    the point's coordinates carry to a few ulps of 1 and no better.
+    """
+    s = 1.0 + fam.epsilon
     for n in (2, 3, 6, 11):
         p = fam.point(n)
         direct = nr.bound_Cn(n, p.alpha, p.beta)
-        k = nr.K_EVEN if n % 2 == 0 else nr._k(n, "alpha")
-        term = k * fam.c_value(n) * n ** (-1.5)
-        assert direct == pytest.approx(term, rel=1e-10)
+        rule = fam._rule(n)
+        if rule is None:
+            assert direct == 0.0
+            continue
+        k = nr._k(n, rule.side)
+        term = k * fam.c_value(n) * n ** -s
+        assert math.sqrt(direct / k) == pytest.approx(math.sqrt(term / k), rel=1e-12, abs=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +435,17 @@ def test_huge_growth_constants_are_refused():
         rep = check(fam)
         assert math.isfinite(rep.total_upper) and math.isfinite(rep.r)
     # a fraction of a huge cap: c_2 overflows and is refused, not summed to NaN
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="c_2 "):
         nr.theorem1_check(nr.PowerFamily(epsilon=1000.0, even=nr.BranchRule(cap_fraction=1e10)))
+    # the odd alpha-side cap grows with n: c_3 = 4.8e299 passes, c_5 = 1.06e300 is the first refused
+    fam = nr.PowerFamily(epsilon=1000.0, odd=nr.BranchRule(cap_fraction=1.0))
+    assert fam.c_value(3) <= 1e300
+    for check in (nr.theorem1_check, lambda f: fam.c_value(5)):
+        with pytest.raises(ValueError, match="c_5 "):
+            check(fam)
+    # with no odd index summed, an underflowing cap denominator is refused, not divided by
+    with pytest.raises(ValueError, match="underflows"):
+        nr.theorem1_check(nr.PowerFamily(epsilon=1100.0, odd=nr.BranchRule(cap_fraction=0.5)), 2)
 
 
 # ----------------------------------------------------------------------
