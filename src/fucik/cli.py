@@ -200,12 +200,12 @@ def _suite_closedform(args, tol: float, checks: list) -> None:
 
     def integrand(owner, x):
         # three integrals per function: f^2, (f - sin n x)^2 and f sin n x
-        rows = owner // 3
-        f = fs(rows, x)
-        sine = np.sin(fs.n[rows] * x)
-        return np.choose(owner % 3, (f * f, (f - sine) * (f - sine), f * sine))
+        f = fs(owner, x)
+        sine = np.sin(fs.n[owner] * x)
+        d = f - sine
+        return np.stack((f * f, d * d, f * sine), axis=-1)
 
-    quad = integrate_many(integrand, np.repeat(fs.junctions, 3, axis=0)).reshape(-1, 3)
+    quad = integrate_many(integrand, fs.junctions)
     worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
     for p, (quad_norm, quad_dist, quad_inner) in zip(points, quad):
         worst["norm_sq"] = max(worst["norm_sq"], abs(closedform.norm_sq(p).value - quad_norm))

@@ -12,19 +12,28 @@ halves agree within the panel's share of the global tolerance (allocated
 proportionally to length).
 
 :func:`integrate_many` runs one refinement loop over the stacked panels of
-many integrals; each panel carries the index of the integral it belongs
-to.  At each level the whole-panel and half-panel nodes of every active
-panel go to the evaluator together, at most ``_CALL_NODES`` nodes per
-call, and integrals with more than ``_GROUP_POINTS`` breakpoints in all
-are refined in consecutive groups, so peak memory does not grow with the
-batch.  :func:`integrate` is its one-integrand case.  Each Gauss sum is a
-fixed-order reduction of one panel's row, and each integral sums its
-accepted panels in order of their left ends, so a value depends neither
-on the run nor on the batch or call it was computed in.
+many integrals; each panel carries the index of the breakpoint row it
+belongs to.  An evaluator may return k values per node, one for each of k
+integrals that share the row's breakpoints; a panel then carries a mask of
+the integrals still refined on it, and is split while any of them is.
+At each level the whole-panel and half-panel nodes of every panel go to
+the evaluator together, at most ``_CALL_NODES`` values (nodes times k) per
+call once k is known, and rows with more than ``_GROUP_POINTS`` breakpoints
+in all are refined in consecutive groups, so peak memory grows neither
+with the batch nor with k.
+:func:`integrate` is its one-integrand case.  Each Gauss sum is a
+fixed-order reduction over the contiguous node axis of one panel, and each
+integral sums its accepted panels in order of their left ends, so a value
+depends neither on the run nor on the batch, call or k it was computed in.
+
+Every integral has its own budget of ``MAX_SUBINTERVALS`` subintervals,
+counted over the panels it is refined on, and a non-finite Gauss value
+ends the refinement at the level where it appears; both raise
+:class:`NoConvergence` naming the integral.
 
 Evaluators must accept numpy arrays: :func:`integrate` passes a 1-D array
-of points, :func:`integrate_many` a column of integrand indices and a 2-D
-array of points.
+of points, :func:`integrate_many` a column of row indices and a 2-D array
+of points.
 """
 
 from __future__ import annotations
@@ -43,7 +52,9 @@ MAX_SUBINTERVALS = 2 ** 20
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-#: integrand nodes per evaluator call; bounds peak memory
+#: integrand values (nodes times k) per evaluator call; bounds peak memory
+#: and keeps a call's arrays at 64 KB, small enough for the allocator to
+#: reuse them rather than map fresh pages on every call
 _CALL_NODES = 8192
 #: breakpoints of the integrals refined together; bounds peak memory
 _GROUP_POINTS = 32768
@@ -98,89 +109,139 @@ def _pieces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner[gap], lo[gap], hi[gap]
 
 
-def _gauss_levels(evaluator: Callable, owner: np.ndarray, lo: np.ndarray,
-                  mid: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_levels(evaluator: Callable, owner: np.ndarray, lo: np.ndarray, mid: np.ndarray,
+                  hi: np.ndarray, tail: tuple | None) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Gauss-Legendre values of each panel whole (coarse) and as two halves (fine).
 
-    The nodes of all three rules of up to ``_CALL_NODES`` // 48 panels go
-    to one evaluator call.  Each rule is summed row by row in a fixed
-    order, so a panel's values do not depend on the panels around it.
+    The nodes of all three rules of up to ``_CALL_NODES`` // (48 k) panels
+    go to one evaluator call; the first call, before k is known, takes
+    k = 1.  Its values have the shape of the nodes plus a tail: () for one
+    integral per row, (k,) for k of them; ``tail`` is the one every call
+    must keep, None before the first call.  Returns coarse and fine as
+    (panels, k) arrays, and the tail.  Each rule is summed with its node
+    axis last and contiguous, in one fixed order, so a panel's values
+    depend neither on the panels around it nor on k.
     """
-    coarse = np.empty(lo.size)
-    fine = np.empty(lo.size)
-    step = _CALL_NODES // (3 * _NODES.size)
-    for s in range(0, lo.size, step):
+    sums = []
+    s = 0
+    while s < lo.size:
+        step = max(1, _CALL_NODES // (3 * _NODES.size * math.prod(tail or ())))
         c = slice(s, s + step)
+        s += step
         a = np.column_stack([lo[c], lo[c], mid[c]])
         b = np.column_stack([hi[c], mid[c], hi[c]])
         half = 0.5 * (b - a)
         x = (0.5 * (b + a))[:, :, None] + half[:, :, None] * _NODES
-        vals = evaluator(owner[c, None], x.reshape(len(x), -1))
-        sums = half * (np.asarray(vals, dtype=float).reshape(x.shape) * _WEIGHTS).sum(axis=2)
-        coarse[c] = sums[:, 0]
-        fine[c] = sums[:, 1] + sums[:, 2]
-    return coarse, fine
+        nodes = x.reshape(len(x), -1)
+        vals = np.asarray(evaluator(owner[c, None], nodes), dtype=float)
+        got = vals.shape[2:]
+        if vals.shape[:2] != nodes.shape or len(got) > 1 or 0 in got or tail not in (None, got):
+            raise ValueError(f"evaluator returned shape {vals.shape} for nodes of shape "
+                             f"{nodes.shape}; expected {nodes.shape} or {nodes.shape} + (k,), "
+                             f"with one k >= 1 for every call")
+        tail = got
+        # (panel, rule, integral, node), the node axis last and contiguous
+        vals = np.ascontiguousarray(vals.reshape(x.shape + (-1,)).transpose(0, 1, 3, 2))
+        sums.append(half[:, :, None] * (vals * _WEIGHTS).sum(axis=3))
+    sums = np.concatenate(sums)
+    return sums[:, 0], sums[:, 1] + sums[:, 2], tail
 
 
 def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Integrals over [0, pi] of many integrands, each with estimated error <= tol.
 
-    ``evaluator(owner, x)`` gets a column of integrand indices and one row
-    of points for each; it returns the value of integrand ``owner[i]`` at
-    every ``x[i, j]``.  ``breakpoint_sets`` holds one breakpoint list per
-    integrand: a sequence of lists, or a 2-D array whose rows may be padded
-    with pi.  Every integral gets the panels, decisions and summation order
-    it would get alone, so the result equals a loop of :func:`integrate`
-    bit for bit.  Raises NoConvergence once one integral exhausts its
-    budget of 2**20 subintervals.
+    ``evaluator(owner, x)`` gets a column of row indices and one row of
+    points for each.  It returns either an array of ``x.shape``, the value
+    of integrand ``owner[i]`` at every ``x[i, j]``, or an array of
+    ``x.shape + (k,)``, the values of that row's k integrands, the same k
+    on every call.  ``breakpoint_sets`` holds one breakpoint list per row,
+    shared by its integrands: a sequence of lists, or a 2-D array whose
+    rows may be padded with pi.  The result has one value per row, or
+    shape (rows, k).
+
+    Every integral gets the panels, decisions, budget and summation order
+    it would get alone, so the result equals a loop of :func:`integrate`,
+    or of one-valued calls per component, bit for bit; a panel is split
+    while any integral of its row is still refined on it.  Raises
+    NoConvergence once one integral exhausts its budget of 2**20
+    subintervals, or as soon as one of its Gauss values is not finite.
     """
     if not tol >= MIN_TOL:
         raise ValueError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     rows = _rows(breakpoint_sets)
-    out = np.empty(len(rows))
+    parts = []
+    tail = None
     step = max(1, _GROUP_POINTS // rows.shape[1])
     for first in range(0, len(rows), step):
-        out[first:first + step] = _refine(evaluator, first, rows[first:first + step], tol)
-    return out
+        part, tail = _refine(evaluator, first, rows[first:first + step], tol, tail)
+        parts.append(part)
+    if tail is None:  # an empty batch, which calls no evaluator
+        return np.empty(0)
+    return np.concatenate(parts).reshape(len(rows), *tail)
 
 
-def _refine(evaluator: Callable, first: int, rows: np.ndarray, tol: float) -> np.ndarray:
-    """The integrals numbered first, first + 1, ... with these breakpoint rows."""
-    count = len(rows)
+def _refine(evaluator: Callable, first: int, rows: np.ndarray, tol: float,
+            tail: tuple | None) -> tuple[np.ndarray, tuple]:
+    """The integrals of rows first, first + 1, ... as a (rows, k) array, and the tail.
+
+    Each panel carries its row and a mask of the row's integrals still
+    refined on it; ``created`` counts for each integral the panels it is
+    refined on, which is the count it would reach alone.
+    """
     owner, lo, hi = _pieces(rows)
-    created = np.bincount(owner, minlength=count)
-
-    accepted_owner: list[np.ndarray] = []
+    active = created = None
+    accepted_key: list[np.ndarray] = []
     accepted_left: list[np.ndarray] = []
     accepted_val: list[np.ndarray] = []
 
     while lo.size:
         mid = 0.5 * (lo + hi)
-        coarse, fine = _gauss_levels(evaluator, owner + first, lo, mid, hi)
+        coarse, fine, tail = _gauss_levels(evaluator, owner + first, lo, mid, hi, tail)
+        k = coarse.shape[1]
+        if active is None:  # first level: every integral is refined on every piece
+            # integral r * k + c of the group is component c of row r
+            key = owner[:, None] * k + np.arange(k)
+            active = np.ones(key.shape, dtype=bool)
+            created = np.bincount(key.ravel(), minlength=len(rows) * k)
         err = np.abs(fine - coarse)
-        budget = tol * (hi - lo) / math.pi
-        done = (err <= budget) | ((hi - lo) < 1e-15)
+        bad = active & ~np.isfinite(err)
+        if bad.any():
+            raise NoConvergence(f"{_name(int(key[bad].min()), k, first, tail)} "
+                                f"has a non-finite Gauss value")
+        width = hi - lo
+        done = (err <= (tol * width / math.pi)[:, None]) | (width < 1e-15)[:, None]
 
-        accepted_owner.append(owner[done])
-        accepted_left.append(lo[done])
-        accepted_val.append(fine[done])
+        take = active & done
+        accepted_key.append(key[take])
+        accepted_left.append(lo[take.nonzero()[0]])
+        accepted_val.append(fine[take])
 
-        split = ~done
-        owner = np.concatenate([owner[split], owner[split]])
+        # a panel is split into two halves while any of its integrals is live
+        live = active & ~done
+        split = live.any(axis=1).nonzero()[0]
+        halves = np.concatenate([split, split])
+        owner, key, active = owner[halves], key[halves], live[halves]
         lo, hi = (np.concatenate([lo[split], mid[split]]),
                   np.concatenate([mid[split], hi[split]]))
-        created += np.bincount(owner, minlength=count)
+        created += np.bincount(key[active], minlength=created.size)
         if created.max() > MAX_SUBINTERVALS:
-            raise NoConvergence(
-                f"refinement budget of {MAX_SUBINTERVALS} subintervals exhausted"
-            )
+            worst = int(np.argmax(created))
+            raise NoConvergence(f"refinement budget of {MAX_SUBINTERVALS} subintervals "
+                                f"exhausted by {_name(worst, k, first, tail)}")
 
     # each integral sums its accepted panels in order of their left ends
-    owners = np.concatenate(accepted_owner)
-    order = np.lexsort((np.concatenate(accepted_left), owners))
+    keys = np.concatenate(accepted_key)
+    order = np.lexsort((np.concatenate(accepted_left), keys))
     vals = np.concatenate(accepted_val)[order]
-    ends = np.searchsorted(owners[order], np.arange(count + 1))
-    return np.array([np.add.reduce(vals[s:e]) for s, e in zip(ends[:-1], ends[1:])])
+    ends = np.searchsorted(keys[order], np.arange(created.size + 1))
+    sums = [np.add.reduce(vals[s:e]) for s, e in zip(ends[:-1], ends[1:])]
+    return np.array(sums).reshape(len(rows), -1), tail
+
+
+def _name(key: int, k: int, first: int, tail: tuple) -> str:
+    """Integral ``key`` of the group that starts at row ``first``, for messages."""
+    row, component = divmod(key, k)
+    return f"integral {first + row}" + (f", component {component}" if tail else "")
 
 
 def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
@@ -188,9 +249,10 @@ def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
 
     The one-integrand case of :func:`integrate_many`.  Refinement never
     crosses a breakpoint.  Raises NoConvergence once the subdivision
-    budget of 2**20 subintervals is exhausted.
+    budget of 2**20 subintervals is exhausted or a value is not finite.
     """
-    return float(integrate_many(lambda owner, x: g.evaluator(x.ravel()), [g.breakpoints], tol)[0])
+    return float(integrate_many(lambda owner, x: np.reshape(g.evaluator(x.ravel()), x.shape),
+                                [g.breakpoints], tol)[0])
 
 
 def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],

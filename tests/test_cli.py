@@ -163,6 +163,24 @@ def test_verify_closedform_suite_small(capsys):
     assert all(c["observed"] <= c["tolerance"] for c in doc["checks"])
 
 
+def test_verify_closedform_evaluates_each_node_once(capsys, monkeypatch):
+    # the three integrals of an eigenfunction share its panels, so each
+    # Gauss node is evaluated once for all three; every piece is accepted
+    # at the first level, 48 nodes (the whole panel and its two halves)
+    # for each of the n pieces of a degree-n eigenfunction
+    nodes = []
+    evaluate = cli._Stack.__call__
+
+    def counted(self, rows, x):
+        nodes.append(x.size)
+        return evaluate(self, rows, x)
+
+    monkeypatch.setattr(cli._Stack, "__call__", counted)
+    code, _, _ = run(capsys, "verify", "--suite", "closedform", "--nmax", "6", "--points", "3")
+    assert code == 0
+    assert sum(nodes) == 48 * sum(3 * n for n in range(2, 7)) == 2880
+
+
 def test_verify_suites_match_the_per_integral_oracle(capsys):
     # the suites hand all their integrals to the oracle at once; a loop of
     # single integrals must reproduce every observed value bit for bit

@@ -181,19 +181,32 @@ class _Sinusoids:
 @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 120),
        tol=st.floats(1e-13, 1e-9),
        caps=st.sampled_from([(quadrature._CALL_NODES, quadrature._GROUP_POINTS),
-                             (96, 16), (480, 64)]))
-def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps):
+                             (96, 16), (480, 64)]),
+       freqs=st.lists(st.integers(1, 48), min_size=1, max_size=4))
+def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps, freqs):
     # the small caps split every level into many evaluator calls and the
     # batch into many groups; at the real caps 120 integrals of up to six
-    # pieces span several calls per level
+    # pieces span several calls per level.  A k-valued evaluator, k =
+    # len(freqs), multiplies each integrand by sin(m x) for each m in
+    # freqs, so its components refine to different depths
     g = _Sinusoids(np.random.default_rng(seed), count)
+    m = np.array(freqs)
+
+    def vector(owner, x):
+        return g(owner, x)[..., None] * np.sin(m * x[..., None])
+
     with mock.patch.multiple(quadrature, _CALL_NODES=caps[0], _GROUP_POINTS=caps[1]):
         many = integrate_many(g, g.breaks, tol)
         ragged = integrate_many(g, [list(row[:np.argmax(row == math.pi) + 1])
                                     for row in g.breaks], tol)
+        wide = integrate_many(vector, g.breaks, tol)
+        apart = [integrate_many(lambda owner, x, c=c: vector(owner, x)[..., c], g.breaks, tol)
+                 for c in range(m.size)]
     loop = np.array([integrate(g.one(i), tol) for i in range(count)])
     assert many.tobytes() == loop.tobytes()
     assert ragged.tobytes() == loop.tobytes()
+    assert wide.shape == (count, m.size)
+    assert wide.tobytes() == np.column_stack(apart).tobytes()
 
 
 def test_integrate_many_spans_several_calls_per_level():
@@ -209,20 +222,100 @@ def test_integrate_many_spans_several_calls_per_level():
     assert len(calls) > 3
     assert many.tobytes() == np.array([integrate(g.one(i)) for i in range(150)]).tobytes()
 
+    # k values per node count against the cap once the first call shows k
+    calls.clear()
+    wide = integrate_many(lambda owner, x: np.stack([counted(owner, x)] * 3, axis=-1),
+                          g.breaks)
+    assert max(calls[1:]) * 3 <= quadrature._CALL_NODES
+    assert wide.tobytes() == np.column_stack([many] * 3).tobytes()
+
 
 def test_integrate_many_runaway_member_raises():
     def batch(owner, x):
         rough = np.sin(1.0 / (np.abs(x - 1.0) + 1e-300))
         return np.where(owner == 1, rough, np.sin(x))
 
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence, match="integral 1$"):
         integrate_many(batch, [[0, math.pi]] * 3, tol=1e-13)
+
+
+def _split_wave(owner, x):
+    """Three integrands per row: fast on the left half, fast on the right
+    half, and smooth, so the union of their panel trees is larger than any
+    one of them."""
+    left = x < math.pi / 2
+    fast, slow = np.sin((20 + owner) * x), np.sin(x)
+    return np.stack([np.where(left, fast, slow), np.where(left, slow, fast), slow], axis=-1)
+
+
+def test_integrate_many_budget_is_per_integral():
+    rows = [[0.0, math.pi / 2, math.pi]] * 2
+
+    def outcome(evaluator):
+        try:
+            return integrate_many(evaluator, rows).tobytes()
+        except NoConvergence:
+            return None
+
+    raised = []
+    for budget in range(2, 80, 2):
+        with mock.patch.object(quadrature, "MAX_SUBINTERVALS", budget):
+            wide = outcome(_split_wave)
+            apart = [outcome(lambda owner, x, c=c: _split_wave(owner, x)[..., c])
+                     for c in range(3)]
+        # a k-wide call raises exactly when one of its k scalar calls does
+        assert (wide is None) == any(a is None for a in apart), budget
+        raised.append(wide is None)
+    # the range covers the budget at which every integral first fits
+    assert raised[0] and not raised[-1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_integrate_many_fails_fast_on_non_finite_values():
+    calls = []
+
+    def batch(owner, x):
+        calls.append(owner.size)
+        return np.where((owner == 3) & (x > 2.0), np.nan, np.sin(7 * x))
+
+    with pytest.raises(NoConvergence, match="integral 3 has a non-finite"):
+        integrate_many(batch, [[0, math.pi]] * 5, tol=1e-13)
+    # found at the first level, not after refining to the 2**20 budget
+    assert len(calls) == 1
+
+    def wide(owner, x):
+        calls.append(owner.size)
+        bad = (owner == 2) & (x > 2.0)
+        return np.stack([np.sin(7 * x), np.where(bad, np.inf, np.sin(x))], axis=-1)
+
+    calls.clear()
+    with pytest.raises(NoConvergence, match="integral 2, component 1 has a non-finite"):
+        integrate_many(wide, [[0, math.pi]] * 4)
+    assert len(calls) == 1
+
+
+def test_integrate_many_ignores_integrals_already_accepted():
+    # component 0 is accepted at the first level; it turns NaN afterwards,
+    # where only the panels still refined for component 1 see it
+    calls = []
+
+    def wide(owner, x):
+        calls.append(owner.size)
+        first = np.sin(x) if len(calls) == 1 else np.full(x.shape, np.nan)
+        return np.stack([first, np.sin(30 * x) ** 2], axis=-1)
+
+    out = integrate_many(wide, [[0, math.pi]])
+    assert len(calls) > 1
+    assert out[0, 0] == integrate(PiecewiseIntegrand(np.sin, [0, math.pi]))
+    assert out[0, 1] == integrate(PiecewiseIntegrand(lambda x: np.sin(30 * x) ** 2,
+                                                     [0, math.pi]))
 
 
 def test_integrate_many_empty_batch():
     def never(owner, x):
         raise AssertionError("an empty batch evaluates nothing")
 
+    # with no call the width of the values is unknown, so the shape is (0,)
     for empty in ([], np.empty((0, 2))):
         out = integrate_many(never, empty)
         assert out.shape == (0,) and out.dtype == float
@@ -240,6 +333,22 @@ def test_integrate_many_validation():
                  [[0.0, 2.0, 1.0, math.pi]], np.zeros((2, 2, 2)), np.array([0.0, math.pi])):
         with pytest.raises(ValueError):
             integrate_many(sine, sets)
+
+    calls = []
+
+    def widening(owner, x):
+        # k = 1 on the first call, k = 2 on the next level's
+        calls.append(None)
+        return np.stack([np.sin(40 * x) ** 2] * min(len(calls), 2), axis=-1)
+
+    # values must have the shape of x, or that shape plus one k >= 1
+    for wrong in (lambda owner, x: np.sin(x).ravel(), lambda owner, x: np.sin(x).T,
+                  lambda owner, x: np.sin(x)[:, :1], lambda owner, x: 1.0,
+                  lambda owner, x: np.zeros(x.shape + (0,)),
+                  lambda owner, x: np.zeros(x.shape + (2, 2)), widening):
+        with pytest.raises(ValueError, match="evaluator returned shape"):
+            integrate_many(wrong, [[0.0, math.pi]] * 2)
+    assert len(calls) == 2
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
