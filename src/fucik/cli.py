@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, closedform, grammatrix, nearness, paleywiener
-from .eigenfunction import build, evaluate_bumps, junctions
+from .eigenfunction import build, evaluate_panels, junctions
 from .errors import FucikError
 from .quadrature import integrate_many, merged_breakpoints
-from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point
+from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point, gamma_line_point
 
 _SCHEMA = "1"
 
@@ -178,8 +178,11 @@ class _Stack:
     """Eigenfunctions stacked as bump columns, for the batched oracle.
 
     ``self(rows, x)`` evaluates function ``rows[i]`` at the points ``x[i]``
-    (``rows`` broadcasts against ``x``) in one array pass.  ``junctions``
-    holds each function's breakpoint row, padded with pi to a common width.
+    in one array pass; ``rows`` is a column, and each row of ``x`` holds
+    the nodes of one panel between two consecutive junctions of its
+    function, as :func:`integrate_many` passes them, so the bump is looked
+    up once per row.  ``junctions`` holds each function's breakpoint row,
+    padded with pi to a common width.
     """
 
     def __init__(self, points):
@@ -191,7 +194,7 @@ class _Stack:
         self.junctions = junctions(l1[:, None], l[:, None], int(self.n.max()) + 2)
 
     def __call__(self, rows, x):
-        return evaluate_bumps(*self.bumps[:, rows], x)
+        return evaluate_panels(*self.bumps[:, rows], x)
 
 
 def _suite_closedform(args, tol: float, checks: list) -> None:
@@ -230,16 +233,23 @@ def _suite_quadrature(args, tol: float, checks: list) -> None:
 
 def _suite_paleywiener(args, tol: float, checks: list) -> None:
     gammas = (4.5, 5.0, 5.5)
-    ks = np.arange(1, 41)
+    # A_1 .. A_40 as two rows of 20 consecutive k per gamma: f2 is evaluated
+    # once per node for the 20 integrals of a row, each refined on its own
+    bands = np.arange(1, 41).reshape(2, 20)
     f2s = _Stack([complete_point(2, alpha=gamma) for gamma in gammas])
     quad = (2 / math.pi) * integrate_many(
-        lambda owner, x: f2s(owner // ks.size, x) * np.sin(ks[owner % ks.size] * x),
-        np.repeat(f2s.junctions, ks.size, axis=0)).reshape(len(gammas), ks.size)
+        lambda owner, x: (f2s(owner // len(bands), x)[..., None]
+                          * np.sin(x[..., None] * bands[owner % len(bands)])),
+        np.repeat(f2s.junctions, len(bands), axis=0)).reshape(len(gammas), bands.size)
+
+    def sine_coefficients(gamma, count):
+        # A_1 .. A_count, as fourier_Ak gives them, from one gamma-line point
+        p = gamma_line_point(2, gamma)
+        return [paleywiener._sine_coefficient(p, k) for k in range(1, count + 1)]
+
     # coeffs[gamma][k - 1] = A_k(gamma), computed once for the oracle and the bounds
-    coeffs = {gamma: [paleywiener.fourier_Ak(gamma, k) for k in range(1, ks.size + 1)]
-              for gamma in gammas}
-    coeffs[paleywiener.GAMMA_MAX] = [paleywiener.fourier_Ak(paleywiener.GAMMA_MAX, k)
-                                     for k in range(1, 30)]
+    coeffs = {gamma: sine_coefficients(gamma, bands.size) for gamma in gammas}
+    coeffs[paleywiener.GAMMA_MAX] = sine_coefficients(paleywiener.GAMMA_MAX, 29)
     worst = 0.0
     for gamma, row in zip(gammas, quad):
         for a, value in zip(coeffs[gamma], row):

@@ -19,7 +19,8 @@ sin(n x).  The representation extends l-periodically to all x >= 0, which
 is what the dilation identities of :mod:`fucik.paleywiener` rely on.
 
 Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays, and
-:func:`evaluate_bumps` evaluates a stacked table of many functions at once.
+:func:`evaluate_bumps` evaluates a stacked table of many functions at once;
+:func:`evaluate_panels` does so for quadrature panels, one bump per row.
 Only this module places the bumps, by two rules that broadcast over one
 function or a stacked table of many: :func:`junctions` and :func:`local_waves`.
 """
@@ -105,10 +106,15 @@ def local_waves(a_pos, a_neg, sa, sb, l1, l, x):
     broadcast as in :func:`junctions`.  x = pi stays in the last bump pair,
     ceil(pi / l) - 1 >= 0, instead of opening a fresh one.
     """
-    k = np.minimum(np.floor(x / l), np.ceil(np.pi / l) - 1)
-    t = x - k * l
+    _, t = _bump_pair(l1, l, x)
     pos = t < l1
     return np.where(pos, a_pos, -a_neg), np.where(pos, sa, sb), np.where(pos, t, t - l1)
+
+
+def _bump_pair(l1, l, x):
+    """(k l, x - k l) for the bump pair [k l, (k + 1) l) that holds x."""
+    kl = np.minimum(np.floor(x / l), np.ceil(np.pi / l) - 1) * l
+    return kl, x - kl
 
 
 def _on_domain(x) -> np.ndarray:
@@ -130,6 +136,25 @@ def evaluate_bumps(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
     """
     amp, freq, offset = local_waves(a_pos, a_neg, sa, sb, l1, l, _on_domain(x))
     return amp * np.sin(freq * offset)
+
+
+def evaluate_panels(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
+    """:func:`evaluate_bumps` for a 2-D x whose every row is one panel.
+
+    The bump data are columns, one entry per row of x, and each row of x
+    must lie between two consecutive junctions of its function, as the
+    Gauss nodes of one quadrature panel do.  The bump is then looked up
+    once per row, at its middle point, and every point gets the value
+    :func:`evaluate_bumps` gives it, bit for bit: the same offset
+    (x - k l) - (0 or l1), the same sine and the same amplitude.  A row
+    that crosses a junction gets wrong values.  Points are clamped or
+    refused as in :func:`evaluate`.
+    """
+    x = _on_domain(x)
+    kl, t = _bump_pair(l1, l, x[:, x.shape[1] // 2, None])
+    pos = t < l1
+    offset = (x - kl) - np.where(pos, 0.0, l1)
+    return np.where(pos, a_pos, -a_neg) * np.sin(np.where(pos, sa, sb) * offset)
 
 
 def evaluate(f: FucikEigenfunction, x):

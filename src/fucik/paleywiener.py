@@ -82,9 +82,11 @@ def apply_Tk(k: int, g: Callable) -> Callable:
 
 
 def Tk_norm(k: int) -> float:
-    """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k."""
-    if k < 1:
-        raise ValueError(f"dilation index must be >= 1, got {k}")
+    """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k.
+
+    A k below 1, non-integral, NaN or infinite raises ValueError.
+    """
+    _require_index(k, "dilation index")
     if k % 2 == 0:
         return 1.0
     return math.sqrt((k + 1) / k)
@@ -102,7 +104,11 @@ def fourier_Ak(gamma: float, k: int) -> float:
         raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
     if k < 1:
         raise ValueError(f"coefficient index must be >= 1, got {k}")
-    p = gamma_line_point(2, gamma)
+    return _sine_coefficient(gamma_line_point(2, gamma), k)
+
+
+def _sine_coefficient(p, k: int) -> float:
+    # (2/pi) <f_2, sin(k .)> at a gamma-line point p = gamma_line_point(2, gamma)
     inner = closedform.inner_same_index(p) if k == 2 else closedform.inner_cross_index(p, k)
     return (2 / math.pi) * inner.value
 
@@ -112,12 +118,18 @@ def ck_bound(gamma: float, k: int) -> float:
 
     c_1 bounds |A_1|, c_2 bounds 1 - A_2 (which is nonnegative for gamma
     in range), and for k >= 3 the bound dominates |A_k|.  All three carry
-    the factor sqrt(gamma) - 2 and vanish at gamma = 4.
+    the factor sqrt(gamma) - 2 and vanish at gamma = 4.  A k below 1,
+    non-integral, NaN or infinite raises ValueError.
     """
     _require_gamma_range(gamma)
-    if k < 1:
-        raise ValueError(f"coefficient index must be >= 1, got {k}")
+    _require_index(k, "coefficient index")
     return _ck(gamma, k)
+
+
+def _require_index(k, name: str) -> None:
+    # NaN, infinities and fractions fail is_integer; none is rounded to an index
+    if not (float(k).is_integer() and k >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {k}")
 
 
 def _common(gamma: float) -> float:
@@ -242,7 +254,8 @@ def theoremD_residual(gamma: float, n: int, K: int, grid_points: int = 1024) -> 
         raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
     x = np.linspace(0.0, math.pi, grid_points)
     fn = build(gamma_line_point(n, gamma))
-    coeffs = np.array([fourier_Ak(gamma, k) for k in range(1, K + 1)])
+    p2 = gamma_line_point(2, gamma)
+    coeffs = np.array([_sine_coefficient(p2, k) for k in range(1, K + 1)])
     ks = np.arange(1, K + 1, dtype=float)
     series = np.sin(np.outer(x, ks * n / 2.0)) @ coeffs
     return float(np.max(np.abs(fn(x) - series)))

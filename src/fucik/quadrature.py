@@ -16,14 +16,19 @@ many integrals; each panel carries the index of the breakpoint row it
 belongs to.  An evaluator may return k values per node, one for each of k
 integrals that share the row's breakpoints; a panel then carries a mask of
 the integrals still refined on it, and is split while any of them is.
-At each level the whole-panel and half-panel nodes of every panel go to
-the evaluator together, at most ``_CALL_NODES`` values (nodes times k) per
-call once k is known, and rows with more than ``_GROUP_POINTS`` breakpoints
-in all are refined in consecutive groups, so peak memory grows neither
-with the batch nor with k.
+The first level evaluates the whole-panel and half-panel nodes of every
+piece, 48 per panel; a split panel hands its two half-panel sums to its
+children as their whole-panel sums, computed from the same end points by
+the same expressions, so every later level evaluates only the 32 nodes of
+the halves.  The nodes of a level go to the evaluator together, one row
+per panel, at most ``_CALL_NODES`` values (nodes times k) per call once k
+is known, and rows with more than ``_GROUP_POINTS`` breakpoints in all are
+refined in consecutive groups, so peak memory grows neither with the
+batch nor with k.
 :func:`integrate` is its one-integrand case.  Each Gauss sum is a
 fixed-order reduction over the contiguous node axis of one panel, and each
-integral sums its accepted panels in order of their left ends, so a value
+integral sums its accepted panels in order of their left ends, as one row
+of a block of the integrals with as many accepted panels, so a value
 depends neither on the run nor on the batch, call or k it was computed in.
 
 Every integral has its own budget of ``MAX_SUBINTERVALS`` subintervals,
@@ -109,29 +114,30 @@ def _pieces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner[gap], lo[gap], hi[gap]
 
 
-def _gauss_levels(evaluator: Callable, owner: np.ndarray, lo: np.ndarray, mid: np.ndarray,
-                  hi: np.ndarray, tail: tuple | None) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Gauss-Legendre values of each panel whole (coarse) and as two halves (fine).
+def _gauss_sums(evaluator: Callable, owner: np.ndarray, a: np.ndarray, b: np.ndarray,
+                tail: tuple | None) -> tuple[np.ndarray, tuple]:
+    """Gauss-Legendre sums of the rules [a[:, r], b[:, r]] of each panel.
 
-    The nodes of all three rules of up to ``_CALL_NODES`` // (48 k) panels
-    go to one evaluator call; the first call, before k is known, takes
-    k = 1.  Its values have the shape of the nodes plus a tail: () for one
-    integral per row, (k,) for k of them; ``tail`` is the one every call
-    must keep, None before the first call.  Returns coarse and fine as
-    (panels, k) arrays, and the tail.  Each rule is summed with its node
-    axis last and contiguous, in one fixed order, so a panel's values
-    depend neither on the panels around it nor on k.
+    ``a`` and ``b`` hold one column per rule: the whole panel and its two
+    halves at the first level, the two halves after it.  The nodes of all
+    rules of up to ``_CALL_NODES`` // (16 rules k) panels go to one
+    evaluator call, one row per panel; the first call, before k is known,
+    takes k = 1.  Its values have the shape of the nodes plus a tail: ()
+    for one integral per row, (k,) for k of them; ``tail`` is the one
+    every call must keep, None before the first call.  Returns the sums as
+    a (panels, rules, k) array, and the tail.  Each rule is summed with its
+    node axis last and contiguous, in one fixed order, so a rule's value
+    depends only on its end points and its row: a half computed at one
+    level is the whole panel of the child that inherits it, bit for bit.
     """
     sums = []
     s = 0
-    while s < lo.size:
-        step = max(1, _CALL_NODES // (3 * _NODES.size * math.prod(tail or ())))
+    while s < len(a):
+        step = max(1, _CALL_NODES // (a.shape[1] * _NODES.size * math.prod(tail or ())))
         c = slice(s, s + step)
         s += step
-        a = np.column_stack([lo[c], lo[c], mid[c]])
-        b = np.column_stack([hi[c], mid[c], hi[c]])
-        half = 0.5 * (b - a)
-        x = (0.5 * (b + a))[:, :, None] + half[:, :, None] * _NODES
+        half = 0.5 * (b[c] - a[c])
+        x = (0.5 * (b[c] + a[c]))[:, :, None] + half[:, :, None] * _NODES
         nodes = x.reshape(len(x), -1)
         vals = np.asarray(evaluator(owner[c, None], nodes), dtype=float)
         got = vals.shape[2:]
@@ -143,21 +149,23 @@ def _gauss_levels(evaluator: Callable, owner: np.ndarray, lo: np.ndarray, mid: n
         # (panel, rule, integral, node), the node axis last and contiguous
         vals = np.ascontiguousarray(vals.reshape(x.shape + (-1,)).transpose(0, 1, 3, 2))
         sums.append(half[:, :, None] * (vals * _WEIGHTS).sum(axis=3))
-    sums = np.concatenate(sums)
-    return sums[:, 0], sums[:, 1] + sums[:, 2], tail
+    return np.concatenate(sums), tail
 
 
 def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Integrals over [0, pi] of many integrands, each with estimated error <= tol.
 
     ``evaluator(owner, x)`` gets a column of row indices and one row of
-    points for each.  It returns either an array of ``x.shape``, the value
-    of integrand ``owner[i]`` at every ``x[i, j]``, or an array of
-    ``x.shape + (k,)``, the values of that row's k integrands, the same k
-    on every call.  ``breakpoint_sets`` holds one breakpoint list per row,
-    shared by its integrands: a sequence of lists, or a 2-D array whose
-    rows may be padded with pi.  The result has one value per row, or
-    shape (rows, k).
+    points for each.  A row of ``x`` holds the Gauss nodes of one panel
+    (48 at the first level, 32 after it), and a panel lies between two
+    consecutive breakpoints of its row, so an evaluator may locate the
+    piece of a row once, from any one of its points.  It returns either an
+    array of ``x.shape``, the value of integrand ``owner[i]`` at every
+    ``x[i, j]``, or an array of ``x.shape + (k,)``, the values of that
+    row's k integrands, the same k on every call.  ``breakpoint_sets``
+    holds one breakpoint list per row, shared by its integrands: a
+    sequence of lists, or a 2-D array whose rows may be padded with pi.
+    The result has one value per row, or shape (rows, k).
 
     Every integral gets the panels, decisions, budget and summation order
     it would get alone, so the result equals a loop of :func:`integrate`,
@@ -184,25 +192,33 @@ def _refine(evaluator: Callable, first: int, rows: np.ndarray, tol: float,
             tail: tuple | None) -> tuple[np.ndarray, tuple]:
     """The integrals of rows first, first + 1, ... as a (rows, k) array, and the tail.
 
-    Each panel carries its row and a mask of the row's integrals still
-    refined on it; ``created`` counts for each integral the panels it is
-    refined on, which is the count it would reach alone.
+    Each panel carries its row, a mask of the row's integrals still
+    refined on it, and its whole-panel sums ``coarse``: evaluated at the
+    first level, inherited from its parent's half after it.  ``created``
+    counts for each integral the panels it is refined on, which is the
+    count it would reach alone.
     """
     owner, lo, hi = _pieces(rows)
-    active = created = None
+    coarse = active = created = None
     accepted_key: list[np.ndarray] = []
     accepted_left: list[np.ndarray] = []
     accepted_val: list[np.ndarray] = []
 
     while lo.size:
         mid = 0.5 * (lo + hi)
-        coarse, fine, tail = _gauss_levels(evaluator, owner + first, lo, mid, hi, tail)
-        k = coarse.shape[1]
-        if active is None:  # first level: every integral is refined on every piece
+        if coarse is None:  # first level: every integral is refined on every piece
+            sums, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, lo, mid]),
+                                     np.column_stack([hi, mid, hi]), tail)
+            coarse, halves = sums[:, 0], sums[:, 1:]
+            k = coarse.shape[1]
             # integral r * k + c of the group is component c of row r
             key = owner[:, None] * k + np.arange(k)
             active = np.ones(key.shape, dtype=bool)
             created = np.bincount(key.ravel(), minlength=len(rows) * k)
+        else:
+            halves, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, mid]),
+                                       np.column_stack([mid, hi]), tail)
+        fine = halves[:, 0] + halves[:, 1]
         err = np.abs(fine - coarse)
         bad = active & ~np.isfinite(err)
         if bad.any():
@@ -219,23 +235,29 @@ def _refine(evaluator: Callable, first: int, rows: np.ndarray, tol: float,
         # a panel is split into two halves while any of its integrals is live
         live = active & ~done
         split = live.any(axis=1).nonzero()[0]
-        halves = np.concatenate([split, split])
-        owner, key, active = owner[halves], key[halves], live[halves]
+        children = np.concatenate([split, split])
+        owner, key, active = owner[children], key[children], live[children]
         lo, hi = (np.concatenate([lo[split], mid[split]]),
                   np.concatenate([mid[split], hi[split]]))
+        coarse = np.concatenate([halves[split, 0], halves[split, 1]])
         created += np.bincount(key[active], minlength=created.size)
         if created.max() > MAX_SUBINTERVALS:
             worst = int(np.argmax(created))
             raise NoConvergence(f"refinement budget of {MAX_SUBINTERVALS} subintervals "
                                 f"exhausted by {_name(worst, k, first, tail)}")
 
-    # each integral sums its accepted panels in order of their left ends
+    # each integral sums its accepted panels in order of their left ends; the
+    # integrals with c accepted panels are summed as the rows of one (., c) block
     keys = np.concatenate(accepted_key)
     order = np.lexsort((np.concatenate(accepted_left), keys))
     vals = np.concatenate(accepted_val)[order]
-    ends = np.searchsorted(keys[order], np.arange(created.size + 1))
-    sums = [np.add.reduce(vals[s:e]) for s, e in zip(ends[:-1], ends[1:])]
-    return np.array(sums).reshape(len(rows), -1), tail
+    counts = np.bincount(keys, minlength=created.size)
+    starts = np.cumsum(counts) - counts
+    totals = np.empty(created.size)
+    for count in np.unique(counts):
+        these = (counts == count).nonzero()[0]
+        totals[these] = np.add.reduce(vals[starts[these, None] + np.arange(count)], axis=1)
+    return totals.reshape(len(rows), -1), tail
 
 
 def _name(key: int, k: int, first: int, tail: tuple) -> str:

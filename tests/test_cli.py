@@ -7,13 +7,15 @@ import math
 import pathlib
 import shlex
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from conftest import curve_points, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import cli, closedform, grammatrix, nearness, paleywiener
-from fucik.eigenfunction import SineMode, breakpoints, build
-from fucik.quadrature import inner_numeric, merged_breakpoints
+from fucik.eigenfunction import SineMode, breakpoints, build, evaluate_bumps
+from fucik.errors import OutOfDomain
+from fucik.quadrature import _NODES, inner_numeric, merged_breakpoints
 from fucik.cli import MAX_ROWS, main
 from fucik.spectrum import FucikPoint, complete_point, curve_residual
 
@@ -179,6 +181,60 @@ def test_verify_closedform_evaluates_each_node_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "verify", "--suite", "closedform", "--nmax", "6", "--points", "3")
     assert code == 0
     assert sum(nodes) == 48 * sum(3 * n for n in range(2, 7)) == 2880
+
+
+def test_verify_paleywiener_evaluates_f2_once_per_band(capsys, monkeypatch):
+    # A_1 .. A_40 are integrated as two rows of 20 k per gamma, so f2 is
+    # evaluated once per node for a row's 20 sines: 2112 nodes for the
+    # three gammas, where one integral per k took 43392
+    nodes = []
+    evaluate = cli._Stack.__call__
+
+    def counted(self, rows, x):
+        nodes.append(x.size)
+        return evaluate(self, rows, x)
+
+    monkeypatch.setattr(cli._Stack, "__call__", counted)
+    code, _, _ = run(capsys, "verify", "--suite", "paleywiener")
+    assert code == 0
+    assert sum(nodes) == 2112
+
+
+def _suite_functions():
+    """The eigenfunctions the verify suites integrate, at the workload's
+    largest shape: closedform samples, the paleywiener f2 and the gram pairs."""
+    points = [p for n in range(2, 25) for p in cli._curve_samples(n, 6)]
+    points += [complete_point(2, alpha=gamma) for gamma in (4.5, 5.0, 5.5)]
+    system = nearness.GammaLine(5.0)
+    return points + [p for i in range(1, 9) if (p := system.point(i)).case != "diagonal"]
+
+
+def test_stack_finds_the_bump_once_per_panel():
+    # on panels of every piece, whole, a sub-panel inside it and 1e-9 wide
+    # ones touching its junctions, each as the 32 nodes of its two halves,
+    # the per-row lookup gives the per-node values bit for bit
+    fs = cli._Stack(_suite_functions())
+    rows, lo, hi = [], [], []
+    for r, row in enumerate(fs.junctions):
+        a, b = row[:-1][row[1:] > row[:-1]], row[1:][row[1:] > row[:-1]]
+        inside = (a + 0.3 * (b - a), a + 0.6 * (b - a))
+        for left, right in ((a, b), (a, a + 1e-9), (b - 1e-9, b), inside):
+            rows += [r] * a.size
+            lo.append(left)
+            hi.append(right)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    mid = 0.5 * (lo + hi)
+    a, b = np.column_stack([lo, mid]), np.column_stack([mid, hi])
+    x = ((0.5 * (b + a))[:, :, None] + (0.5 * (b - a))[:, :, None] * _NODES).reshape(len(lo), -1)
+    rows = np.array(rows)[:, None]
+    assert fs(rows, x).tobytes() == evaluate_bumps(*fs.bumps[:, rows], x).tobytes()
+
+    # the domain guard still holds per node
+    for bad in (math.nan, math.pi + 1e-11, -1e-11):
+        probe = x[:3].copy()
+        probe[1, 5] = bad
+        with pytest.raises(OutOfDomain):
+            fs(rows[:3], probe)
 
 
 def test_verify_suites_match_the_per_integral_oracle(capsys):

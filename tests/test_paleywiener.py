@@ -66,6 +66,21 @@ def test_Tk_norm_values():
     assert pw.Tk_norm(5) == pytest.approx(math.sqrt(6 / 5), rel=1e-15)
 
 
+def test_indices_must_be_integral():
+    # no NaN, infinity or fraction is turned into a norm or a bound: NaN
+    # used to come back as NaN, 2.5 as a value that belongs to no index,
+    # and infinity as a bound of 0
+    for bad in (0, -1, 2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            pw.Tk_norm(bad)
+        with pytest.raises(ValueError):
+            pw.ck_bound(5.0, bad)
+    # integral floats and numpy integers are indices like ints
+    for k in (1, 2, 3, 7):
+        assert pw.Tk_norm(float(k)) == pw.Tk_norm(np.int64(k)) == pw.Tk_norm(k)
+        assert pw.ck_bound(5.0, float(k)) == pw.ck_bound(5.0, np.int64(k)) == pw.ck_bound(5.0, k)
+
+
 def test_even_k_isometry_by_quadrature():
     f2 = build(gamma_line_point(2, 4.9))
     for k in (2, 4, 6):

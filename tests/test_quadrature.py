@@ -209,6 +209,73 @@ def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps, fr
     assert wide.tobytes() == np.column_stack(apart).tobytes()
 
 
+def _reference(evaluator, row, owner, tol, component=None):
+    """One integral alone, by plain dyadic refinement: every level
+    evaluates the whole panel and both halves of each of its panels
+    afresh.  Returns the integral and the number of panels per level."""
+    def rule(a, b):
+        half = 0.5 * (b - a)
+        x = 0.5 * (b + a) + half * quadrature._NODES
+        vals = np.asarray(evaluator(np.array([[owner]]), x[None, :]), dtype=float)[0]
+        if component is not None:
+            vals = vals[:, component]
+        return half * (vals * quadrature._WEIGHTS).sum()
+
+    points = np.unique(np.clip(row, 0.0, math.pi))
+    panels = list(zip(points[:-1], points[1:]))
+    accepted, per_level = [], []
+    while panels:
+        per_level.append(len(panels))
+        children = []
+        for lo, hi in panels:
+            mid = 0.5 * (lo + hi)
+            coarse, fine = rule(lo, hi), rule(lo, mid) + rule(mid, hi)
+            if abs(fine - coarse) <= tol * (hi - lo) / math.pi or hi - lo < 1e-15:
+                accepted.append((lo, fine))
+            else:
+                children += [(lo, mid), (mid, hi)]
+        panels = children
+    return np.add.reduce(np.array([v for _, v in sorted(accepted)])), per_level
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(1, 8),
+       tol=st.floats(1e-13, 1e-9),
+       caps=st.sampled_from([(quadrature._CALL_NODES, quadrature._GROUP_POINTS),
+                             (96, 16), (480, 64)]),
+       freqs=st.lists(st.integers(1, 48), min_size=1, max_size=3))
+def test_integrate_many_matches_a_plain_reference_bit_for_bit(seed, count, tol, caps, freqs):
+    # children take their parent's half sums and the integrals are summed
+    # by panel count; the reference does neither, so this pins both to
+    # the bits of a refinement that recomputes every rule
+    g = _Sinusoids(np.random.default_rng(seed), count)
+    m = np.array(freqs)
+    counted, rows = [], []
+
+    def vector(owner, x):
+        return g(owner, x)[..., None] * np.sin(m * x[..., None])
+
+    with mock.patch.multiple(quadrature, _CALL_NODES=caps[0], _GROUP_POINTS=caps[1]):
+        one = integrate_many(lambda owner, x: counted.append(x.shape) or g(owner, x),
+                             g.breaks, tol)
+        wide = integrate_many(lambda owner, x: rows.append(x.shape) or vector(owner, x),
+                              g.breaks, tol)
+    reference = [_reference(g, g.breaks[i], i, tol) for i in range(count)]
+    assert one.tobytes() == np.array([value for value, _ in reference]).tobytes()
+    want = [[_reference(vector, g.breaks[i], i, tol, c)[0] for c in range(m.size)]
+            for i in range(count)]
+    assert wide.tobytes() == np.array(want).tobytes()
+
+    # 48 nodes per panel at the first level, whole panel and both halves,
+    # and only the 32 of the halves on every panel after it
+    for calls in (counted, rows):
+        assert {width for _, width in calls} <= {48, 32}
+        assert sum(n for n, width in calls if width == 48) == sum(
+            levels[0] for _, levels in reference)
+    assert sum(n for n, width in counted if width == 32) == sum(
+        sum(levels[1:]) for _, levels in reference)
+
+
 def test_integrate_many_spans_several_calls_per_level():
     g = _Sinusoids(np.random.default_rng(5), 150)
     calls = []
