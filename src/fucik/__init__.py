@@ -44,13 +44,10 @@ from .paleywiener import (
     E_gamma,
     E_gamma_extended,
     Tk_norm,
-    apply_Tk,
     budget,
     ck_bound,
-    dilation_factor,
     fourier_Ak,
     gamma_admissible_max,
-    theoremD_residual,
 )
 from .grammatrix import (
     GramTruncation,
@@ -71,7 +68,6 @@ __all__ = [
     "PowerFamily", "bound_Cn", "corollary_cn_cap", "kato_weakened_term",
     "region_boundary", "theorem1_check", "theorem2_check", "zeta",
     "PaleyWienerBudget", "E_gamma", "E_gamma_extended", "Tk_norm",
-    "apply_Tk", "budget", "ck_bound", "dilation_factor", "fourier_Ak",
-    "gamma_admissible_max", "theoremD_residual",
+    "budget", "ck_bound", "fourier_Ak", "gamma_admissible_max",
     "GramTruncation", "build_gram", "extreme_eigenvalues", "riesz_scan",
 ]

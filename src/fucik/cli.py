@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, closedform, grammatrix, nearness, paleywiener
-from .eigenfunction import build, evaluate_panels, junctions
+from .eigenfunction import build, bump_table, evaluate_panels
 from .errors import FucikError
 from .quadrature import integrate_many, merged_breakpoints
 from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point, gamma_line_point
@@ -174,41 +174,18 @@ def _curve_samples(n: int, count: int):
     return out
 
 
-class _Stack:
-    """Eigenfunctions stacked as bump columns, for the batched oracle.
-
-    ``self(rows, x)`` evaluates function ``rows[i]`` at the points ``x[i]``
-    in one array pass; ``rows`` is a column, and each row of ``x`` holds
-    the nodes of one panel between two consecutive junctions of its
-    function, as :func:`integrate_many` passes them, so the bump is looked
-    up once per row.  ``junctions`` holds each function's breakpoint row,
-    padded with pi to a common width.
-    """
-
-    def __init__(self, points):
-        funcs = [build(p) for p in points]
-        self.n = np.array([p.n for p in points])
-        self.bumps = np.array([(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
-                                f.point.sqrt_beta, f.l1, f.l1 + f.l2) for f in funcs]).T
-        *_, l1, l = self.bumps
-        self.junctions = junctions(l1[:, None], l[:, None], int(self.n.max()) + 2)
-
-    def __call__(self, rows, x):
-        return evaluate_panels(*self.bumps[:, rows], x)
-
-
 def _suite_closedform(args, tol: float, checks: list) -> None:
     points = [p for n in range(2, args.nmax + 1) for p in _curve_samples(n, args.points)]
-    fs = _Stack(points)
+    t = bump_table(points)
 
     def integrand(owner, x):
         # three integrals per function: f^2, (f - sin n x)^2 and f sin n x
-        f = fs(owner, x)
-        sine = np.sin(fs.n[owner] * x)
+        f = evaluate_panels(*t.bumps[:, owner], x)
+        sine = np.sin(t.n[owner] * x)
         d = f - sine
         return np.stack((f * f, d * d, f * sine), axis=-1)
 
-    quad = integrate_many(integrand, fs.junctions)
+    quad = integrate_many(integrand, t.junctions)
     worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
     for p, (quad_norm, quad_dist, quad_inner) in zip(points, quad):
         worst["norm_sq"] = max(worst["norm_sq"], abs(closedform.norm_sq(p).value - quad_norm))
@@ -236,9 +213,9 @@ def _suite_paleywiener(args, tol: float, checks: list) -> None:
     # A_1 .. A_40 as two rows of 20 consecutive k per gamma: f2 is evaluated
     # once per node for the 20 integrals of a row, each refined on its own
     bands = np.arange(1, 41).reshape(2, 20)
-    f2s = _Stack([complete_point(2, alpha=gamma) for gamma in gammas])
+    f2s = bump_table([complete_point(2, alpha=gamma) for gamma in gammas])
     quad = (2 / math.pi) * integrate_many(
-        lambda owner, x: (f2s(owner // len(bands), x)[..., None]
+        lambda owner, x: (evaluate_panels(*f2s.bumps[:, owner // len(bands)], x)[..., None]
                           * np.sin(x[..., None] * bands[owner % len(bands)])),
         np.repeat(f2s.junctions, len(bands), axis=0)).reshape(len(gammas), bands.size)
 
@@ -287,11 +264,12 @@ def _suite_gram(args, tol: float, checks: list) -> None:
     checks.append(_check("gram_symmetry", asym <= 1e-12, 1e-12, asym))
     # the eigenfunction pairs, integrated exactly by assembly, against quadrature
     points = {i: p for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
-    fs = _Stack(list(points.values()))
+    t = bump_table(list(points.values()))
     left, right = np.array(list(combinations(range(len(points)), 2))).T
     quad = integrate_many(
-        lambda owner, x: fs(left[owner], x) * fs(right[owner], x),
-        [merged_breakpoints(fs.junctions[a], fs.junctions[b]) for a, b in zip(left, right)],
+        lambda owner, x: (evaluate_panels(*t.bumps[:, left[owner]], x)
+                          * evaluate_panels(*t.bumps[:, right[owner]], x)),
+        [merged_breakpoints(t.junctions[a], t.junctions[b]) for a, b in zip(left, right)],
         1e-11)
     index = np.array(list(points)) - 1
     worst = float(np.max(np.abs(g5.entries[index[left], index[right]] - quad)))

@@ -18,10 +18,10 @@ layout rules of :mod:`fucik.eigenfunction`.
 
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
 :func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``.
-Gram assembly uses the array forms instead: :func:`bump_table` stacks the
-per-function data of a whole system once, and :func:`norms_sq`,
-:func:`sine_products` and :func:`pair_products` compute each kind of
-entry in one numpy pass.
+Gram assembly uses the array forms instead: they read the columns of a
+:class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
+data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
+and :func:`pair_products` compute each kind of entry in one numpy pass.
 
 The paper's per-case formulas and the adaptive quadrature are independent
 routes to the same numbers; they serve as oracles in the tests and in
@@ -39,7 +39,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .eigenfunction import amplitudes, junctions, local_waves
+from .eigenfunction import BumpTable, amplitudes, local_waves
 from .spectrum import FucikPoint
 
 #: largest comparator index accepted by inner_cross_index
@@ -161,42 +161,6 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     return ClosedFormValue(_sine_product(p, m), _case(p))
 
 
-@dataclass(frozen=True)
-class BumpTable:
-    """Per-function data of a list of eigenfunctions, stacked as arrays.
-
-    Row r describes the eigenfunction at the r-th point: its index ``n``,
-    the frequencies ``sa`` = sqrt(alpha) and ``sb`` = sqrt(beta), the bump
-    amplitudes ``a_pos`` and ``a_neg``, the bump lengths ``l1`` and ``l2``,
-    the period ``l`` = l1 + l2, and its ``junctions`` row from
-    :func:`fucik.eigenfunction.junctions`, padded with pi to the common
-    width max(n) + 2.  Where x falls in the bump train is left to
-    :func:`fucik.eigenfunction.local_waves`.
-    """
-
-    n: np.ndarray
-    sa: np.ndarray
-    sb: np.ndarray
-    a_pos: np.ndarray
-    a_neg: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    l: np.ndarray
-    junctions: np.ndarray
-
-
-def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
-    """Stack the per-function data of the eigenfunctions at ``points``."""
-    n = np.array([p.n for p in points], dtype=np.int64)
-    sa = np.sqrt([p.alpha for p in points])
-    sb = np.sqrt([p.beta for p in points])
-    a_pos, a_neg = np.array([amplitudes(p) for p in points]).reshape(-1, 2).T
-    l1, l2 = np.pi / sa, np.pi / sb
-    l = l1 + l2
-    return BumpTable(n, sa, sb, a_pos, a_neg, l1, l2, l,
-                     junctions(l1[:, None], l[:, None], int(n.max(initial=0)) + 1))
-
-
 def norms_sq(t: BumpTable) -> np.ndarray:
     """Squared norms of the table's eigenfunctions as bump sums."""
     n = t.n
@@ -259,7 +223,6 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     j = np.asarray(j, dtype=np.intp)
     out = np.empty(i.size)
     width = t.n + 2
-    bumps = (t.a_pos, t.a_neg, t.sa, t.sb, t.l1, t.l)
     step = max(1, _PAIR_CHUNK // (2 * t.junctions.shape[1]))
     for lo in range(0, i.size, step):
         ii, jj = i[lo:lo + step], j[lo:lo + step]
@@ -267,8 +230,8 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
                                     t.junctions[jj, :width[jj].max()]), axis=1), axis=1)
         h = np.diff(x, axis=1)
         mid = x[:, :-1] + h / 2
-        a, w, s = local_waves(*(col[ii, None] for col in bumps), mid)
-        b, v, u = local_waves(*(col[jj, None] for col in bumps), mid)
+        a, w, s = local_waves(*t.bumps[:, ii, None], mid)
+        b, v, u = local_waves(*t.bumps[:, jj, None], mid)
         minus = np.cos(w * s - v * u) * np.sinc((w - v) * h / (2 * np.pi))
         plus = np.cos(w * s + v * u) * np.sinc((w + v) * h / (2 * np.pi))
         out[lo:lo + step] = 0.5 * np.sum(a * b * h * (minus - plus), axis=1)

@@ -23,12 +23,16 @@ Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays, and
 :func:`evaluate_panels` does so for quadrature panels, one bump per row.
 Only this module places the bumps, by two rules that broadcast over one
 function or a stacked table of many: :func:`junctions` and :func:`local_waves`.
+It also owns the stacked format itself: :func:`bump_table` builds the
+:class:`BumpTable` of a list of points, whose ``bumps`` rows are the six
+columns that :func:`local_waves` and the evaluators take.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -109,6 +113,45 @@ def local_waves(a_pos, a_neg, sa, sb, l1, l, x):
     _, t = _bump_pair(l1, l, x)
     pos = t < l1
     return np.where(pos, a_pos, -a_neg), np.where(pos, sa, sb), np.where(pos, t, t - l1)
+
+
+@dataclass(frozen=True)
+class BumpTable:
+    """Per-function data of a list of eigenfunctions, stacked as arrays.
+
+    Row r describes the eigenfunction at the r-th point: its index ``n``,
+    the bump amplitudes ``a_pos`` and ``a_neg``, the frequencies ``sa`` =
+    sqrt(alpha) and ``sb`` = sqrt(beta), the bump lengths ``l1`` and
+    ``l2``, the period ``l`` = l1 + l2, and its ``junctions`` row, padded
+    with pi to the common width max(n) + 2.  ``bumps`` stacks the columns
+    (a_pos, a_neg, sa, sb, l1, l) that :func:`local_waves`,
+    :func:`evaluate_bumps` and :func:`evaluate_panels` take, in that
+    order, so ``*t.bumps[:, rows]`` gathers them for any rows in one
+    index; the six named columns are its rows.
+    """
+
+    n: np.ndarray
+    bumps: np.ndarray
+    a_pos: np.ndarray
+    a_neg: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+    l1: np.ndarray
+    l: np.ndarray
+    l2: np.ndarray
+    junctions: np.ndarray
+
+
+def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
+    """Stack the per-function data of the eigenfunctions at ``points``."""
+    n = np.array([p.n for p in points], dtype=np.int64)
+    sa = np.sqrt([p.alpha for p in points])
+    sb = np.sqrt([p.beta for p in points])
+    a_pos, a_neg = np.array([amplitudes(p) for p in points]).reshape(-1, 2).T
+    l1, l2 = np.pi / sa, np.pi / sb
+    bumps = np.array([a_pos, a_neg, sa, sb, l1, l1 + l2])
+    return BumpTable(n, bumps, *bumps, l2,
+                     junctions(bumps[4, :, None], bumps[5, :, None], int(n.max(initial=0)) + 1))
 
 
 def _bump_pair(l1, l, x):

@@ -20,14 +20,18 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from . import closedform
+from .eigenfunction import bump_table
 from .nearness import SystemSpec
 
 MAX_ORDER = 512
 
 
-def _require_order(N: int) -> None:
-    if not (1 <= N <= MAX_ORDER):
-        raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}], got {N}")
+def _require_order(N: int) -> int:
+    """N as an int: an integral float is taken as its int, a fraction refused."""
+    if not (float(N).is_integer() and 1 <= N <= MAX_ORDER):
+        raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}] and be an integer, "
+                         f"got {N}")
+    return int(N)
 
 
 @dataclass(frozen=True)
@@ -49,20 +53,22 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     Sine-sine entries are exact (pi/2 on the diagonal, 0 off it).  The
     other entries come from the exact bump algebra of
     :mod:`fucik.closedform`, one array pass per kind of entry over the
-    eigenfunctions of the system: their squared norms
+    eigenfunctions of the system, stacked once by
+    :func:`~fucik.eigenfunction.bump_table`: their squared norms
     (:func:`~fucik.closedform.norms_sq`), their products with the sines
     of the system (:func:`~fucik.closedform.sine_products`), and their
     pairwise products (:func:`~fucik.closedform.pair_products`).
-    ``max_workers`` is accepted for older callers and ignored.
+    An integral float N is taken as its int and a fractional one raises
+    ValueError.  ``max_workers`` is accepted for older callers and ignored.
     """
-    _require_order(N)
+    N = _require_order(N)
     points = [system.point(i) for i in range(1, N + 1)]
     sine = np.array([p.case == "diagonal" for p in points])
     s, e = np.flatnonzero(sine), np.flatnonzero(~sine)
     m = np.zeros((N, N))
     m[s, s] = math.pi / 2
     if e.size:
-        table = closedform.bump_table([points[k] for k in e])
+        table = bump_table([points[k] for k in e])
         m[e, e] = closedform.norms_sq(table)
         cross = closedform.sine_products(table, s + 1)
         m[np.ix_(e, s)] = cross
@@ -88,17 +94,15 @@ def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
 def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, float]]:
     """Extreme normalized eigenvalues for a nested family of truncations.
 
-    ``Ns`` must be a nonempty ascending list of orders in [1, MAX_ORDER],
-    all checked before any work.  The largest Gram matrix is assembled
-    once and the smaller truncations are its leading submatrices, so the
-    interlacing monotonicity (lambda_min nonincreasing, lambda_max
-    nondecreasing) is exact by construction.
+    ``Ns`` must be a nonempty ascending list of integral orders in
+    [1, MAX_ORDER], all checked before any work.  The largest Gram matrix
+    is assembled once and the smaller truncations are its leading
+    submatrices, so the interlacing monotonicity (lambda_min nonincreasing,
+    lambda_max nondecreasing) is exact by construction.
     """
-    sizes = list(Ns)
+    sizes = [_require_order(n) for n in Ns]
     if not sizes:
         raise ValueError("riesz_scan needs at least one truncation order")
-    for n in sizes:
-        _require_order(n)
     if sizes != sorted(sizes):
         raise ValueError("truncation orders must be ascending")
     full = build_gram(system, sizes[-1])

@@ -367,11 +367,13 @@ class NearnessReport:
     r: float
 
 
-def _require_checkable(system: SystemSpec, n_partial: int) -> None:
-    if not n_partial >= 2:
-        raise ValueError(f"n_partial must be at least 2, got {n_partial}")
+def _require_checkable(system: SystemSpec, n_partial: int) -> int:
+    """n_partial as an int: an integral float is taken as its int, a fraction refused."""
+    if not (float(n_partial).is_integer() and n_partial >= 2):
+        raise ValueError(f"n_partial must be an integer of at least 2, got {n_partial}")
     if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
         raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
+    return int(n_partial)
 
 
 def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
@@ -381,9 +383,9 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     controlled by an analytic zeta-remainder bound (power families), is
     empty (finite perturbations), or diverges (nondiagonal gamma lines,
     whose C_n terms are constant in n; those come back inconclusive).
-    ``n_partial`` must be at least 2.
+    ``n_partial`` must be an integer of at least 2.
     """
-    _require_checkable(system, n_partial)
+    n_partial = _require_checkable(system, n_partial)
     threshold = math.pi / 2
 
     if isinstance(system, FinitePerturbation):
@@ -460,9 +462,10 @@ def theorem2_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     is finite (threshold is infinity: only convergence matters).  Raises
     OddEntriesNotDiagonal when an odd-index entry deviates from sin(n x).
     The sums are those of :func:`theorem1_check` divided by K_EVEN, and
-    ``r`` is its ``total_upper``.  ``n_partial`` must be at least 2.
+    ``r`` is its ``total_upper``.  ``n_partial`` must be an integer of at
+    least 2.
     """
-    _require_checkable(system, n_partial)
+    n_partial = _require_checkable(system, n_partial)
     system._require_odd_diagonal()
     c1 = theorem1_check(system, n_partial)
     partial, tail = c1.partial_sum / K_EVEN, c1.tail_bound / K_EVEN

@@ -1,4 +1,4 @@
-"""Dilation operators and the Paley-Wiener nearness budget E(gamma).
+"""Dilation-operator norms and the Paley-Wiener nearness budget E(gamma).
 
 For gamma in [4, 5.682] the even-index eigenfunctions of the line family
 (see :func:`fucik.spectrum.gamma_line_point`) are dilates of the n = 2
@@ -13,6 +13,8 @@ odd k (the odd-k supremum is attained by any g supported in (0, pi/2)).
 
 The antiperiodic continuation (-1)^kappa g(x - pi kappa) would break the
 sine mapping above for k >= 3, so the operators use the periodic one.
+Only their norms (:func:`Tk_norm`) enter the budget; the operators
+themselves are test oracles in ``tests/paper_formulas.py``.
 
 The coefficients A_k of the sine expansion of f_2 have the closed form
 
@@ -31,21 +33,17 @@ E(gamma) < 1 is the paper's sufficient condition for Paley-Wiener
 nearness of the line family.  It is not a certificate for the
 eigenfunctions this package builds: the expansion f_n = sum A_k T_k
 sin(n .) it rests on holds for the odd 2pi-periodic continuation of f_2,
-not for the period-pi one the built eigenfunctions use (see
-:func:`theoremD_residual`).
+not for the period-pi one the built eigenfunctions use: the truncated
+dilated series residual in ``tests/paper_formulas.py`` stalls for n >= 4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 from . import closedform
-from .eigenfunction import build
-from .errors import GammaOutOfRange, OddIndex
+from .errors import GammaOutOfRange
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -53,32 +51,6 @@ GAMMA_MAX = 5.682
 
 #: sum_{k=5}^infty (k^2 - 9)^{-2}, in closed form
 TAIL_CONSTANT = math.pi ** 2 / 108 - 536741 / 6350400
-
-
-def _periodic_wrap(y: np.ndarray) -> np.ndarray:
-    # map onto [0, pi], sending positive multiples of pi to pi rather than 0
-    # so that T_2 is the identity up to and including the right endpoint
-    t = np.mod(y, math.pi)
-    return np.where((t == 0) & (y > 0), math.pi, t)
-
-
-def apply_Tk(k: int, g: Callable) -> Callable:
-    """The dilation operator T_k: x -> g~(k x / 2), period-pi continuation.
-
-    On sines: apply_Tk(k, sin(n .)) equals sin(k n . / 2) pointwise for
-    every even n, and T_2 is the identity.
-    """
-    if k < 1:
-        raise ValueError(f"dilation index must be >= 1, got {k}")
-
-    def transformed(x):
-        arr = np.asarray(x, dtype=float)
-        out = np.asarray(g(_periodic_wrap(k * arr / 2.0)), dtype=float)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    return transformed
 
 
 def Tk_norm(k: int) -> float:
@@ -232,42 +204,3 @@ def budget(gamma: float) -> PaleyWienerBudget:
     _require_gamma_range(gamma)
     return PaleyWienerBudget(gamma=gamma, c=_coefficients(gamma), t=_WEIGHTS,
                              E=E_gamma(gamma))
-
-
-def theoremD_residual(gamma: float, n: int, K: int, grid_points: int = 1024) -> float:
-    """Sup-grid residual of f_n against its truncated dilated sine series.
-
-    Evaluates max over a uniform grid of |f_n(x) - sum_{k<=K} A_k
-    sin(k n x / 2)|.  At gamma = 4 every coefficient except A_2 = 1
-    vanishes and the residual is zero.  For n = 2 the series is the plain
-    sine expansion of f_2 on (0, pi) and the residual decays with K; for
-    larger even n the dilated argument leaves (0, pi) and the residual
-    instead stalls at the gap between the period-pi continuation of f_2
-    and the odd 2pi-periodic continuation that the sine series converges
-    to, so only the dilation structure, not convergence, can be read off.
-    """
-    if n % 2 != 0:
-        raise OddIndex(f"theoremD_residual needs an even index, got {n}")
-    if K < 4:
-        raise ValueError(f"truncation K must be >= 4, got {K}")
-    if gamma < GAMMA_MIN:
-        raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
-    x = np.linspace(0.0, math.pi, grid_points)
-    fn = build(gamma_line_point(n, gamma))
-    p2 = gamma_line_point(2, gamma)
-    coeffs = np.array([_sine_coefficient(p2, k) for k in range(1, K + 1)])
-    ks = np.arange(1, K + 1, dtype=float)
-    series = np.sin(np.outer(x, ks * n / 2.0)) @ coeffs
-    return float(np.max(np.abs(fn(x) - series)))
-
-
-def dilation_factor(n: int, gamma: float) -> float:
-    """Scale c with f_n(x) = f_2(c x) on the line family (period-pi wrap).
-
-    Even n gives c = n/2; odd n gives c = (n-1)/2 + 1/sqrt(gamma).
-    """
-    if n < 2:
-        raise ValueError(f"dilation factor needs n >= 2, got {n}")
-    if n % 2 == 0:
-        return n / 2.0
-    return (n - 1) / 2.0 + 1.0 / math.sqrt(gamma)

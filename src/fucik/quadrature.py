@@ -21,10 +21,10 @@ piece, 48 per panel; a split panel hands its two half-panel sums to its
 children as their whole-panel sums, computed from the same end points by
 the same expressions, so every later level evaluates only the 32 nodes of
 the halves.  The nodes of a level go to the evaluator together, one row
-per panel, at most ``_CALL_NODES`` values (nodes times k) per call once k
-is known, and rows with more than ``_GROUP_POINTS`` breakpoints in all are
-refined in consecutive groups, so peak memory grows neither with the
-batch nor with k.
+per panel, at most ``_CALL_NODES`` values (nodes times k) per call: the
+first call of a batch covers one panel, which tells k.  Rows with more
+than ``_GROUP_POINTS`` breakpoints in all are refined in consecutive
+groups, so peak memory grows neither with the batch nor with k.
 :func:`integrate` is its one-integrand case.  Each Gauss sum is a
 fixed-order reduction over the contiguous node axis of one panel, and each
 integral sums its accepted panels in order of their left ends, as one row
@@ -122,8 +122,8 @@ def _gauss_sums(evaluator: Callable, owner: np.ndarray, a: np.ndarray, b: np.nda
     halves at the first level, the two halves after it.  The nodes of all
     rules of up to ``_CALL_NODES`` // (16 rules k) panels go to one
     evaluator call, one row per panel; the first call, before k is known,
-    takes k = 1.  Its values have the shape of the nodes plus a tail: ()
-    for one integral per row, (k,) for k of them; ``tail`` is the one
+    takes one panel.  Its values have the shape of the nodes plus a tail:
+    () for one integral per row, (k,) for k of them; ``tail`` is the one
     every call must keep, None before the first call.  Returns the sums as
     a (panels, rules, k) array, and the tail.  Each rule is summed with its
     node axis last and contiguous, in one fixed order, so a rule's value
@@ -133,7 +133,8 @@ def _gauss_sums(evaluator: Callable, owner: np.ndarray, a: np.ndarray, b: np.nda
     sums = []
     s = 0
     while s < len(a):
-        step = max(1, _CALL_NODES // (a.shape[1] * _NODES.size * math.prod(tail or ())))
+        step = 1 if tail is None else max(
+            1, _CALL_NODES // (a.shape[1] * _NODES.size * math.prod(tail)))
         c = slice(s, s + step)
         s += step
         half = 0.5 * (b[c] - a[c])
@@ -291,8 +292,13 @@ def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],
 
 
 def merged_breakpoints(*point_sets: Sequence[float]) -> np.ndarray:
-    """Union of several breakpoint lists, deduplicated within 1e-14."""
+    """Union of several breakpoint lists, deduplicated within 1e-14.
+
+    A NaN breakpoint raises ValueError instead of being dropped.
+    """
     merged = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in point_sets]))
+    if np.isnan(merged).any():
+        raise ValueError("breakpoints must not be NaN")
     keep = np.ones(merged.size, dtype=bool)
     keep[1:] = np.diff(merged) > 1e-14
     return merged[keep]

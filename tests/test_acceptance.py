@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 
+import paper_formulas as paper
 from conftest import TkPiecewiseProbe, curve_samples, pl_norm_sq, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import closedform as cf
 from fucik import grammatrix as gm
@@ -161,7 +162,7 @@ def test_criterion_07_dilation_identities():
     for n in (3, 5, 7, 9, 11, 13, 15):
         alpha = (1 + (n - 1) * sg / 2) ** 2
         fn = build(complete_point(n, alpha=alpha))
-        c = pw.dilation_factor(n, gamma)
+        c = paper.dilation_factor(n, gamma)
         worst_odd = max(worst_odd, float(np.max(np.abs(
             fn(xs) - f2(np.mod(c * xs, PI))))))
     ok = worst_even <= 1e-12 and worst_odd <= 1e-12

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 
 from conftest import curve_points, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import cli, closedform, grammatrix, nearness, paleywiener
-from fucik.eigenfunction import SineMode, breakpoints, build, evaluate_bumps
+from fucik.eigenfunction import (SineMode, breakpoints, build, bump_table, evaluate_bumps,
+                                  evaluate_panels)
 from fucik.errors import OutOfDomain
-from fucik.quadrature import _NODES, inner_numeric, merged_breakpoints
+from fucik.quadrature import _CALL_NODES, _NODES, inner_numeric, merged_breakpoints
 from fucik.cli import MAX_ROWS, main
 from fucik.spectrum import FucikPoint, complete_point, curve_residual
 
@@ -165,19 +166,24 @@ def test_verify_closedform_suite_small(capsys):
     assert all(c["observed"] <= c["tolerance"] for c in doc["checks"])
 
 
+def _count_panel_nodes(monkeypatch):
+    """The sizes of the node arrays the verify suites evaluate, one per call."""
+    nodes = []
+
+    def counted(*bumps_and_x):
+        nodes.append(bumps_and_x[-1].size)
+        return evaluate_panels(*bumps_and_x)
+
+    monkeypatch.setattr(cli, "evaluate_panels", counted)
+    return nodes
+
+
 def test_verify_closedform_evaluates_each_node_once(capsys, monkeypatch):
     # the three integrals of an eigenfunction share its panels, so each
     # Gauss node is evaluated once for all three; every piece is accepted
     # at the first level, 48 nodes (the whole panel and its two halves)
     # for each of the n pieces of a degree-n eigenfunction
-    nodes = []
-    evaluate = cli._Stack.__call__
-
-    def counted(self, rows, x):
-        nodes.append(x.size)
-        return evaluate(self, rows, x)
-
-    monkeypatch.setattr(cli._Stack, "__call__", counted)
+    nodes = _count_panel_nodes(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "closedform", "--nmax", "6", "--points", "3")
     assert code == 0
     assert sum(nodes) == 48 * sum(3 * n for n in range(2, 7)) == 2880
@@ -187,17 +193,32 @@ def test_verify_paleywiener_evaluates_f2_once_per_band(capsys, monkeypatch):
     # A_1 .. A_40 are integrated as two rows of 20 k per gamma, so f2 is
     # evaluated once per node for a row's 20 sines: 2112 nodes for the
     # three gammas, where one integral per k took 43392
-    nodes = []
-    evaluate = cli._Stack.__call__
-
-    def counted(self, rows, x):
-        nodes.append(x.size)
-        return evaluate(self, rows, x)
-
-    monkeypatch.setattr(cli._Stack, "__call__", counted)
+    nodes = _count_panel_nodes(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "paleywiener")
     assert code == 0
     assert sum(nodes) == 2112
+
+
+@pytest.mark.parametrize("suite", ["closedform", "paleywiener"])
+def test_verify_evaluator_calls_stay_under_the_node_cap(capsys, monkeypatch, suite):
+    # the first call of a batch covers one panel and tells k, so no call,
+    # the first included, returns more than _CALL_NODES values (nodes
+    # times k)
+    sizes = []
+    integrate_many = cli.integrate_many
+
+    def recording(evaluator, *args):
+        def recorded(owner, x):
+            values = evaluator(owner, x)
+            sizes.append(values.size)
+            return values
+
+        return integrate_many(recorded, *args)
+
+    monkeypatch.setattr(cli, "integrate_many", recording)
+    code, _, _ = run(capsys, "verify", "--suite", suite, "--nmax", "24", "--points", "6")
+    assert code == 0
+    assert len(sizes) > 1 and max(sizes) <= _CALL_NODES
 
 
 def _suite_functions():
@@ -213,9 +234,9 @@ def test_stack_finds_the_bump_once_per_panel():
     # on panels of every piece, whole, a sub-panel inside it and 1e-9 wide
     # ones touching its junctions, each as the 32 nodes of its two halves,
     # the per-row lookup gives the per-node values bit for bit
-    fs = cli._Stack(_suite_functions())
+    t = bump_table(_suite_functions())
     rows, lo, hi = [], [], []
-    for r, row in enumerate(fs.junctions):
+    for r, row in enumerate(t.junctions):
         a, b = row[:-1][row[1:] > row[:-1]], row[1:][row[1:] > row[:-1]]
         inside = (a + 0.3 * (b - a), a + 0.6 * (b - a))
         for left, right in ((a, b), (a, a + 1e-9), (b - 1e-9, b), inside):
@@ -227,14 +248,15 @@ def test_stack_finds_the_bump_once_per_panel():
     a, b = np.column_stack([lo, mid]), np.column_stack([mid, hi])
     x = ((0.5 * (b + a))[:, :, None] + (0.5 * (b - a))[:, :, None] * _NODES).reshape(len(lo), -1)
     rows = np.array(rows)[:, None]
-    assert fs(rows, x).tobytes() == evaluate_bumps(*fs.bumps[:, rows], x).tobytes()
+    bumps = t.bumps[:, rows]
+    assert evaluate_panels(*bumps, x).tobytes() == evaluate_bumps(*bumps, x).tobytes()
 
     # the domain guard still holds per node
     for bad in (math.nan, math.pi + 1e-11, -1e-11):
         probe = x[:3].copy()
         probe[1, 5] = bad
         with pytest.raises(OutOfDomain):
-            fs(rows[:3], probe)
+            evaluate_panels(*t.bumps[:, rows[:3]], probe)
 
 
 def test_verify_suites_match_the_per_integral_oracle(capsys):

@@ -8,17 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_points
-from fucik.closedform import bump_table
 from fucik.eigenfunction import (
     SineMode,
     breakpoints,
     build,
+    bump_table,
     evaluate,
     evaluate_bumps,
     local_waves,
 )
 from fucik.errors import NotOnCurve, OutOfDomain
-from fucik.paleywiener import dilation_factor
+from paper_formulas import dilation_factor
 from fucik.spectrum import (
     FucikPoint,
     complete_point,
@@ -94,9 +94,16 @@ def test_pi_stays_in_the_last_bump():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(points=st.lists(curve_points(), min_size=1, max_size=5))
 def test_bump_table_junctions_match_breakpoints(points):
-    # the stacked rows and the per-function junctions follow one layout
-    for p, row in zip(points, bump_table(points).junctions):
+    # the stacked rows and the per-function junctions follow one layout,
+    # and the bump columns are the built functions' data, bit for bit
+    table = bump_table(points)
+    for p, row, bumps in zip(points, table.junctions, table.bumps.T):
         assert np.array_equal(row[:np.argmax(row == math.pi) + 1], breakpoints(build(p)))
+        f = build(p)
+        want = (f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+                f.point.sqrt_beta, f.l1, f.l1 + f.l2)
+        assert bumps.tobytes() == np.array(want).tobytes()
+    assert np.shares_memory(table.sa, table.bumps)
 
 
 @pytest.mark.parametrize("n,ratio,side", [
@@ -199,8 +206,7 @@ def test_domain_guards():
     assert evaluate(f, math.pi + 5e-13) == pytest.approx(0.0, abs=1e-12)
     assert evaluate(f, -5e-13) == evaluate(f, 0.0)
     # the stacked route shares the guard
-    bumps = (f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
-             f.point.sqrt_beta, f.l1, f.l1 + f.l2)
+    bumps = bump_table([f.point]).bumps
     for bad in (-0.5, math.pi + 0.1, np.array([[0.0, math.nan]])):
         with pytest.raises(OutOfDomain):
             evaluate_bumps(*bumps, bad)
@@ -212,8 +218,7 @@ def test_stacked_evaluation_matches_evaluate(points, seed):
     # one row of bump data per point, gathered per sample: the same bits
     # as evaluating each function on its own
     funcs = [build(p) for p in points]
-    table = np.array([(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
-                       f.point.sqrt_beta, f.l1, f.l1 + f.l2) for f in funcs]).T
+    table = bump_table(points).bumps
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, len(funcs), size=(40, 1))
     x = np.concatenate([rng.uniform(0.0, math.pi, (40, 7)), np.full((40, 1), math.pi),

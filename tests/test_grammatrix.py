@@ -180,6 +180,14 @@ def test_build_gram_validates_order():
         gm.build_gram(nr.FinitePerturbation(()), 0)
     with pytest.raises(ValueError):
         gm.build_gram(nr.FinitePerturbation(()), 513)
+    # a fraction, NaN or infinity is refused with ValueError; an integral
+    # float is the order it names
+    for bad in (8.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            gm.build_gram(nr.GammaLine(5.0), bad)
+    want = gm.build_gram(nr.GammaLine(5.0), 8).entries
+    for order in (8.0, np.int64(8)):
+        assert np.array_equal(gm.build_gram(nr.GammaLine(5.0), order).entries, want)
 
 
 # ----------------------------------------------------------------------
@@ -217,9 +225,13 @@ def test_riesz_scan_validates_orders():
     # refused before any work, with build_gram's message for a bad order
     with pytest.raises(ValueError, match="at least one"):
         gm.riesz_scan(nr.GammaLine(5.0), [])
-    for sizes in ([0, 8], [8, 513], [4, -1]):
+    for sizes in ([0, 8], [8, 513], [4, -1], [4, 8.5], [math.nan]):
         with pytest.raises(ValueError, match=r"must lie in \[1, 512\]"):
             gm.riesz_scan(nr.GammaLine(5.0), sizes)
+    # integral floats are the orders they name, and come back as ints
+    scan = gm.riesz_scan(nr.GammaLine(5.0), [4.0, 8.0])
+    assert scan == gm.riesz_scan(nr.GammaLine(5.0), [4, 8])
+    assert all(type(n) is int for n, _, _ in scan)
 
 
 def test_riesz_scan_runs_on_wild_system():

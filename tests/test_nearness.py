@@ -533,7 +533,9 @@ def test_criteria_reject_short_partial_sums():
     power = nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=0.1))
     for check in (nr.theorem1_check, nr.theorem2_check):
         for system in (power, nr.GammaLine(5.0), nr.FinitePerturbation(())):
-            for bad in (-4, 0, 1):
+            for bad in (-4, 0, 1, 10.5, math.nan, math.inf):
                 with pytest.raises(ValueError):
                     check(system, n_partial=bad)
             assert check(system, n_partial=2).partial_sum >= 0.0
+            # an integral float is the count it names
+            assert check(system, n_partial=10.0) == check(system, n_partial=10)

@@ -23,17 +23,17 @@ PI = math.pi
 def test_apply_Tk_sine_mapping():
     xs = np.linspace(0.0, PI, 801)
     # k = 2 is the identity
-    t2 = pw.apply_Tk(2, lambda y: np.sin(4 * y))
+    t2 = paper.apply_Tk(2, lambda y: np.sin(4 * y))
     assert np.max(np.abs(t2(xs) - np.sin(4 * xs))) <= 1e-14
     # k = 3 on sin(2x) gives sin(3x), across the whole interval
-    t3 = pw.apply_Tk(3, lambda y: np.sin(2 * y))
+    t3 = paper.apply_Tk(3, lambda y: np.sin(2 * y))
     assert np.max(np.abs(t3(xs) - np.sin(3 * xs))) <= 1e-13
     # k = 1 on sin(2x) gives sin(x)
-    t1 = pw.apply_Tk(1, lambda y: np.sin(2 * y))
+    t1 = paper.apply_Tk(1, lambda y: np.sin(2 * y))
     assert np.max(np.abs(t1(xs) - np.sin(xs))) <= 1e-14
     # general even-frequency mapping
     for k, n in [(4, 2), (5, 4), (7, 2), (9, 6)]:
-        tk = pw.apply_Tk(k, lambda y, m=n: np.sin(m * y))
+        tk = paper.apply_Tk(k, lambda y, m=n: np.sin(m * y))
         assert np.max(np.abs(tk(xs) - np.sin(k * n * xs / 2))) <= 1e-12, (k, n)
 
 
@@ -44,7 +44,7 @@ def test_apply_Tk_reproduces_dilated_profiles():
     xs = np.linspace(0.0, PI, 700)
     for n in (4, 6, 10):
         fn = build(gamma_line_point(n, gamma))
-        tn = pw.apply_Tk(n, f2)
+        tn = paper.apply_Tk(n, f2)
         assert np.max(np.abs(tn(xs) - fn(xs))) <= 1e-12
 
 
@@ -53,8 +53,8 @@ def test_apply_Tk_linearity():
     g = lambda y: np.sin(2 * y) + 0.3 * np.sin(6 * y)
     h = lambda y: np.cos(y) * np.sin(y)
     for k in (1, 3, 4, 8):
-        lhs = pw.apply_Tk(k, lambda y: 2.5 * g(y) + h(y))(xs)
-        rhs = 2.5 * pw.apply_Tk(k, g)(xs) + pw.apply_Tk(k, h)(xs)
+        lhs = paper.apply_Tk(k, lambda y: 2.5 * g(y) + h(y))(xs)
+        rhs = 2.5 * paper.apply_Tk(k, g)(xs) + paper.apply_Tk(k, h)(xs)
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
@@ -84,7 +84,7 @@ def test_indices_must_be_integral():
 def test_even_k_isometry_by_quadrature():
     f2 = build(gamma_line_point(2, 4.9))
     for k in (2, 4, 6):
-        tk = pw.apply_Tk(k, f2)
+        tk = paper.apply_Tk(k, f2)
         bp = sorted(set(float(b) for b in breakpoints(f2)) |
                     {2 * (m * PI + t) / k for m in range(k) for t in (0.0, f2.l1, PI)})
         bp = [b for b in bp if 0.0 <= b <= PI + 1e-12]
@@ -250,24 +250,24 @@ def test_budget_assembly():
 
 def test_residual_collapse_at_4():
     for n, K in [(2, 4), (4, 10), (8, 6)]:
-        assert pw.theoremD_residual(4.0, n, K) <= 1e-10
+        assert paper.theoremD_residual(4.0, n, K) <= 1e-10
 
 
 def test_residual_n2_tail_bound():
     gamma, K = 5.0, 50
-    res = pw.theoremD_residual(gamma, 2, K)
+    res = paper.theoremD_residual(gamma, 2, K)
     sg = math.sqrt(gamma)
     ks = np.arange(K + 1, 4000)
     tail = (2 / PI) * gamma ** 2 * (sg - 2) / (sg - 1) * np.sum(1.0 / (ks ** 2 - gamma) ** 2)
     assert res <= tail
-    assert pw.theoremD_residual(gamma, 2, 200) < res
+    assert paper.theoremD_residual(gamma, 2, 200) < res
 
 
 def test_residual_dilation_invariance():
     """The n = 4 residual equals the n = 2 residual composed with x -> 2x."""
     gamma, K = 5.0, 50
     grid = 1024
-    res4 = pw.theoremD_residual(gamma, 4, K, grid_points=grid)
+    res4 = paper.theoremD_residual(gamma, 4, K, grid_points=grid)
     xs = np.linspace(0.0, PI, grid)
     f2 = build(gamma_line_point(2, gamma))
     coeffs = np.array([pw.fourier_Ak(gamma, k) for k in range(1, K + 1)])
@@ -279,14 +279,14 @@ def test_residual_dilation_invariance():
 
 def test_residual_guards():
     with pytest.raises(OddIndex):
-        pw.theoremD_residual(5.0, 3, 10)
+        paper.theoremD_residual(5.0, 3, 10)
     with pytest.raises(ValueError):
-        pw.theoremD_residual(5.0, 2, 3)
+        paper.theoremD_residual(5.0, 2, 3)
 
 
 def test_dilation_factor():
-    assert pw.dilation_factor(6, 5.0) == 3.0
-    assert pw.dilation_factor(3, 5.0) == pytest.approx(1 + 1 / math.sqrt(5))
+    assert paper.dilation_factor(6, 5.0) == 3.0
+    assert paper.dilation_factor(3, 5.0) == pytest.approx(1 + 1 / math.sqrt(5))
 
 
 def test_line_coupling_to_sin_x_tends_to_mean_of_f2():
