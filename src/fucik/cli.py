@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__, closedform, grammatrix, nearness, paleywiener
 from .eigenfunction import build, bump_table, evaluate_panels
 from .errors import FucikError
-from .quadrature import integrate_many, merged_breakpoints
+from .quadrature import integrate_many
 from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point, gamma_line_point
 
 _SCHEMA = "1"
@@ -269,7 +269,7 @@ def _suite_gram(args, tol: float, checks: list) -> None:
     quad = integrate_many(
         lambda owner, x: (evaluate_panels(*t.bumps[:, left[owner]], x)
                           * evaluate_panels(*t.bumps[:, right[owner]], x)),
-        [merged_breakpoints(t.junctions[a], t.junctions[b]) for a, b in zip(left, right)],
+        np.sort(np.concatenate((t.junctions[left], t.junctions[right]), axis=1), axis=1),
         1e-11)
     index = np.array(list(points)) - 1
     worst = float(np.max(np.abs(g5.entries[index[left], index[right]] - quad)))

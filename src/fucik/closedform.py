@@ -217,12 +217,15 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     The sinusoid of each factor on a piece comes from
     :func:`fucik.eigenfunction.local_waves` at the piece's midpoint.
     The pairs run in chunks of a fixed element count per array, so peak
-    memory does not grow with the truncation order.
+    memory does not grow with the truncation order.  Each pair's pieces
+    are summed in sequence, so the zero-length pieces that pad it to the
+    width of its chunk leave its value, and a Gram entry, independent of
+    the pairs it is computed with.
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     out = np.empty(i.size)
-    width = t.n + 2
+    width = t.n + 3
     step = max(1, _PAIR_CHUNK // (2 * t.junctions.shape[1]))
     for lo in range(0, i.size, step):
         ii, jj = i[lo:lo + step], j[lo:lo + step]
@@ -234,5 +237,5 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
         b, v, u = local_waves(*t.bumps[:, jj, None], mid)
         minus = np.cos(w * s - v * u) * np.sinc((w - v) * h / (2 * np.pi))
         plus = np.cos(w * s + v * u) * np.sinc((w + v) * h / (2 * np.pi))
-        out[lo:lo + step] = 0.5 * np.sum(a * b * h * (minus - plus), axis=1)
+        out[lo:lo + step] = 0.5 * np.cumsum(a * b * h * (minus - plus), axis=1)[:, -1]
     return out

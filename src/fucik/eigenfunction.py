@@ -15,8 +15,8 @@ bumps instead:
     f(x) = -(sqrt(alpha)/sqrt(beta)) * sin(sqrt(beta) (x - k l - l1)) otherwise,
 
 with k = 0, 1, 2, ...  On the diagonal alpha = beta = n^2 both reduce to
-sin(n x).  The representation extends l-periodically to all x >= 0, which
-is what the dilation identities of :mod:`fucik.paleywiener` rely on.
+sin(n x).  The functions live on [0, pi] only, and the evaluators refuse
+points beyond it.
 
 Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays, and
 :func:`evaluate_bumps` evaluates a stacked table of many functions at once;
@@ -123,7 +123,8 @@ class BumpTable:
     the bump amplitudes ``a_pos`` and ``a_neg``, the frequencies ``sa`` =
     sqrt(alpha) and ``sb`` = sqrt(beta), the bump lengths ``l1`` and
     ``l2``, the period ``l`` = l1 + l2, and its ``junctions`` row, padded
-    with pi to the common width max(n) + 2.  ``bumps`` stacks the columns
+    with pi to the common width max(n) + 3: the n + 2 junctions after 0
+    reach pi, as in :func:`breakpoints`.  ``bumps`` stacks the columns
     (a_pos, a_neg, sa, sb, l1, l) that :func:`local_waves`,
     :func:`evaluate_bumps` and :func:`evaluate_panels` take, in that
     order, so ``*t.bumps[:, rows]`` gathers them for any rows in one
@@ -151,7 +152,7 @@ def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
     l1, l2 = np.pi / sa, np.pi / sb
     bumps = np.array([a_pos, a_neg, sa, sb, l1, l1 + l2])
     return BumpTable(n, bumps, *bumps, l2,
-                     junctions(bumps[4, :, None], bumps[5, :, None], int(n.max(initial=0)) + 1))
+                     junctions(bumps[4, :, None], bumps[5, :, None], int(n.max(initial=0)) + 2))
 
 
 def _bump_pair(l1, l, x):

@@ -159,7 +159,10 @@ def zeta(s: float) -> float:
 
 
 def _require_index(n: int) -> None:
-    if not n >= 1:
+    # NaN, infinities and fractions fail is_integer; none is rounded to an index
+    if not float(n).is_integer():
+        raise ValueError(f"curve index must be an integer, got {n}")
+    if n < 1:
         raise IndexTooSmall(f"curve index must be >= 1, got {n}")
 
 
@@ -195,7 +198,8 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     n^{(1-eps)/2} whose constants stay strictly below these caps satisfies
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).  An index
-    n < 1 raises IndexTooSmall.
+    n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one
+    ValueError.
     """
     _require_index(n)
     z = _cap_zeta(epsilon)
@@ -206,7 +210,8 @@ def region_boundary(epsilon: float, branch: Branch,
                     n_range: Sequence[int]) -> list[tuple[int, float]]:
     """Boundary values n + sqrt(cap) n^{(1-eps)/2} for region plots.
 
-    The row n = 1 uses the cap of n = 2; an index n < 1 raises IndexTooSmall.
+    The row n = 1 uses the cap of n = 2.  Indices are checked as in
+    :func:`corollary_cn_cap`.
     """
     out = []
     for n in n_range:

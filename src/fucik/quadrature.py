@@ -16,15 +16,16 @@ many integrals; each panel carries the index of the breakpoint row it
 belongs to.  An evaluator may return k values per node, one for each of k
 integrals that share the row's breakpoints; a panel then carries a mask of
 the integrals still refined on it, and is split while any of them is.
-The first level evaluates the whole-panel and half-panel nodes of every
-piece, 48 per panel; a split panel hands its two half-panel sums to its
+A pass before the refinement evaluates the 16 whole-panel nodes of every
+piece; every level then evaluates the 32 nodes of the two halves of each
+of its panels, and a split panel hands its two half-panel sums to its
 children as their whole-panel sums, computed from the same end points by
-the same expressions, so every later level evaluates only the 32 nodes of
-the halves.  The nodes of a level go to the evaluator together, one row
-per panel, at most ``_CALL_NODES`` values (nodes times k) per call: the
-first call of a batch covers one panel, which tells k.  Rows with more
-than ``_GROUP_POINTS`` breakpoints in all are refined in consecutive
-groups, so peak memory grows neither with the batch nor with k.
+the same expressions.  The nodes of a pass go to the evaluator together,
+one row per panel, at most ``_CALL_NODES`` values (nodes times k) per
+call: the first call of a batch covers one panel, which tells k.  Rows
+with more than ``_GROUP_POINTS`` breakpoints in all are refined in
+consecutive groups, so peak memory grows neither with the batch nor
+with k.
 :func:`integrate` is its one-integrand case.  Each Gauss sum is a
 fixed-order reduction over the contiguous node axis of one panel, and each
 integral sums its accepted panels in order of their left ends, as one row
@@ -76,10 +77,6 @@ class PiecewiseIntegrand:
     evaluator: Callable
     breakpoints: Sequence[float]
 
-    def pieces(self) -> np.ndarray:
-        _, lo, hi = _pieces(_rows([self.breakpoints]))
-        return np.column_stack([lo, hi])
-
 
 def _rows(breakpoint_sets) -> np.ndarray:
     """Breakpoint lists as the rows of one array, each padded with its last point."""
@@ -114,31 +111,33 @@ def _pieces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return owner[gap], lo[gap], hi[gap]
 
 
-def _gauss_sums(evaluator: Callable, owner: np.ndarray, a: np.ndarray, b: np.ndarray,
+def _gauss_sums(evaluator: Callable, owner: np.ndarray, edges: np.ndarray,
                 tail: tuple | None) -> tuple[np.ndarray, tuple]:
-    """Gauss-Legendre sums of the rules [a[:, r], b[:, r]] of each panel.
+    """Gauss-Legendre sums of the rules [edges[:, r], edges[:, r + 1]] of each panel.
 
-    ``a`` and ``b`` hold one column per rule: the whole panel and its two
-    halves at the first level, the two halves after it.  The nodes of all
-    rules of up to ``_CALL_NODES`` // (16 rules k) panels go to one
-    evaluator call, one row per panel; the first call, before k is known,
-    takes one panel.  Its values have the shape of the nodes plus a tail:
-    () for one integral per row, (k,) for k of them; ``tail`` is the one
-    every call must keep, None before the first call.  Returns the sums as
-    a (panels, rules, k) array, and the tail.  Each rule is summed with its
-    node axis last and contiguous, in one fixed order, so a rule's value
-    depends only on its end points and its row: a half computed at one
-    level is the whole panel of the child that inherits it, bit for bit.
+    ``edges`` holds one row of rule edges per panel: [lo, hi] for the
+    whole panel, [lo, mid, hi] for its two halves.  The nodes of all rules
+    of up to ``_CALL_NODES`` // (16 rules k) panels go to one evaluator
+    call, one row per panel; the first call, before k is known, takes one
+    panel.  Its values have the shape of the nodes plus a tail: () for one
+    integral per row, (k,) for k of them; ``tail`` is the one every call
+    must keep, None before the first call.  Returns the sums as a (panels,
+    rules, k) array, and the tail.  Each rule is summed with its node axis
+    last and contiguous, in one fixed order, so a rule's value depends
+    only on its end points and its row: a half computed at one level is
+    the whole panel of the child that inherits it, bit for bit.
     """
+    rules = edges.shape[1] - 1
     sums = []
     s = 0
-    while s < len(a):
+    while s < len(edges):
         step = 1 if tail is None else max(
-            1, _CALL_NODES // (a.shape[1] * _NODES.size * math.prod(tail)))
+            1, _CALL_NODES // (rules * _NODES.size * math.prod(tail)))
         c = slice(s, s + step)
         s += step
-        half = 0.5 * (b[c] - a[c])
-        x = (0.5 * (b[c] + a[c]))[:, :, None] + half[:, :, None] * _NODES
+        a, b = edges[c, :-1], edges[c, 1:]
+        half = 0.5 * (b - a)
+        x = (0.5 * (b + a))[:, :, None] + half[:, :, None] * _NODES
         nodes = x.reshape(len(x), -1)
         vals = np.asarray(evaluator(owner[c, None], nodes), dtype=float)
         got = vals.shape[2:]
@@ -158,15 +157,16 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
 
     ``evaluator(owner, x)`` gets a column of row indices and one row of
     points for each.  A row of ``x`` holds the Gauss nodes of one panel
-    (48 at the first level, 32 after it), and a panel lies between two
-    consecutive breakpoints of its row, so an evaluator may locate the
-    piece of a row once, from any one of its points.  It returns either an
-    array of ``x.shape``, the value of integrand ``owner[i]`` at every
-    ``x[i, j]``, or an array of ``x.shape + (k,)``, the values of that
-    row's k integrands, the same k on every call.  ``breakpoint_sets``
-    holds one breakpoint list per row, shared by its integrands: a
-    sequence of lists, or a 2-D array whose rows may be padded with pi.
-    The result has one value per row, or shape (rows, k).
+    (16 for a whole piece, 32 for the two halves of a panel at any
+    level), and a panel lies between two consecutive breakpoints of its
+    row, so an evaluator may locate the piece of a row once, from any one
+    of its points.  It returns either an array of ``x.shape``, the value
+    of integrand ``owner[i]`` at every ``x[i, j]``, or an array of
+    ``x.shape + (k,)``, the values of that row's k integrands, the same k
+    on every call.  ``breakpoint_sets`` holds one breakpoint list per row,
+    shared by its integrands: a sequence of lists, or a 2-D array whose
+    rows may be padded with pi.  The result has one value per row, or
+    shape (rows, k).
 
     Every integral gets the panels, decisions, budget and summation order
     it would get alone, so the result equals a loop of :func:`integrate`,
@@ -193,32 +193,29 @@ def _refine(evaluator: Callable, first: int, rows: np.ndarray, tol: float,
             tail: tuple | None) -> tuple[np.ndarray, tuple]:
     """The integrals of rows first, first + 1, ... as a (rows, k) array, and the tail.
 
-    Each panel carries its row, a mask of the row's integrals still
-    refined on it, and its whole-panel sums ``coarse``: evaluated at the
-    first level, inherited from its parent's half after it.  ``created``
-    counts for each integral the panels it is refined on, which is the
-    count it would reach alone.
+    A pass before the loop sums each piece over its whole panel.  Each
+    panel then carries its row, a mask of the row's integrals still
+    refined on it, and its whole-panel sums ``coarse``, which a child
+    inherits from its parent's half; every level evaluates the two halves
+    of its panels.  ``created`` counts for each integral the panels it is
+    refined on, which is the count it would reach alone.
     """
     owner, lo, hi = _pieces(rows)
-    coarse = active = created = None
+    sums, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, hi]), tail)
+    coarse = sums[:, 0]
+    k = coarse.shape[1]
+    # integral r * k + c of the group is component c of row r; every
+    # integral is refined on every piece
+    key = owner[:, None] * k + np.arange(k)
+    active = np.ones(key.shape, dtype=bool)
+    created = np.bincount(key.ravel(), minlength=len(rows) * k)
     accepted_key: list[np.ndarray] = []
     accepted_left: list[np.ndarray] = []
     accepted_val: list[np.ndarray] = []
 
     while lo.size:
         mid = 0.5 * (lo + hi)
-        if coarse is None:  # first level: every integral is refined on every piece
-            sums, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, lo, mid]),
-                                     np.column_stack([hi, mid, hi]), tail)
-            coarse, halves = sums[:, 0], sums[:, 1:]
-            k = coarse.shape[1]
-            # integral r * k + c of the group is component c of row r
-            key = owner[:, None] * k + np.arange(k)
-            active = np.ones(key.shape, dtype=bool)
-            created = np.bincount(key.ravel(), minlength=len(rows) * k)
-        else:
-            halves, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, mid]),
-                                       np.column_stack([mid, hi]), tail)
+        halves, tail = _gauss_sums(evaluator, owner + first, np.column_stack([lo, mid, hi]), tail)
         fine = halves[:, 0] + halves[:, 1]
         err = np.abs(fine - coarse)
         bad = active & ~np.isfinite(err)
@@ -289,16 +286,3 @@ def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],
         return np.asarray(a(x), dtype=float) * np.asarray(b(x), dtype=float)
 
     return integrate(PiecewiseIntegrand(product, breakpoints), tol)
-
-
-def merged_breakpoints(*point_sets: Sequence[float]) -> np.ndarray:
-    """Union of several breakpoint lists, deduplicated within 1e-14.
-
-    A NaN breakpoint raises ValueError instead of being dropped.
-    """
-    merged = np.unique(np.concatenate([np.asarray(p, dtype=float) for p in point_sets]))
-    if np.isnan(merged).any():
-        raise ValueError("breakpoints must not be NaN")
-    keep = np.ones(merged.size, dtype=bool)
-    keep[1:] = np.diff(merged) > 1e-14
-    return merged[keep]

@@ -16,7 +16,7 @@ from fucik import cli, closedform, grammatrix, nearness, paleywiener
 from fucik.eigenfunction import (SineMode, breakpoints, build, bump_table, evaluate_bumps,
                                   evaluate_panels)
 from fucik.errors import OutOfDomain
-from fucik.quadrature import _CALL_NODES, _NODES, inner_numeric, merged_breakpoints
+from fucik.quadrature import _CALL_NODES, _NODES, inner_numeric
 from fucik.cli import MAX_ROWS, main
 from fucik.spectrum import FucikPoint, complete_point, curve_residual
 
@@ -181,8 +181,8 @@ def _count_panel_nodes(monkeypatch):
 def test_verify_closedform_evaluates_each_node_once(capsys, monkeypatch):
     # the three integrals of an eigenfunction share its panels, so each
     # Gauss node is evaluated once for all three; every piece is accepted
-    # at the first level, 48 nodes (the whole panel and its two halves)
-    # for each of the n pieces of a degree-n eigenfunction
+    # at the first level, 48 nodes (16 for the whole panel, 32 for its
+    # two halves) for each of the n pieces of a degree-n eigenfunction
     nodes = _count_panel_nodes(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "closedform", "--nmax", "6", "--points", "3")
     assert code == 0
@@ -192,7 +192,9 @@ def test_verify_closedform_evaluates_each_node_once(capsys, monkeypatch):
 def test_verify_paleywiener_evaluates_f2_once_per_band(capsys, monkeypatch):
     # A_1 .. A_40 are integrated as two rows of 20 k per gamma, so f2 is
     # evaluated once per node for a row's 20 sines: 2112 nodes for the
-    # three gammas, where one integral per k took 43392
+    # three gammas, 16 for the whole panel of each of the 12 pieces and
+    # 32 for the halves of each of the 60 panels of all levels, where one
+    # integral per k would evaluate f2 anew for each of the 40 k
     nodes = _count_panel_nodes(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "paleywiener")
     assert code == 0
@@ -294,10 +296,22 @@ def test_verify_suites_match_the_per_integral_oracle(capsys):
         for j in funcs:
             if i < j:
                 f, h = funcs[i], funcs[j]
-                quad = inner_numeric(f, h, merged_breakpoints(breakpoints(f), breakpoints(h)),
-                                     1e-11)
+                quad = inner_numeric(
+                    f, h, np.sort(np.concatenate((breakpoints(f), breakpoints(h)))), 1e-11)
                 worst = max(worst, abs(g5.entries[i - 1, j - 1] - quad))
     assert observed["gram_entries_vs_oracle"] == worst
+
+
+def test_gram_rows_do_not_depend_on_the_largest_size(capsys):
+    # a scan assembles its largest size once; the N = 32 row must not
+    # depend on which larger size it was cut from
+    rows = []
+    for sizes in ("8,16,32", "32,512"):
+        code, out, _ = run(capsys, "gram", "--mode", "gamma-line", "--gamma", "5.55",
+                           "--sizes", sizes)
+        assert code == 0
+        rows.append(next(line for line in out.splitlines() if line.startswith("32,")))
+    assert rows[0] == rows[1]
 
 
 def test_csv_determinism(capsys):

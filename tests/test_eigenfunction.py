@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_points
@@ -15,9 +15,11 @@ from fucik.eigenfunction import (
     bump_table,
     evaluate,
     evaluate_bumps,
+    evaluate_panels,
     local_waves,
 )
 from fucik.errors import NotOnCurve, OutOfDomain
+from fucik.quadrature import PiecewiseIntegrand, integrate, integrate_many
 from paper_formulas import dilation_factor
 from fucik.spectrum import (
     FucikPoint,
@@ -93,17 +95,26 @@ def test_pi_stays_in_the_last_bump():
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(points=st.lists(curve_points(), min_size=1, max_size=5))
+# a last bump shorter than the curve defect: only the n + 2-th junction is pi
+@example(points=[FucikPoint(2, 1e20, (math.pi / (math.pi - 9e-10 - math.pi / 1e10)) ** 2)])
 def test_bump_table_junctions_match_breakpoints(points):
     # the stacked rows and the per-function junctions follow one layout,
     # and the bump columns are the built functions' data, bit for bit
     table = bump_table(points)
     for p, row, bumps in zip(points, table.junctions, table.bumps.T):
+        assert row[-1] == math.pi
         assert np.array_equal(row[:np.argmax(row == math.pi) + 1], breakpoints(build(p)))
         f = build(p)
         want = (f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
                 f.point.sqrt_beta, f.l1, f.l1 + f.l2)
         assert bumps.tobytes() == np.array(want).tobytes()
     assert np.shares_memory(table.sa, table.bumps)
+    # the oracle takes the table rows as they are, and integrates on them
+    # what it integrates on each function's own breakpoints
+    stacked = integrate_many(lambda owner, x: evaluate_panels(*table.bumps[:, owner], x),
+                             table.junctions)
+    alone = [integrate(PiecewiseIntegrand(build(p), breakpoints(build(p)))) for p in points]
+    assert stacked.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("n,ratio,side", [

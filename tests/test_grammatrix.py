@@ -65,7 +65,7 @@ def test_gram_diagonal_matches_closedform():
 
 def test_gram_symmetry_and_quadrature_entries():
     from fucik.eigenfunction import breakpoints, build
-    from fucik.quadrature import inner_numeric, merged_breakpoints
+    from fucik.quadrature import inner_numeric
     system = nr.GammaLine(5.0)
     g = gm.build_gram(system, 12)
     m = g.entries
@@ -74,8 +74,8 @@ def test_gram_symmetry_and_quadrature_entries():
     for i in range(2, 13, 2):
         for j in range(i + 2, 13, 2):
             fi, fj = build(system.point(i)), build(system.point(j))
-            direct = inner_numeric(fi, fj, merged_breakpoints(breakpoints(fi), breakpoints(fj)),
-                                   1e-12)
+            direct = inner_numeric(
+                fi, fj, np.sort(np.concatenate((breakpoints(fi), breakpoints(fj)))), 1e-12)
             assert m[i - 1, j - 1] == pytest.approx(direct, abs=1e-11), (i, j)
 
 
@@ -149,6 +149,20 @@ def test_batched_gram_matches_scalar_route(system, N):
     assert np.max(np.abs(batched - scalar)) <= 1e-13
     # structural zeros stay exact zeros, and no other entry vanishes
     assert np.array_equal(batched == 0.0, scalar == 0.0)
+
+
+@pytest.mark.parametrize("system", [
+    nr.GammaLine(5.55),
+    nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(cap_fraction=0.5)),
+    _BATCH_SYSTEMS[-1][0],
+], ids=["gamma-line", "power", "finite"])
+def test_gram_entries_do_not_depend_on_the_order(system):
+    # each pair's product is summed on its own, not padded to the widest
+    # pair of its chunk, so every truncation is the leading block of the
+    # largest one, byte for byte
+    full = gm.build_gram(system, gm.MAX_ORDER).entries
+    for N in (4, 8, 16, 32, 48, 64, 128, 256):
+        assert gm.build_gram(system, N).entries.tobytes() == full[:N, :N].tobytes(), N
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -168,6 +168,13 @@ def test_cap_helpers_refuse_index_below_one():
             with pytest.raises(IndexTooSmall):
                 nr.region_boundary(eps, "even", [2, n])
     assert nr.corollary_cn_cap(1, 0.5, "odd_alpha_dominant") == 0.0
+    # a fractional, infinite or NaN index is no index at all: unguarded,
+    # n = 2.5 gives a cap and n = inf a NaN
+    for n in (2.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            nr.corollary_cn_cap(n, 0.5, "odd_alpha_dominant")
+        with pytest.raises(ValueError):
+            nr.region_boundary(0.5, "odd_beta_dominant", [2, n])
 
 
 def test_uniform_caps_below_pointwise():

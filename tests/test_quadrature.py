@@ -14,13 +14,7 @@ from conftest import curve_points
 from fucik import quadrature
 from fucik.eigenfunction import breakpoints, build, junctions
 from fucik.errors import NoConvergence
-from fucik.quadrature import (
-    PiecewiseIntegrand,
-    inner_numeric,
-    integrate,
-    integrate_many,
-    merged_breakpoints,
-)
+from fucik.quadrature import PiecewiseIntegrand, inner_numeric, integrate, integrate_many
 
 
 def test_trig_norm_and_orthogonality_examples():
@@ -81,17 +75,15 @@ def test_inner_numeric_examples():
 
 
 def test_piecewise_integrand_validation():
-    with pytest.raises(ValueError):
-        PiecewiseIntegrand(np.sin, [0.1, math.pi]).pieces()
-    with pytest.raises(ValueError):
-        PiecewiseIntegrand(np.sin, [0.0, 2.0]).pieces()
-    # NaN at the start, inside and at the end, refused before any refinement
-    for points in ([math.nan, math.pi], [0.0, math.nan, math.pi], [0.0, 1.0, math.nan]):
+    def never(x):
+        raise AssertionError("refused breakpoints are evaluated nowhere")
+
+    # breakpoints off [0, pi] and NaN at the start, inside and at the end
+    # are refused before any refinement
+    for points in ([0.1, math.pi], [0.0, 2.0], [math.nan, math.pi], [0.0, math.nan, math.pi],
+                   [0.0, 1.0, math.nan]):
         with pytest.raises(ValueError):
-            PiecewiseIntegrand(np.sin, points).pieces()
-        # merging refuses NaN too, rather than dropping it
-        with pytest.raises(ValueError):
-            merged_breakpoints(points, [0.0, math.pi])
+            integrate(PiecewiseIntegrand(never, points))
     with pytest.raises(ValueError):
         integrate(PiecewiseIntegrand(np.sin, [0, math.pi]), tol=1e-15)
 
@@ -146,12 +138,6 @@ def test_budget_exhaustion():
 
     with pytest.raises(NoConvergence):
         integrate(PiecewiseIntegrand(rough, [0, math.pi]), tol=1e-13)
-
-
-def test_merged_breakpoints():
-    merged = merged_breakpoints([0, 1.0, math.pi], [0, 1.0 + 5e-15, 2.0, math.pi])
-    assert np.all(np.diff(merged) > 1e-14)
-    assert merged[0] == 0.0 and merged[-1] == pytest.approx(math.pi)
 
 
 def test_bit_stability():
@@ -224,7 +210,8 @@ def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps, fr
 def _reference(evaluator, row, owner, tol, component=None):
     """One integral alone, by plain dyadic refinement: every level
     evaluates the whole panel and both halves of each of its panels
-    afresh.  Returns the integral and the number of panels per level."""
+    afresh.  Returns the integral and the number of panels per level,
+    the first level's being the number of pieces."""
     def rule(a, b):
         half = 0.5 * (b - a)
         x = 0.5 * (b + a) + half * quadrature._NODES
@@ -257,9 +244,10 @@ def _reference(evaluator, row, owner, tol, component=None):
                              (96, 16), (480, 64)]),
        freqs=st.lists(st.integers(1, 48), min_size=1, max_size=3))
 def test_integrate_many_matches_a_plain_reference_bit_for_bit(seed, count, tol, caps, freqs):
-    # children take their parent's half sums and the integrals are summed
-    # by panel count; the reference does neither, so this pins both to
-    # the bits of a refinement that recomputes every rule
+    # whole pieces are summed in a pass of their own, children take their
+    # parent's half sums and the integrals are summed by panel count; the
+    # reference does none of this, so this pins all three to the bits of
+    # a refinement that recomputes every rule
     g = _Sinusoids(np.random.default_rng(seed), count)
     m = np.array(freqs)
     counted, rows = [], []
@@ -278,14 +266,14 @@ def test_integrate_many_matches_a_plain_reference_bit_for_bit(seed, count, tol, 
             for i in range(count)]
     assert wide.tobytes() == np.array(want).tobytes()
 
-    # 48 nodes per panel at the first level, whole panel and both halves,
-    # and only the 32 of the halves on every panel after it
+    # 16 nodes per piece for its whole panel, before any level, and the
+    # 32 of the two halves on every panel of every level
     for calls in (counted, rows):
-        assert {width for _, width in calls} <= {48, 32}
-        assert sum(n for n, width in calls if width == 48) == sum(
+        assert {width for _, width in calls} <= {16, 32}
+        assert sum(n for n, width in calls if width == 16) == sum(
             levels[0] for _, levels in reference)
     assert sum(n for n, width in counted if width == 32) == sum(
-        sum(levels[1:]) for _, levels in reference)
+        sum(levels) for _, levels in reference)
 
 
 def test_integrate_many_spans_several_calls_per_level():
@@ -360,8 +348,9 @@ def test_integrate_many_fails_fast_on_non_finite_values():
     with pytest.raises(NoConvergence, match="integral 3 has a non-finite"):
         integrate_many(batch, [[0, math.pi]] * 5, tol=1e-13)
     # found at the first level, not after refining to the 2**20 budget: one
-    # call for the panel that tells k, one for the other four panels
-    assert calls == [1, 4]
+    # call for the whole panel that tells k, one for the other four, and
+    # one for the halves of all five
+    assert calls == [1, 4, 5]
 
     def wide(owner, x):
         calls.append(owner.size)
@@ -371,21 +360,22 @@ def test_integrate_many_fails_fast_on_non_finite_values():
     calls.clear()
     with pytest.raises(NoConvergence, match="integral 2, component 1 has a non-finite"):
         integrate_many(wide, [[0, math.pi]] * 4)
-    assert calls == [1, 3]
+    assert calls == [1, 3, 4]
 
 
 def test_integrate_many_ignores_integrals_already_accepted():
-    # component 0 is accepted at the first level; it turns NaN afterwards,
-    # where only the panels still refined for component 1 see it
+    # component 0 is accepted at the first level, the second call after
+    # the whole panel's; it turns NaN afterwards, where only the panels
+    # still refined for component 1 see it
     calls = []
 
     def wide(owner, x):
         calls.append(owner.size)
-        first = np.sin(x) if len(calls) == 1 else np.full(x.shape, np.nan)
+        first = np.sin(x) if len(calls) <= 2 else np.full(x.shape, np.nan)
         return np.stack([first, np.sin(30 * x) ** 2], axis=-1)
 
     out = integrate_many(wide, [[0, math.pi]])
-    assert len(calls) > 1
+    assert len(calls) > 2
     assert out[0, 0] == integrate(PiecewiseIntegrand(np.sin, [0, math.pi]))
     assert out[0, 1] == integrate(PiecewiseIntegrand(lambda x: np.sin(30 * x) ** 2,
                                                      [0, math.pi]))
@@ -441,5 +431,6 @@ def test_padded_junction_rows_give_the_cut_pieces(points):
     l = np.array([f.l1 + f.l2 for f in funcs])[:, None]
     rows = junctions(l1, l, max(p.n for p in points) + 2)
     for f, row in zip(funcs, rows):
-        padded = PiecewiseIntegrand(f, row).pieces()
-        assert np.array_equal(padded, PiecewiseIntegrand(f, breakpoints(f)).pieces())
+        _, lo, hi = quadrature._pieces(quadrature._rows([row]))
+        _, want_lo, want_hi = quadrature._pieces(quadrature._rows([breakpoints(f)]))
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
