@@ -6,8 +6,11 @@ digits, LF line endings.  The run report (wall time, per-check lines)
 goes to stderr so it never perturbs the payload.
 
 Exit codes: 0 all checks passed / verdict certified, 1 a check failed or
-a verdict came back inconclusive, 2 usage error.  Every count taken from
-the command line is bounded before any work starts.
+a verdict came back inconclusive, 2 a refused input (a :class:`UsageError`
+or a :class:`~fucik.errors.FucikError`).  Any other exception is a fault
+and propagates with its traceback.  Every count taken from the command
+line is bounded, by :func:`~fucik.errors.require_int`, before any work
+starts.
 
 The argument parser is built once per process, on the first :func:`main`
 call (not at import), and reused by every later call: parsing leaves it
@@ -33,7 +36,7 @@ import numpy as np
 
 from . import __version__, closedform, grammatrix, nearness, paleywiener
 from .eigenfunction import build, bump_table, evaluate_panels
-from .errors import FucikError
+from .errors import FucikError, require_int
 from .quadrature import integrate_many
 from .spectrum import TAU_CURVE, complete_point, curve_residual, diagonal_point, gamma_line_point
 
@@ -45,13 +48,6 @@ MAX_ROWS = 100_000
 
 class UsageError(Exception):
     pass
-
-
-def _count(name: str, value, lo, hi):
-    """Return ``value`` if it lies in [lo, hi]; otherwise raise UsageError."""
-    if not lo <= value <= hi:
-        raise UsageError(f"{name} must lie in [{lo}, {hi}], got {value}")
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +121,8 @@ def _resolve_point(args) -> "FucikPoint":
 def _cmd_point(args, checks) -> str:
     if args.samples is not None:
         # whole curves n = 2..nmax, sampled in sqrt(alpha) off the diagonal
-        _count("--nmax", args.nmax, 2, MAX_ROWS // 2)
-        _count("--samples", args.samples, 2, MAX_ROWS // (args.nmax - 1))
+        require_int(args.nmax, "--nmax", 2, MAX_ROWS // 2)
+        require_int(args.samples, "--samples", 2, MAX_ROWS // (args.nmax - 1))
         rows = []
         for n in range(2, args.nmax + 1):
             lo = max((n / 2 if n % 2 == 0 else (n + 1) / 2) * 1.02, 1.02)
@@ -141,7 +137,7 @@ def _cmd_point(args, checks) -> str:
 
 
 def _cmd_eval(args, checks) -> str:
-    _count("--samples", args.samples, 2, MAX_ROWS)
+    require_int(args.samples, "--samples", 2, MAX_ROWS)
     p = _resolve_point(args)
     xs = np.linspace(0.0, math.pi, args.samples)
     return _csv(["x", "f", "sine"], list(zip(xs, build(p)(xs), np.sin(p.n * xs))))
@@ -186,12 +182,13 @@ def _suite_closedform(args, tol: float, checks: list) -> None:
         return np.stack((f * f, d * d, f * sine), axis=-1)
 
     quad = integrate_many(integrand, t.junctions)
-    worst = {"norm_sq": 0.0, "dist_sq": 0.0, "inner_same": 0.0}
-    for p, (quad_norm, quad_dist, quad_inner) in zip(points, quad):
-        worst["norm_sq"] = max(worst["norm_sq"], abs(closedform.norm_sq(p).value - quad_norm))
-        worst["dist_sq"] = max(worst["dist_sq"], abs(closedform.dist_sq_to_sine(p).value - quad_dist))
-        worst["inner_same"] = max(worst["inner_same"], abs(closedform.inner_same_index(p).value - quad_inner))
-    for name, delta in worst.items():
+    norm = closedform.norms_sq(t)
+    inner = closedform.sine_products(t, t.n[:, None])[:, 0]
+    # dist_sq_to_sine's polarization, clamped at 0 as it is
+    dist = np.maximum(norm + math.pi / 2 - 2 * inner, 0.0)
+    names = ("norm_sq", "dist_sq", "inner_same")
+    for name, exact, oracle in zip(names, (norm, dist, inner), quad.T):
+        delta = float(np.max(np.abs(exact - oracle)))
         checks.append(_check(f"closedform_vs_oracle_{name}", delta <= tol, tol, delta))
 
 
@@ -213,29 +210,20 @@ def _suite_paleywiener(args, tol: float, checks: list) -> None:
     # A_1 .. A_40 as two rows of 20 consecutive k per gamma: f2 is evaluated
     # once per node for the 20 integrals of a row, each refined on its own
     bands = np.arange(1, 41).reshape(2, 20)
-    f2s = bump_table([complete_point(2, alpha=gamma) for gamma in gammas])
+    # the f2 of fourier_Ak at each gamma, and at GAMMA_MAX for the bounds only
+    f2s = bump_table([gamma_line_point(2, gamma) for gamma in (*gammas, paleywiener.GAMMA_MAX)])
     quad = (2 / math.pi) * integrate_many(
         lambda owner, x: (evaluate_panels(*f2s.bumps[:, owner // len(bands)], x)[..., None]
                           * np.sin(x[..., None] * bands[owner % len(bands)])),
-        np.repeat(f2s.junctions, len(bands), axis=0)).reshape(len(gammas), bands.size)
-
-    def sine_coefficients(gamma, count):
-        # A_1 .. A_count, as fourier_Ak gives them, from one gamma-line point
-        p = gamma_line_point(2, gamma)
-        return [paleywiener._sine_coefficient(p, k) for k in range(1, count + 1)]
-
-    # coeffs[gamma][k - 1] = A_k(gamma), computed once for the oracle and the bounds
-    coeffs = {gamma: sine_coefficients(gamma, bands.size) for gamma in gammas}
-    coeffs[paleywiener.GAMMA_MAX] = sine_coefficients(paleywiener.GAMMA_MAX, 29)
-    worst = 0.0
-    for gamma, row in zip(gammas, quad):
-        for a, value in zip(coeffs[gamma], row):
-            worst = max(worst, abs(a - value))
+        np.repeat(f2s.junctions[:len(gammas)], len(bands), axis=0)).reshape(len(gammas), bands.size)
+    # coeffs[i, k - 1] = A_k at the i-th gamma, for the oracle and the bounds
+    coeffs = (2 / math.pi) * closedform.sine_products(f2s, bands.ravel())
+    worst = float(np.max(np.abs(coeffs[:len(gammas)] - quad)))
     checks.append(_check("fourier_Ak_vs_oracle", worst <= tol, tol, worst))
 
     bound_ok = True
     worst_excess = 0.0
-    for gamma, (a1, a2, *rest) in coeffs.items():
+    for gamma, (a1, a2, *rest) in zip((*gammas, paleywiener.GAMMA_MAX), coeffs[:, :29].tolist()):
         excess = max(abs(a1) - paleywiener.ck_bound(gamma, 1),
                      (1 - a2) - paleywiener.ck_bound(gamma, 2),
                      a2 - 1.0)
@@ -286,8 +274,8 @@ _SUITES = {
 
 
 def _cmd_verify(args, checks) -> str:
-    _count("--nmax", args.nmax, 2, 64)
-    _count("--points", args.points, 1, 64)
+    require_int(args.nmax, "--nmax", 2, 64)
+    require_int(args.points, "--points", 1, 64)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     if args.tol is not None:
         if not args.tol > 0:
@@ -348,7 +336,7 @@ def _system_from_args(args) -> nearness.SystemSpec:
 
 
 def _cmd_check_theorem(which: int, args, checks) -> str:
-    _count("--n-partial", args.n_partial, 2, MAX_ROWS)
+    require_int(args.n_partial, "--n-partial", 2, MAX_ROWS)
     system = _system_from_args(args)
     fn = nearness.theorem1_check if which == 1 else nearness.theorem2_check
     report = fn(system, n_partial=args.n_partial)
@@ -378,8 +366,8 @@ def _cmd_gamma_scan(args, checks) -> str:
 
 
 def _cmd_region(args, checks) -> str:
-    _count("--n-from", args.n_from, 1, MAX_ROWS)
-    _count("--n-to", args.n_to, args.n_from, MAX_ROWS)
+    require_int(args.n_from, "--n-from", 1, MAX_ROWS)
+    require_int(args.n_to, "--n-to", args.n_from, MAX_ROWS)
     ns = range(args.n_from, args.n_to + 1)
     if not args.compare:
         return _csv(["n", "boundary"], nearness.region_boundary(args.epsilon, args.branch, ns))
@@ -396,8 +384,12 @@ def _cmd_region(args, checks) -> str:
 
 
 def _cmd_gram(args, checks) -> str:
-    sizes = sorted({_count("--sizes entry", int(s), 1, grammatrix.MAX_ORDER)
-                    for s in args.sizes.split(",")})
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--sizes must list integers separated by commas, "
+                         f"got {args.sizes!r}") from None
+    sizes = sorted({require_int(n, "--sizes entry", 1, grammatrix.MAX_ORDER) for n in sizes})
     scan = grammatrix.riesz_scan(_system_from_args(args), sizes)
     for n, lo, hi in scan:
         checks.append(_check(f"lambda_min_positive_N{n}", lo > 0.0, 0.0, lo))
@@ -517,8 +509,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         payload = args.handler(args, checks)
-    except (UsageError, FucikError, ValueError) as exc:
-        # bad parameter combinations surface as usage errors, not tracebacks
+    except (UsageError, FucikError) as exc:
+        # refused inputs surface as usage errors; a fault keeps its traceback
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start

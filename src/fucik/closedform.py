@@ -40,6 +40,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .eigenfunction import BumpTable, amplitudes, local_waves
+from .errors import InvalidArgument, require_int
 from .spectrum import FucikPoint
 
 #: largest comparator index accepted by inner_cross_index
@@ -140,18 +141,13 @@ def inner_cross_index(p: FucikPoint, m: int) -> ClosedFormValue:
     """Scalar product of the eigenfunction at p with sin(m x), m != n.
 
     Structural zeros are returned exactly: odd n against even m, and even
-    n against even m < n.  Everything else is assembled bump by bump.  A
-    non-integral m raises ValueError instead of being truncated.
+    n against even m < n.  Everything else is assembled bump by bump.  An
+    m outside [1, :data:`M_MAX`], or not an integer, raises InvalidArgument
+    (IndexTooSmall below 1) instead of being truncated.
     """
-    if not float(m).is_integer():
-        raise ValueError(f"comparator index must be an integer, got {m}")
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"comparator index must be >= 1, got {m}")
-    if m > M_MAX:
-        raise ValueError(f"comparator index capped at {M_MAX}, got {m}")
+    m = require_int(m, "comparator index", 1, M_MAX)
     if m == p.n:
-        raise ValueError("use inner_same_index for m == n")
+        raise InvalidArgument("use inner_same_index for m == n")
 
     n = p.n
     if p.case == "diagonal":
@@ -190,9 +186,11 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
 
     The (rows x len(ms)) grid of the values :func:`inner_cross_index`
     gives for an eigenfunction off the diagonal, structural zeros (even m
-    against odd n, or even m < n) set to exactly 0.0.
+    against odd n, or even m < n) set to exactly 0.0.  A (rows, 1) column
+    ``ms`` gives each row its own comparator instead: ``t.n[:, None]``
+    gives the values of :func:`inner_same_index`.
     """
-    m = np.asarray(ms, dtype=np.int64)[None, :]
+    m = np.atleast_2d(np.asarray(ms, dtype=np.int64))
     n = t.n[:, None]
     l1, l2 = t.l1[:, None], t.l2[:, None]
     c = m * t.l[:, None]

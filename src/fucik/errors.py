@@ -1,8 +1,15 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and its one integer check.
 
 Every error derives from :class:`FucikError`, so callers can catch the
 package's failures with a single ``except`` clause while still being able
-to distinguish individual conditions.
+to distinguish individual conditions.  An argument the package refuses
+raises :class:`InvalidArgument` or one of its subclasses; these are also
+``ValueError``, so ``except ValueError`` keeps catching them.  A plain
+``ValueError`` signals a fault inside the package or in a callback it was
+given, not a refused input.
+
+Every index a public function takes (n, m, k, N or ``n_partial``) is
+checked by :func:`require_int`, so they are all refused alike.
 """
 
 
@@ -10,8 +17,12 @@ class FucikError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class IndexTooSmall(FucikError):
-    """A curve index n was below the smallest supported value."""
+class InvalidArgument(FucikError, ValueError):
+    """An argument was refused: out of range, not an integer, or inconsistent."""
+
+
+class IndexTooSmall(InvalidArgument):
+    """An integer index was below the smallest supported value."""
 
 
 class InfeasiblePoint(FucikError):
@@ -48,3 +59,22 @@ class GammaOutOfRange(FucikError):
 
 class OddIndex(FucikError):
     """An even curve index was required."""
+
+
+def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int if it is an integer in [lo, hi] (hi None: no cap).
+
+    An integral float or numpy integer is taken as the int it names.  An
+    integer below ``lo`` raises :class:`IndexTooSmall`; NaN, an infinity,
+    a fraction or an integer above ``hi`` raises :class:`InvalidArgument`.
+    """
+    # NaN and the infinities fail is_integer; an int, however large, is never made a float
+    integral = isinstance(value, int) or float(value).is_integer()
+    if integral and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    if hi is not None:
+        need = f"must lie in [{lo}, {hi}]" + ("" if integral else " and be an integer")
+    else:
+        need = f"must be >= {lo}" if integral else "must be an integer"
+    refusal = IndexTooSmall if integral and value < lo else InvalidArgument
+    raise refusal(f"{name} {need}, got {value}")

@@ -21,17 +21,10 @@ import numpy as np
 
 from . import closedform
 from .eigenfunction import bump_table
+from .errors import InvalidArgument, require_int
 from .nearness import SystemSpec
 
 MAX_ORDER = 512
-
-
-def _require_order(N: int) -> int:
-    """N as an int: an integral float is taken as its int, a fraction refused."""
-    if not (float(N).is_integer() and 1 <= N <= MAX_ORDER):
-        raise ValueError(f"truncation order must lie in [1, {MAX_ORDER}] and be an integer, "
-                         f"got {N}")
-    return int(N)
 
 
 @dataclass(frozen=True)
@@ -58,10 +51,11 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     (:func:`~fucik.closedform.norms_sq`), their products with the sines
     of the system (:func:`~fucik.closedform.sine_products`), and their
     pairwise products (:func:`~fucik.closedform.pair_products`).
-    An integral float N is taken as its int and a fractional one raises
-    ValueError.  ``max_workers`` is accepted for older callers and ignored.
+    An integral float N is taken as its int; an N outside [1, MAX_ORDER],
+    or not an integer, raises InvalidArgument (IndexTooSmall below 1).
+    ``max_workers`` is accepted for older callers and ignored.
     """
-    N = _require_order(N)
+    N = require_int(N, "truncation order", 1, MAX_ORDER)
     points = [system.point(i) for i in range(1, N + 1)]
     sine = np.array([p.case == "diagonal" for p in points])
     s, e = np.flatnonzero(sine), np.flatnonzero(~sine)
@@ -100,11 +94,11 @@ def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, 
     submatrices, so the interlacing monotonicity (lambda_min nonincreasing,
     lambda_max nondecreasing) is exact by construction.
     """
-    sizes = [_require_order(n) for n in Ns]
+    sizes = [require_int(n, "truncation order", 1, MAX_ORDER) for n in Ns]
     if not sizes:
-        raise ValueError("riesz_scan needs at least one truncation order")
+        raise InvalidArgument("riesz_scan needs at least one truncation order")
     if sizes != sorted(sizes):
-        raise ValueError("truncation orders must be ascending")
+        raise InvalidArgument("truncation orders must be ascending")
     full = build_gram(system, sizes[-1])
     out = []
     for n in sizes:

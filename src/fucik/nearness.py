@@ -41,9 +41,10 @@ import numpy as np
 from . import closedform, paleywiener
 from .errors import (
     DivergentArgument,
-    IndexTooSmall,
+    InvalidArgument,
     OddEntriesNotDiagonal,
     TailNotBoundable,
+    require_int,
 )
 from .spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
@@ -99,9 +100,7 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
     with sa = sqrt(alpha), sb = sqrt(beta).  Zero exactly on the diagonal.
     (alpha, beta) must be a valid :class:`FucikPoint` on the n-th curve.
     """
-    if n < 2:
-        raise IndexTooSmall(f"bound_Cn needs n >= 2, got {n}")
-    return _cn(FucikPoint(n, alpha, beta))
+    return _cn(FucikPoint(require_int(n, "curve index", 2), alpha, beta))
 
 
 _B2K_OVER_FACT = (
@@ -158,21 +157,13 @@ def zeta(s: float) -> float:
     return 1.0 + _zeta_minus_one(s)
 
 
-def _require_index(n: int) -> None:
-    # NaN, infinities and fractions fail is_integer; none is rounded to an index
-    if not float(n).is_integer():
-        raise ValueError(f"curve index must be an integer, got {n}")
-    if n < 1:
-        raise IndexTooSmall(f"curve index must be >= 1, got {n}")
-
-
 def _cap_zeta(epsilon: float) -> float:
     """zeta(1 + epsilon) - 1, the denominator of every cap, checked."""
     if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
     z = _zeta_minus_one(1.0 + epsilon)
     if not z >= sys.float_info.min:
-        raise ValueError(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
+        raise InvalidArgument(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
     return z
 
 
@@ -188,7 +179,7 @@ def _cap_numerator(n, branch: Branch):
         return 1.0 / 46
     if branch == "odd_beta_uniform":
         return 1.0 / 10
-    raise ValueError(f"unknown branch {branch!r}")
+    raise InvalidArgument(f"unknown branch {branch!r}")
 
 
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
@@ -199,9 +190,9 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).  An index
     n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one
-    ValueError.
+    InvalidArgument.
     """
-    _require_index(n)
+    n = require_int(n, "curve index", 1)
     z = _cap_zeta(epsilon)
     return _cap_numerator(n, branch) / z
 
@@ -215,7 +206,7 @@ def region_boundary(epsilon: float, branch: Branch,
     """
     out = []
     for n in n_range:
-        _require_index(n)
+        n = require_int(n, "curve index", 1)
         cap = corollary_cn_cap(max(n, 2), epsilon, branch)
         out.append((n, n + math.sqrt(cap) * n ** ((1.0 - epsilon) / 2.0)))
     return out
@@ -252,10 +243,10 @@ class BranchRule:
 
     def __post_init__(self):
         if (self.c is None) == (self.cap_fraction is None):
-            raise ValueError("give exactly one of c= or cap_fraction=")
+            raise InvalidArgument("give exactly one of c= or cap_fraction=")
         value = self.c if self.c is not None else self.cap_fraction
         if not 0 <= value <= _C_MAX:
-            raise ValueError(f"rule constants must lie in [0, {_C_MAX}], got {value}")
+            raise InvalidArgument(f"rule constants must lie in [0, {_C_MAX}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,7 @@ class FinitePerturbation:
         seen = {}
         for e in self.entries:
             if e.n in seen:
-                raise ValueError(f"duplicate entry for n = {e.n}")
+                raise InvalidArgument(f"duplicate entry for n = {e.n}")
             seen[e.n] = e
         object.__setattr__(self, "_by_n", seen)
 
@@ -297,7 +288,7 @@ class PowerFamily:
         if not math.isfinite(self.epsilon):
             raise TailNotBoundable(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
 
     def _rule(self, n: int) -> Optional[BranchRule]:
         return self.even if n % 2 == 0 else self.odd
@@ -311,7 +302,7 @@ class PowerFamily:
         branch = "even" if n % 2 == 0 else f"odd_{rule.side}_dominant"
         c = rule.cap_fraction * corollary_cn_cap(n, self.epsilon, branch)
         if not c <= _C_MAX:
-            raise ValueError(f"growth constant c_{n} = {c} exceeds {_C_MAX}")
+            raise InvalidArgument(f"growth constant c_{n} = {c} exceeds {_C_MAX}")
         return c
 
     def dominant_sqrt(self, n: int) -> float:
@@ -374,11 +365,10 @@ class NearnessReport:
 
 def _require_checkable(system: SystemSpec, n_partial: int) -> int:
     """n_partial as an int: an integral float is taken as its int, a fraction refused."""
-    if not (float(n_partial).is_integer() and n_partial >= 2):
-        raise ValueError(f"n_partial must be an integer of at least 2, got {n_partial}")
+    n_partial = require_int(n_partial, "n_partial", 2)
     if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
         raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
-    return int(n_partial)
+    return n_partial
 
 
 def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
@@ -418,7 +408,7 @@ def _power_family_partial(system: PowerFamily, n_cut: int, s_exp: float) -> floa
 
     The terms are those of :meth:`PowerFamily.c_value` and :func:`_k`, and
     ``math.fsum`` keeps the sum exactly rounded.  A growth constant above
-    1e300 (or NaN) is refused with ValueError naming its first index.
+    1e300 (or NaN) is refused with InvalidArgument naming its first index.
     """
     terms = []
     for first, rule in ((2, system.even), (3, system.odd)):
@@ -434,7 +424,8 @@ def _power_family_partial(system: PowerFamily, n_cut: int, s_exp: float) -> floa
             bad = np.flatnonzero(~(c <= _C_MAX))
             if bad.size:
                 i = bad[0]
-                raise ValueError(f"growth constant c_{int(n[i])} = {c[i]} exceeds {_C_MAX}")
+                raise InvalidArgument(
+                    f"growth constant c_{int(n[i])} = {c[i]} exceeds {_C_MAX}")
         k = K_EVEN if first == 2 else _k_odd(n, rule.side)
         # float_power, as in _power_tail: each term as the scalar route rounds it
         terms += (k * c * np.float_power(n, -s_exp)).tolist()

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from . import closedform
-from .errors import GammaOutOfRange
+from .errors import GammaOutOfRange, InvalidArgument, require_int
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -56,9 +56,10 @@ TAIL_CONSTANT = math.pi ** 2 / 108 - 536741 / 6350400
 def Tk_norm(k: int) -> float:
     """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k.
 
-    A k below 1, non-integral, NaN or infinite raises ValueError.
+    A k below 1 raises IndexTooSmall, and a non-integral, NaN or infinite
+    one InvalidArgument.
     """
-    _require_index(k, "dilation index")
+    k = require_int(k, "dilation index", 1)
     if k % 2 == 0:
         return 1.0
     return math.sqrt((k + 1) / k)
@@ -69,18 +70,13 @@ def fourier_Ak(gamma: float, k: int) -> float:
 
     Assembled bump by bump by :mod:`fucik.closedform`, which needs no
     special case at the resonances k^2 = gamma and
-    k^2 (sqrt(gamma)-1)^2 = gamma.  k is capped at
-    :data:`fucik.closedform.M_MAX`.
+    k^2 (sqrt(gamma)-1)^2 = gamma.  k is checked as in :func:`Tk_norm`
+    and capped at :data:`fucik.closedform.M_MAX`.
     """
     if gamma < GAMMA_MIN:
         raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
-    if k < 1:
-        raise ValueError(f"coefficient index must be >= 1, got {k}")
-    return _sine_coefficient(gamma_line_point(2, gamma), k)
-
-
-def _sine_coefficient(p, k: int) -> float:
-    # (2/pi) <f_2, sin(k .)> at a gamma-line point p = gamma_line_point(2, gamma)
+    k = require_int(k, "coefficient index", 1)
+    p = gamma_line_point(2, gamma)
     inner = closedform.inner_same_index(p) if k == 2 else closedform.inner_cross_index(p, k)
     return (2 / math.pi) * inner.value
 
@@ -90,18 +86,11 @@ def ck_bound(gamma: float, k: int) -> float:
 
     c_1 bounds |A_1|, c_2 bounds 1 - A_2 (which is nonnegative for gamma
     in range), and for k >= 3 the bound dominates |A_k|.  All three carry
-    the factor sqrt(gamma) - 2 and vanish at gamma = 4.  A k below 1,
-    non-integral, NaN or infinite raises ValueError.
+    the factor sqrt(gamma) - 2 and vanish at gamma = 4.  k is checked as
+    in :func:`Tk_norm`.
     """
     _require_gamma_range(gamma)
-    _require_index(k, "coefficient index")
-    return _ck(gamma, k)
-
-
-def _require_index(k, name: str) -> None:
-    # NaN, infinities and fractions fail is_integer; none is rounded to an index
-    if not (float(k).is_integer() and k >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {k}")
+    return _ck(gamma, require_int(k, "coefficient index", 1))
 
 
 def _common(gamma: float) -> float:
@@ -170,7 +159,7 @@ def gamma_admissible_max(tol: float) -> float:
     Postcondition: E(result) < 1 <= E(result + tol).
     """
     if not tol >= 1e-10:
-        raise ValueError(f"tol must be >= 1e-10, got {tol}")
+        raise InvalidArgument(f"tol must be >= 1e-10, got {tol}")
     lo, hi = 4.0, 8.0
     if E_gamma_extended(hi) < 1.0:
         return hi

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import InvalidArgument, NoConvergence
 
 DEFAULT_TOL = 1e-12
 MIN_TOL = 1e-14
@@ -82,11 +82,11 @@ def _rows(breakpoint_sets) -> np.ndarray:
     """Breakpoint lists as the rows of one array, each padded with its last point."""
     if isinstance(breakpoint_sets, np.ndarray):
         if breakpoint_sets.ndim != 2:
-            raise ValueError("breakpoint rows must form a 2-D array")
+            raise InvalidArgument("breakpoint rows must form a 2-D array")
         return np.asarray(breakpoint_sets, dtype=float)
     lists = [np.asarray(b, dtype=float) for b in breakpoint_sets]
     if any(b.ndim != 1 or b.size < 2 for b in lists):
-        raise ValueError("breakpoints must list at least [0, pi]")
+        raise InvalidArgument("breakpoints must list at least [0, pi]")
     rows = np.empty((len(lists), max((b.size for b in lists), default=2)))
     for row, b in zip(rows, lists):
         row[:b.size] = b
@@ -97,13 +97,13 @@ def _rows(breakpoint_sets) -> np.ndarray:
 def _pieces(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner row, left, right) of each gap between distinct breakpoints of a row."""
     if rows.shape[1] < 2:
-        raise ValueError("breakpoints must list at least [0, pi]")
+        raise InvalidArgument("breakpoints must list at least [0, pi]")
     # comparisons written so that a NaN breakpoint fails them
     if not (np.all(np.abs(rows[:, 0]) <= 1e-12)
             and np.all(np.abs(rows[:, -1] - math.pi) <= 1e-12)):
-        raise ValueError("breakpoints must start at 0 and end at pi")
+        raise InvalidArgument("breakpoints must start at 0 and end at pi")
     if not np.all(np.diff(rows, axis=1) >= -1e-15):
-        raise ValueError("breakpoints must be sorted ascending")
+        raise InvalidArgument("breakpoints must be sorted ascending")
     b = np.sort(np.clip(rows, 0.0, math.pi), axis=1)
     lo, hi = b[:, :-1], b[:, 1:]
     gap = hi > lo
@@ -176,7 +176,7 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
     subintervals, or as soon as one of its Gauss values is not finite.
     """
     if not tol >= MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
+        raise InvalidArgument(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
     rows = _rows(breakpoint_sets)
     parts = []
     tail = None

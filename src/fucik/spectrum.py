@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-from .errors import GammaOutOfRange, IndexTooSmall, InfeasiblePoint, NotOnCurve, OddIndex
+from .errors import (GammaOutOfRange, InfeasiblePoint, InvalidArgument, NotOnCurve, OddIndex,
+                     require_int)
 
 #: absolute tolerance on the curve-equation defect accepted as "on the curve"
 TAU_CURVE = 1e-9
@@ -56,7 +57,8 @@ class FucikPoint:
             "diagonal" means alpha = beta = n^2.
 
     Raises:
-        ValueError: if n is not integral; an integral float is stored as int.
+        InvalidArgument: if n is not integral; an integral float is stored
+            as int.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), and for
             n >= 2 if a coordinate is at or below 1 or infinite.
@@ -71,13 +73,8 @@ class FucikPoint:
     case: Case = field(init=False)
 
     def __post_init__(self):
-        n, alpha, beta = self.n, self.alpha, self.beta
-        if not float(n).is_integer():
-            raise ValueError(f"curve index must be an integer, got {n}")
-        n = int(n)
+        n, alpha, beta = require_int(self.n, "curve index", 1), self.alpha, self.beta
         object.__setattr__(self, "n", n)
-        if n < 1:
-            raise IndexTooSmall(f"curve index must be >= 1, got {n}")
         if n == 1:
             if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
                 raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
@@ -137,14 +134,14 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
     further range check is needed.
 
     Raises:
-        IndexTooSmall: if n < 2.
+        IndexTooSmall: if n < 2; InvalidArgument if n is not an integer, or
+            not exactly one coordinate is given.
         InfeasiblePoint: if the given coordinate is not finite, is not > 1,
             or the partner denominator is not positive.
     """
-    if n < 2:
-        raise IndexTooSmall(f"complete_point needs n >= 2, got {n}")
+    n = require_int(n, "curve index", 2)
     if (alpha is None) == (beta is None):
-        raise ValueError("give exactly one of alpha= or beta=")
+        raise InvalidArgument("give exactly one of alpha= or beta=")
     name, given = ("alpha", alpha) if alpha is not None else ("beta", beta)
     if not math.isfinite(given):
         raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
@@ -182,10 +179,9 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     At gamma = 4 the family collapses to the diagonal points.  A gamma so
     large that beta rounds to 1 or the coordinates overflow is refused.
     """
+    n = require_int(n, "curve index", 2)
     if n % 2 != 0:
         raise OddIndex(f"gamma_line_point needs an even index, got {n}")
-    if n < 2:
-        raise IndexTooSmall(f"curve index must be >= 2, got {n}")
     if not (math.isfinite(gamma) and gamma >= 4.0):
         raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
     sg = math.sqrt(gamma)

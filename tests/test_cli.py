@@ -15,10 +15,10 @@ from conftest import curve_points, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import cli, closedform, grammatrix, nearness, paleywiener
 from fucik.eigenfunction import (SineMode, breakpoints, build, bump_table, evaluate_bumps,
                                   evaluate_panels)
-from fucik.errors import OutOfDomain
+from fucik.errors import FucikError, OutOfDomain
 from fucik.quadrature import _CALL_NODES, _NODES, inner_numeric
 from fucik.cli import MAX_ROWS, main
-from fucik.spectrum import FucikPoint, complete_point, curve_residual
+from fucik.spectrum import FucikPoint, complete_point, curve_residual, gamma_line_point
 
 
 def run(capsys, *argv):
@@ -227,7 +227,7 @@ def _suite_functions():
     """The eigenfunctions the verify suites integrate, at the workload's
     largest shape: closedform samples, the paleywiener f2 and the gram pairs."""
     points = [p for n in range(2, 25) for p in cli._curve_samples(n, 6)]
-    points += [complete_point(2, alpha=gamma) for gamma in (4.5, 5.0, 5.5)]
+    points += [gamma_line_point(2, gamma) for gamma in (4.5, 5.0, 5.5)]
     system = nearness.GammaLine(5.0)
     return points + [p for i in range(1, 9) if (p := system.point(i)).case != "diagonal"]
 
@@ -282,7 +282,7 @@ def test_verify_suites_match_the_per_integral_oracle(capsys):
 
     worst = 0.0
     for gamma in (4.5, 5.0, 5.5):
-        f2 = build(complete_point(2, alpha=gamma))
+        f2 = build(gamma_line_point(2, gamma))
         for k in range(1, 41):
             quad = (2 / math.pi) * inner_numeric(f2, SineMode(k), breakpoints(f2))
             worst = max(worst, abs(paleywiener.fourier_Ak(gamma, k) - quad))
@@ -469,6 +469,35 @@ def test_region_non_finite_is_usage_error(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("usage error: ")
 
+
+
+@pytest.mark.parametrize("argv", [
+    "region --epsilon 0",
+    "region --epsilon 1100",  # zeta(1 + epsilon) - 1 underflows
+    "check-theorem1 --mode power --epsilon 0 --even-c 1",
+    "check-theorem1 --mode power --epsilon 0.5 --even-c -1",
+    "check-theorem1 --mode power --epsilon 1000 --even-cap-fraction 1e10",  # c_2 above 1e300
+    "check-theorem1 --mode finite --entry n=2,alpha=9 --entry n=2,beta=4",
+    "gram --mode diagonal --sizes 8,x",
+])
+def test_refused_inputs_raise_usage_or_package_errors(capsys, argv):
+    # a refusal is a UsageError or a FucikError where it is raised, never a
+    # bare ValueError that main would have to take for one
+    args = cli._build_parser().parse_args(argv.split())
+    with pytest.raises((cli.UsageError, FucikError)):
+        args.handler(args, [])
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("usage error: ")
+
+
+def test_a_fault_is_not_reported_as_a_usage_error(capsys, monkeypatch):
+    def fault(g):
+        raise ValueError("matrix asymmetry 1.000e-03 exceeds 1e-12")
+
+    monkeypatch.setattr(grammatrix, "extreme_eigenvalues", fault)
+    with pytest.raises(ValueError, match="asymmetry"):
+        main(["gram", "--mode", "diagonal", "--sizes", "4"])
+    assert "usage error" not in capsys.readouterr().err
 
 def _readme_commands():
     text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()

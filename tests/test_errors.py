@@ -1,0 +1,106 @@
+"""The package's refusal types and its one integer check, at every index it takes."""
+
+import ast
+import math
+import pathlib
+
+import numpy as np
+import pytest
+
+import fucik
+from fucik import closedform, grammatrix, nearness, paleywiener
+from fucik.errors import FucikError, IndexTooSmall, InvalidArgument, require_int
+from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
+
+SRC = pathlib.Path(fucik.__file__).parent
+
+_DIAGONAL = nearness.FinitePerturbation(())
+
+#: (public function of one index, the largest index below its range)
+INDEX_TAKERS = [
+    (lambda n: FucikPoint(n, 9.0, 2.25), 0),
+    (diagonal_point, 0),
+    (lambda n: complete_point(n, alpha=9.0), 1),
+    (lambda n: gamma_line_point(n, 5.0), 0),
+    (lambda n: nearness.bound_Cn(n, 9.0, 2.25), 1),
+    (lambda n: nearness.corollary_cn_cap(n, 0.5, "even"), 0),
+    (lambda n: nearness.region_boundary(0.5, "even", [n]), 0),
+    (lambda n: nearness.theorem1_check(_DIAGONAL, n), 1),
+    (lambda n: nearness.theorem2_check(_DIAGONAL, n), 1),
+    (paleywiener.Tk_norm, 0),
+    (lambda k: paleywiener.ck_bound(5.0, k), 0),
+    (lambda k: paleywiener.fourier_Ak(5.0, k), 0),
+    (lambda m: closedform.inner_cross_index(complete_point(2, alpha=9.0), m), 0),
+    (lambda N: grammatrix.build_gram(_DIAGONAL, N), 0),
+    (lambda N: grammatrix.riesz_scan(_DIAGONAL, [N]), 0),
+]
+
+
+def test_refusals_are_package_errors_and_value_errors():
+    for cls in (InvalidArgument, IndexTooSmall):
+        assert issubclass(cls, FucikError) and issubclass(cls, ValueError)
+    assert issubclass(IndexTooSmall, InvalidArgument)
+
+
+def test_require_int():
+    for value in (3, 3.0, np.int64(3), np.float64(3.0)):
+        got = require_int(value, "n", 1, 5)
+        assert got == 3 and type(got) is int
+    # an int is compared as it is, never turned into a float that overflows
+    assert require_int(10 ** 400, "n", 1) == 10 ** 400
+    with pytest.raises(InvalidArgument, match=r"n must lie in \[1, 5\], got 1000"):
+        require_int(10 ** 400, "n", 1, 5)
+    with pytest.raises(IndexTooSmall, match=r"n must lie in \[1, 5\], got -1000"):
+        require_int(-10 ** 400, "n", 1, 5)
+    with pytest.raises(IndexTooSmall, match="n must be >= 2, got 1"):
+        require_int(1, "n", 2)
+    for bad in (2.5, math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)):
+        with pytest.raises(InvalidArgument, match="must be an integer") as info:
+            require_int(bad, "n", 1)
+        assert type(info.value) is InvalidArgument
+        with pytest.raises(InvalidArgument, match=r"must lie in \[1, 5\] and be an integer"):
+            require_int(bad, "n", 1, 5)
+
+
+@pytest.mark.parametrize("call, below", INDEX_TAKERS)
+def test_every_index_is_refused_alike(call, below):
+    for bad in (2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgument, match="integer") as info:
+            call(bad)
+        assert type(info.value) is InvalidArgument
+    for bad in (below, float(below), below - 3):
+        with pytest.raises(IndexTooSmall):
+            call(bad)
+
+
+def test_gamma_line_checks_the_integer_before_the_parity():
+    with pytest.raises(InvalidArgument, match="must be an integer, got 2.5") as info:
+        gamma_line_point(2.5, 5.0)
+    assert type(info.value) is InvalidArgument
+
+
+def _value_error_raises(path: pathlib.Path):
+    """(module, function) of every ``raise ValueError`` in a source file."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    found.append((path.stem, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_only_faults_raise_a_plain_value_error():
+    # every refused argument raises InvalidArgument; a plain ValueError is
+    # left to the checks that catch a fault, which the CLI must not report
+    # as a usage error
+    found = [site for path in sorted(SRC.glob("*.py")) for site in _value_error_raises(path)]
+    assert sorted(found) == [("grammatrix", "extreme_eigenvalues"), ("quadrature", "_gauss_sums")]
