@@ -12,7 +12,11 @@ The sums over the bump train collapse through the closed progression
 identity.  The squared norm is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2
 and the squared distance to sin(n x) follows by polarization.  Products
 of two eigenfunctions (:func:`pair_products`) are integrated exactly on
-each piece between their merged junction points.  Where the junctions
+each piece between their merged junction points, in the sine form
+2 sin(kappa h / 2) / kappa of a cosine of frequency kappa over a piece of
+length h (h itself where kappa is exactly 0), and only over real pieces:
+the pairs run widest first, and each chunk's merged rows end after the
+pieces of its widest pair.  Where the junctions
 fall and which bump holds a point is not decided here: both come from the
 layout rules of :mod:`fucik.eigenfunction`.
 
@@ -209,31 +213,50 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
     (ab/2) [cos((w - v) x + ...) - cos((w + v) x + ...)], and each cosine
     integrates over a piece of length h around its midpoint to
-    h cos(phase at the midpoint) sinc(frequency h / 2).  The two junction
-    rows of a pair are concatenated and sorted; padding and shared
-    junction points give pieces with h = 0, which contribute exactly 0.
-    The sinusoid of each factor on a piece comes from
+    cos(phase at the midpoint) 2 sin(kappa h / 2) / kappa for its
+    frequency kappa, or h where kappa = w - v is exactly 0 (two factors
+    with a common frequency); a junction point the two factors share
+    gives a piece with h = 0, which contributes exactly 0.  The sinusoid
+    of each factor on a piece comes from
     :func:`fucik.eigenfunction.local_waves` at the piece's midpoint.
-    The pairs run in chunks of a fixed element count per array, so peak
-    memory does not grow with the truncation order.  Each pair's pieces
-    are summed in sequence, so the zero-length pieces that pad it to the
-    width of its chunk leave its value, and a Gram entry, independent of
-    the pairs it is computed with.
+
+    Only real pieces are integrated.  A pair's merged row is the junctions
+    of f_i below pi, those of f_j after 0, and pi; the pairs run widest
+    first, in chunks of a fixed element count per array sized from the
+    widest pair of the chunk, so peak memory does not grow with the
+    truncation order, and each chunk's sorted rows are cut after the
+    width of that pair.  Every pair is summed over its own pieces alone,
+    so its value, and a Gram entry, does not depend on the pairs it is
+    computed with.
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
     out = np.empty(i.size)
-    width = t.n + 3
-    step = max(1, _PAIR_CHUNK // (2 * t.junctions.shape[1]))
-    for lo in range(0, i.size, step):
-        ii, jj = i[lo:lo + step], j[lo:lo + step]
-        x = np.sort(np.concatenate((t.junctions[ii, :width[ii].max()],
-                                    t.junctions[jj, :width[jj].max()]), axis=1), axis=1)
-        h = np.diff(x, axis=1)
-        mid = x[:, :-1] + h / 2
+    below = np.count_nonzero(t.junctions < np.pi, axis=1)
+    pieces = below[i] + below[j] - 1
+    order = np.argsort(-pieces, kind="stable")
+    lo = 0
+    while lo < order.size:
+        # every row keeps at least one zero-length piece (pi to pi) past
+        # its own, so every bound handed to reduceat lies inside the chunk
+        width = pieces[order[lo]] + 1
+        k = order[lo:lo + max(1, _PAIR_CHUNK // width)]
+        lo += k.size
+        ii, jj = i[k], j[k]
+        x = np.sort(np.concatenate((t.junctions[ii, :below[ii].max() + 1],
+                                    t.junctions[jj, 1:below[jj].max() + 1]), axis=1),
+                    axis=1)[:, :width + 1]
+        g = np.diff(x, axis=1) / 2
+        mid = x[:, :-1] + g
         a, w, s = local_waves(*t.bumps[:, ii, None], mid)
         b, v, u = local_waves(*t.bumps[:, jj, None], mid)
-        minus = np.cos(w * s - v * u) * np.sinc((w - v) * h / (2 * np.pi))
-        plus = np.cos(w * s + v * u) * np.sinc((w + v) * h / (2 * np.pi))
-        out[lo:lo + step] = 0.5 * np.cumsum(a * b * h * (minus - plus), axis=1)[:, -1]
+        kappa = w - v
+        minus = np.divide(np.sin(kappa * g), kappa, out=g.copy(), where=kappa != 0)
+        plus = np.sin((w + v) * g) / (w + v)
+        terms = a * b * (np.cos(w * s - v * u) * minus - np.cos(w * s + v * u) * plus)
+        # reduceat sums each row's own pieces at the even bounds; the odd
+        # bounds sum its trailing zero-length pieces and are dropped
+        start = np.arange(0, terms.size, width)
+        bounds = np.stack((start, start + pieces[k]), axis=1).ravel()
+        out[k] = np.add.reduceat(terms.ravel(), bounds)[::2]
     return out

@@ -11,8 +11,8 @@ from fucik import closedform as cf
 from fucik import grammatrix as gm
 from fucik import nearness as nr
 from fucik import paleywiener as pw
-from fucik.eigenfunction import breakpoints, build
-from fucik.spectrum import complete_point
+from fucik.eigenfunction import breakpoints, build, bump_table
+from fucik.spectrum import complete_point, gamma_line_point
 
 PI = math.pi
 
@@ -136,6 +136,10 @@ _BATCH_SYSTEMS = [
     *[(nr.GammaLine(g), n) for g in (4.2, 5.0, 5.6) for n in (8, 33, 64, 128)],
     (nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(cap_fraction=0.5),
                     odd=nr.BranchRule(c=0.3, side="beta")), 40),
+    # sqrt(alpha) = 6 on the positive bumps of f_4 and f_5 and sqrt(beta) = 6
+    # on the negative bump of f_3: pieces where both factors share a frequency
+    (nr.FinitePerturbation((complete_point(3, beta=36.0), complete_point(4, alpha=36.0),
+                            complete_point(5, alpha=36.0))), 10),
     (nr.FinitePerturbation((complete_point(3, alpha=13.0), complete_point(4, alpha=20.0),
                             complete_point(5, beta=31.0), complete_point(9, alpha=90.0))), 12),
 ]
@@ -163,6 +167,38 @@ def test_gram_entries_do_not_depend_on_the_order(system):
     full = gm.build_gram(system, gm.MAX_ORDER).entries
     for N in (4, 8, 16, 32, 48, 64, 128, 256):
         assert gm.build_gram(system, N).entries.tobytes() == full[:N, :N].tobytes(), N
+
+
+@st.composite
+def _dilated_pairs(draw):
+    """Curve indices 2a < 2b <= 128 with gcd(a, b) > 1."""
+    d = draw(st.integers(2, 32))
+    b = draw(st.integers(2, 64 // d))
+    a = draw(st.integers(1, b - 1))
+    return 2 * a * d, 2 * b * d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(4.2, pw.GAMMA_MAX), pair=_dilated_pairs())
+def test_pair_products_obey_the_dilation_identity(gamma, pair):
+    # f_2a(x) = F(a x) with F pi-periodic, so the kernel itself must give
+    # G(2a, 2b) = G(2a/d, 2b/d) for d = gcd(a, b): build_gram copies by it
+    n, m = pair
+    d = math.gcd(n, m) // 2
+    table = bump_table([gamma_line_point(k, gamma) for k in (n, m, n // d, m // d)])
+    dilated, primitive = cf.pair_products(table, [0, 2], [1, 3])
+    assert abs(dilated - primitive) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [4.84, 5.0, 5.55, 4.000000000008001])
+def test_gamma_line_gram_matches_its_direct_assembly(gamma):
+    # the same even points as a finite perturbation are all integrated
+    # directly; at gamma = 4.000000000008001 some even rows are diagonal,
+    # so their dilates must be integrated directly too
+    line = nr.GammaLine(gamma)
+    direct = nr.FinitePerturbation(tuple(line.point(n) for n in range(2, 129, 2)))
+    copied = gm.build_gram(line, 128).entries
+    assert np.max(np.abs(copied - gm.build_gram(direct, 128).entries)) <= 1e-13
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
