@@ -20,12 +20,20 @@ pieces of its widest pair.  Where the junctions
 fall and which bump holds a point is not decided here: both come from the
 layout rules of :mod:`fucik.eigenfunction`.
 
+On a dilation line the even eigenfunctions are dilates F(a x) of one
+pi-periodic profile F, and the product of two of them is a sum of
+progressions too (:func:`dilation_products`): summing F over the a
+shifts r pi / a, and over the b periods of the other factor, leaves a
+fixed number of Dirichlet-kernel sums per pair, where merging junctions
+takes 2a + 2b + 1 pieces.
+
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
 :func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``.
 Gram assembly uses the array forms instead: they read the columns of a
 :class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
 data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
-and :func:`pair_products` compute each kind of entry in one numpy pass.
+and :func:`pair_products` compute each kind of entry in one numpy pass;
+:func:`dilation_products` needs only the line's gamma.
 
 The paper's per-case formulas and the adaptive quadrature are independent
 routes to the same numbers; they serve as oracles in the tests and in
@@ -45,7 +53,7 @@ import numpy as np
 
 from .eigenfunction import BumpTable, amplitudes, local_waves
 from .errors import InvalidArgument, require_int
-from .spectrum import FucikPoint
+from .spectrum import FucikPoint, gamma_line_point
 
 #: largest comparator index accepted by inner_cross_index
 M_MAX = 10 ** 4
@@ -260,3 +268,131 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
         bounds = np.stack((start, start + pieces[k]), axis=1).ravel()
         out[k] = np.add.reduceat(terms.ravel(), bounds)[::2]
     return out
+
+
+def _dirichlet_sums(k0: np.ndarray, count: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_{k=k0}^{k0+count-1} exp(i k c) elementwise, for 0 < c and
+    (count - 1) c <= pi.
+
+    The closed form exp(i (k0 + (count - 1)/2) c) sin(count c/2) / sin(c/2)
+    is then well conditioned without reducing c mod 2 pi: every sum
+    spans at most half a turn, and a c next to a nonzero multiple of 2 pi
+    comes with at most one term, where the quotient is exactly 0 or 1.
+    """
+    half = c / 2
+    return np.sin(count * half) / np.sin(half) * np.exp(1j * (k0 + (count - 1) / 2) * c)
+
+
+#: the arc of F (0 positive, 1 negative) whose frequency and amplitude
+#: each of the ten Dirichlet sums of :func:`dilation_products` carries
+_SUM_ARC = np.array([0, 1, 0, 1, 0, 0, 1, 1, 0, 1])
+
+
+def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
+    """int_0^pi F(a x) F(b x) dx for each coprime pair (a[k], b[k]), in closed form.
+
+    F is the eigenfunction f_2 of the dilation line of ``gamma``, continued
+    pi-periodically, so that F(a x) is the line's f_2a:
+
+        F(y) =  A sin(w1 y)          on [0, L1),
+        F(y) = -B sin(w2 (y - L1))   on [L1, pi),
+
+    with w1 = sqrt(alpha_2), w2 = sqrt(beta_2) and L1 = pi / w1.  Every
+    gamma > 4 puts the line on the alpha-dominant side (w1 > 2), so A =
+    w2 / w1 and B = 1 by the rule of
+    :func:`fucik.eigenfunction.amplitudes`; they are not taken from the
+    case of the n = 2 point, which next to gamma = 4 can fall in the
+    diagonal band.
+
+    Substituting y = a x splits (0, a pi) into a periods of F.  For
+    coprime a and b the map k -> b k mod a permutes them, so with
+
+        H(z) = sum_{r < a} F(z + r pi / a)
+
+    the product is G = (1/a) int_0^pi F(y) H(b y / a) dy, that is
+    (1/a) [A int_0^L1 sin(w1 y) H(b y / a) dy
+    - B int_0^(pi - L1) sin(w2 y) H(b (y + L1) / a) dy].
+
+    H has period pi / a.  Let rho = a L1 / pi, q = floor(rho) and phi =
+    rho - q.  On [0, pi / a) the first R terms of H lie on the positive
+    arc, with R = q + 1 below z = phi pi / a (sub-interval 0) and R = q
+    above it (sub-interval 1).  On each sub-interval
+
+        H(z) = Im(C1 exp(i w1 z)) + Im(C2 exp(i w2 z)),
+        C1 = A sum_{r < R} exp(i r w1 pi / a),
+        C2 = -B exp(-i w2 L1) sum_{R <= r < a} exp(i r w2 pi / a),
+
+    two Dirichlet-kernel sums.  One period of H is pi / b in y.  From one
+    period k to the next, the product of an arc of F with H on one
+    sub-interval keeps its shape and shifts its phase by w_arc pi / b, so
+    each run of whole sub-intervals on one arc is one more Dirichlet sum
+    over k.  Only the sub-interval where the arcs meet, at s = b L1 / pi
+    periods, is split, and its two parts are integrated directly.  Four
+    runs and two split parts, two sinusoids of H, and the difference and
+    sum frequency of each product give 24 terms per pair.  Each term
+    carries the integral over its piece (length h, midpoint m) of
+    exp(i nu t), exp(i nu m) 2 sin(nu h / 2) / nu with nu = w_arc -+ w_c b
+    / a, which is h where nu = 0: the one resonance.  The terms of every
+    Dirichlet sum lie on one arc of F, along which the phase advances by
+    pi, so no sum spans more than half a turn and none needs its angle
+    reduced mod 2 pi (:func:`_dirichlet_sums`).
+
+    The work per pair is fixed, whatever a and b; merging the junctions
+    of the two rows (:func:`pair_products`) takes 2a + 2b + 1 pieces.  The
+    terms of a pair are added in a fixed order and nothing is summed
+    across pairs, so a value does not depend on the pairs computed with
+    it.  A pair that is not coprime gets a wrong value: reduce it by its
+    gcd d first, which leaves the product unchanged (F is pi-periodic).
+    """
+    p = gamma_line_point(2, gamma)
+    w1, w2 = p.sqrt_alpha, p.sqrt_beta
+    # F(y) = Im(amp exp(i w y)) on each arc, w and amp taken at that arc
+    w = np.array([[w1], [w2]])
+    amp = np.array([[w2 / w1], [-np.exp(-1j * w2 * math.pi / w1)]])
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    rho = a / w1
+    q = np.floor(rho)
+    phi = rho - q
+    s = b / w1
+    k = np.floor(s)
+    frac = s - k
+    # the split sub-interval of period k: 1 if the arcs meet above phi
+    split = frac >= phi
+    ks = k + split
+    zero = np.zeros_like(phi)
+    one = zero + 1
+    # rows 0-3: C1 and C2 on sub-interval 0, then on 1, summed over r;
+    # rows 4-9: the six pieces summed over the period k, namely the
+    # positive arc on sub-intervals 0 and 1, the negative arc on 0 and 1,
+    # and the positive and the negative part of the split sub-interval
+    first = np.stack((zero, q + 1, zero, q, zero, zero, k + 1, ks, k, k))
+    count = np.stack((q + 1, a - q - 1, q, a - q, ks, k, b - k - 1, b - ks, one, one))
+    wr = w[_SUM_ARC]
+    angle = np.concatenate((np.pi / a * wr[:4], np.pi / b * wr[4:]))
+    sums = _dirichlet_sums(first, count, angle) * amp[_SUM_ARC]
+    coef = sums[:4].reshape(2, 2, -1)
+    # each piece as an offset range [t0, t1) within its period, in units
+    # of pi / b
+    t0 = np.stack((zero, phi, zero, phi, split * phi, frac))
+    t1 = np.stack((phi, one, phi, one, frac, np.where(split, 1.0, phi)))
+    h = (t1 - t0) * (np.pi / b)
+    mid = (t0 + t1) / 2 * (np.pi / b)
+    nu = (w * (b / a))[:, None]
+    wa = wr[4:]
+    sub = np.stack((zero, one, zero, one, split, split)) != 0
+    # C exp(i nu m): each sinusoid of H at the midpoint m of each piece
+    u = np.where(sub, coef[1][:, None], coef[0][:, None]) * np.exp(1j * nu * mid)
+    kappa = np.stack((wa - nu, wa + nu))
+    span = np.divide(2 * np.sin(kappa * h / 2), kappa,
+                     out=np.broadcast_to(h, kappa.shape).copy(), where=kappa != 0)
+    # Im(X) Im(Y) = Re(X conj(Y) - X Y) / 2, summed over H's sinusoids.
+    # A complex product rounds differently with its operands swapped, and
+    # numpy swaps them to reuse a large temporary on the right, so every
+    # complex-by-complex product here starts with a temporary
+    y = np.conj(u) * span[0] - u * span[1]
+    terms = (np.exp(1j * wa * mid) * (y[0] + y[1]) * sums[4:]).real
+    out = terms[0]
+    for piece in terms[1:]:
+        out = out + piece
+    return out / (2 * a)

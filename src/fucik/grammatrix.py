@@ -11,7 +11,9 @@ On a dilation line the even eigenfunctions are dilates f_2a(x) = F(a x)
 of one pi-periodic F (the dilation systems of Hedenmalm, Lindqvist and
 Seip, Duke Math. J. 86, 1997), so the even-even block is
 multiplicative-Toeplitz: G(2a, 2b) = G(2a/d, 2b/d) with d = gcd(a, b).
-Assembly integrates each such class of pairs once, at its primitive pair.
+Assembly evaluates each reduced pair once, in closed form from F alone
+(:func:`~fucik.closedform.dilation_products`), so the identity holds by
+construction.
 
 The scans are diagnostics, not certificates: truncated spectra cannot
 certify an infinite-system Riesz bound, so no verdicts are emitted here.
@@ -57,14 +59,15 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     (:func:`~fucik.closedform.norms_sq`), their products with the sines
     of the system (:func:`~fucik.closedform.sine_products`), and their
     pairwise products (:func:`~fucik.closedform.pair_products`).
-    For a :class:`~fucik.nearness.GammaLine` only the even pairs (2a, 2b)
-    with gcd(a, b) = 1 are integrated; every other even pair copies the
-    entry of (2a/d, 2b/d), d = gcd(a, b).  The identity G(2a, 2b) =
-    G(2a/d, 2b/d) is exact (see :func:`_primitive_rows`), so a copy differs
-    from a direct integration by rounding only.  A pair whose primitive
-    rows are not both eigenfunctions of the truncation (next to gamma = 4
-    some even points are diagonal) is integrated directly, and so is every
-    pair of any other system.
+    On a :class:`~fucik.nearness.GammaLine` every eigenfunction pair is
+    even, f_2a(x) = F(a x) and f_2b(x) = F(b x) for one pi-periodic F, and
+    its product depends only on the reduced pair (a/d, b/d), d = gcd(a, b)
+    (substitute y = d x and use the period of F).  Each distinct reduced
+    pair is evaluated once by
+    :func:`~fucik.closedform.dilation_products`, a fixed number of
+    progression sums per pair instead of the 2a + 2b + 1 pieces of its
+    merged junctions.  Even points that fall in the diagonal band next to
+    gamma = 4 are sines and take no part in it.
     An integral float N is taken as its int; an N outside [1, MAX_ORDER],
     or not an integer, raises InvalidArgument (IndexTooSmall below 1).
     ``max_workers`` is accepted for older callers and ignored.
@@ -82,35 +85,18 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
         m[np.ix_(e, s)] = cross
         m[np.ix_(s, e)] = cross.T
         r, c = np.triu_indices(e.size, 1)
-        rp, cp = _primitive_rows(table.n, r, c) if isinstance(system, GammaLine) else (r, c)
-        own = rp == r
-        m[e[r[own]], e[c[own]]] = closedform.pair_products(table, r[own], c[own])
-        m[e[r], e[c]] = m[e[rp], e[cp]]
+        if isinstance(system, GammaLine):
+            a, b = table.n[r] // 2, table.n[c] // 2
+            d = np.gcd(a, b)
+            base = int(table.n.max())
+            pairs, inverse = np.unique(a // d * base + b // d, return_inverse=True)
+            products = closedform.dilation_products(system.gamma, pairs // base, pairs % base)
+            m[e[r], e[c]] = products[inverse]
+        else:
+            m[e[r], e[c]] = closedform.pair_products(table, r, c)
         m[e[c], e[r]] = m[e[r], e[c]]
     m.setflags(write=False)
     return GramTruncation(m)
-
-
-def _primitive_rows(n: np.ndarray, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the pair whose product equals that of rows (r, c) on a gamma line.
-
-    The even eigenfunctions of a gamma line are dilates f_2a(x) = F(a x) of
-    one pi-periodic F.  With d = gcd(a, b), the substitution y = d x turns
-    the integral of F(a x) F(b x) over (0, pi) into 1/d times that of
-    F(a/d y) F(b/d y) over (0, d pi); this integrand is pi-periodic, so the
-    d periods give G(2a, 2b) = G(2a/d, 2b/d) exactly, and only the pairs
-    with d = 1 need integrating.  The rows of curve indices 2a/d and 2b/d
-    are found by index ``n``, not by position, because a gamma line next
-    to gamma = 4 puts some even points on the diagonal, out of the table;
-    where either is missing the pair stays its own source (r, c), and so
-    it does for d = 1.
-    """
-    d = np.gcd(n[r], n[c]) // 2
-    row = np.full(int(n.max()) + 1, -1)
-    row[n] = np.arange(n.size)
-    rp, cp = row[n[r] // d], row[n[c] // d]
-    found = (rp >= 0) & (cp >= 0)
-    return np.where(found, rp, r), np.where(found, cp, c)
 
 
 def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paper_formulas as paper
 from conftest import curve_points, curve_samples, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import closedform as cf
 from fucik import nearness as nr
+from fucik import paleywiener as pw
+from fucik.eigenfunction import bump_table
 from fucik.errors import NotOnCurve
-from fucik.spectrum import FucikPoint, complete_point, diagonal_point
+from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
 P29 = complete_point(2, alpha=9)
 
@@ -241,3 +244,89 @@ def test_closed_form_properties(p):
     # the slack of test_domination: C_n vanishes on the diagonal
     assert 0.0 <= dist <= nr.bound_Cn(p.n, p.alpha, p.beta) * (1 + 1e-12) + 1e-15
     assert inner == pytest.approx(0.5 * (norm + math.pi / 2 - dist), abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# products of dilates on a gamma line
+
+
+def _coprime_pairs(bmax):
+    return [(a, b) for b in range(2, bmax + 1) for a in range(1, b) if math.gcd(a, b) == 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(gamma=st.floats(4 + 1e-6, pw.GAMMA_MAX), pair=st.sampled_from(_coprime_pairs(64)))
+def test_dilation_products_match_pair_products(gamma, pair):
+    # f_2a(x) = F(a x): the closed form from F against the merged junctions
+    # of the two built rows
+    a, b = pair
+    table = bump_table([gamma_line_point(2 * a, gamma), gamma_line_point(2 * b, gamma)])
+    want = cf.pair_products(table, [0], [1])[0]
+    assert abs(cf.dilation_products(gamma, [a], [b])[0] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [
+    4.84,  # sqrt(gamma) - 1 = 6/5: 5 w1 = 6 w2, a zero frequency at (5, 6)
+    5.0625,  # sqrt(gamma) = 9/4: rho and s are integers at a or b = 9
+    4.000000000008001,  # some even rows fall in the diagonal band
+    pw.GAMMA_MAX,
+])
+def test_dilation_products_at_the_edge_cases(gamma):
+    # every coprime pair a < b <= 64 of the line's eigenfunctions, against
+    # their merged junctions; a row in the diagonal band is sin(2a x), not
+    # F(a x), and is left out
+    line = nr.GammaLine(gamma)
+    keep = [k for k in range(1, 65) if line.point(2 * k).case != "diagonal"]
+    row = {k: i for i, k in enumerate(keep)}
+    a, b = np.array([(a, b) for a, b in _coprime_pairs(64) if a in row and b in row]).T
+    table = bump_table([line.point(2 * k) for k in keep])
+    want = cf.pair_products(table, [row[k] for k in a], [row[k] for k in b])
+    assert np.max(np.abs(cf.dilation_products(gamma, a, b) - want)) <= 1e-13
+
+
+def test_dilation_products_on_the_diagonal_profile():
+    # at gamma = 4, F(y) = sin(2 y), and the Dirichlet angle w1 pi of
+    # a = 1 or b = 1 is 2 pi itself, with one term in its sum
+    a, b = np.array(_coprime_pairs(64)).T
+    assert np.max(np.abs(cf.dilation_products(4.0, a, b))) <= 1e-15
+    assert cf.dilation_products(4.0, [1], [1])[0] == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+def _exact_dilate_product(mpmath, gamma, a, b):
+    """int_0^pi F(a x) F(b x) dx in 40 digits, F the period-pi f_2 of the line.
+
+    F is built here from gamma alone, with exact bump ends k pi / m and
+    (k pi + L1) / m, so no rounding of a built row enters; each piece
+    between merged bump ends is integrated in closed form.
+    """
+    with mpmath.workdps(40):
+        w1 = mpmath.sqrt(mpmath.mpf(gamma))
+        w2 = w1 / (w1 - 1)
+        l1 = mpmath.pi / w1
+
+        def wave(m, x):
+            k = mpmath.floor(m * x / mpmath.pi)
+            if m * x - k * mpmath.pi < l1:
+                return w2 / w1, m * w1, -w1 * k * mpmath.pi
+            return -1, m * w2, -w2 * (k * mpmath.pi + l1)
+
+        ends = sorted({e / m for m in (a, b) for k in range(m)
+                       for e in (k * mpmath.pi, k * mpmath.pi + l1)} | {mpmath.pi})
+        total = mpmath.mpf(0)
+        for x0, x1 in zip(ends, ends[1:]):
+            mid, h = (x0 + x1) / 2, x1 - x0
+            p, w, th = wave(a, mid)
+            q, v, ps = wave(b, mid)
+            for kappa, phase, sign in ((w - v, th - ps, 1), (w + v, th + ps, -1)):
+                span = h if kappa == 0 else 2 * mpmath.sin(kappa * h / 2) / kappa
+                total += sign * p * q / 2 * span * mpmath.cos(kappa * mid + phase)
+        return float(total)
+
+
+@pytest.mark.parametrize("a, b", [(191, 192), (1, 2), (100, 171)])
+def test_dilation_products_against_exact_dilates(a, b):
+    # the closed form uses F alone; merging built rows instead carries the
+    # rounding of their bump ends, about 9e-14 at (191, 192)
+    mpmath = pytest.importorskip("mpmath")
+    got = cf.dilation_products(5.55, [a], [b])[0]
+    assert abs(got - _exact_dilate_product(mpmath, 5.55, a, b)) <= 1e-14

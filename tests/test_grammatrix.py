@@ -182,7 +182,7 @@ def _dilated_pairs(draw):
 @given(gamma=st.floats(4.2, pw.GAMMA_MAX), pair=_dilated_pairs())
 def test_pair_products_obey_the_dilation_identity(gamma, pair):
     # f_2a(x) = F(a x) with F pi-periodic, so the kernel itself must give
-    # G(2a, 2b) = G(2a/d, 2b/d) for d = gcd(a, b): build_gram copies by it
+    # G(2a, 2b) = G(2a/d, 2b/d) for d = gcd(a, b): build_gram relies on it
     n, m = pair
     d = math.gcd(n, m) // 2
     table = bump_table([gamma_line_point(k, gamma) for k in (n, m, n // d, m // d)])
