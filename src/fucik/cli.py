@@ -408,6 +408,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fucik {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes its payload to stdout or to --output
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output")
+    add_command = partial(sub.add_parser, parents=[output])
 
     def add_point_opts(p, diagonal=False):
         p.add_argument("--n", type=int, required=True)
@@ -416,35 +420,31 @@ def _build_parser() -> argparse.ArgumentParser:
         if diagonal:
             p.add_argument("--diagonal", action="store_true")
 
-    p = sub.add_parser("point", help="complete a curve point, or sample whole curves")
+    p = add_command("point", help="complete a curve point, or sample whole curves")
     p.set_defaults(handler=_cmd_point)
     add_point_opts(p)
     p.add_argument("--samples", type=int, help="emit curve samples (CSV) instead")
     p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--output")
 
-    p = sub.add_parser("eval", help="sample an eigenfunction profile (CSV)")
+    p = add_command("eval", help="sample an eigenfunction profile (CSV)")
     p.set_defaults(handler=_cmd_eval)
     add_point_opts(p, diagonal=True)
     p.add_argument("--samples", type=int, default=201)
-    p.add_argument("--output")
 
-    p = sub.add_parser("distance", help="closed-form norm/distance/scalar product")
+    p = add_command("distance", help="closed-form norm/distance/scalar product")
     p.set_defaults(handler=_cmd_distance)
     add_point_opts(p)
-    p.add_argument("--output")
 
-    p = sub.add_parser("verify", help="run an oracle-equivalence suite")
+    p = add_command("verify", help="run an oracle-equivalence suite")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--tol", type=float, help="tighten the suite tolerance (downward only)")
-    p.add_argument("--output")
 
     for which in (1, 2):
-        p = sub.add_parser(f"check-theorem{which}",
-                           help=f"run basisness criterion {which} on a system")
+        p = add_command(f"check-theorem{which}",
+                        help=f"run basisness criterion {which} on a system")
         p.set_defaults(handler=partial(_cmd_check_theorem, which))
         p.add_argument("--mode", choices=["diagonal", "finite", "power", "gamma-line"],
                        required=True)
@@ -459,16 +459,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--odd-side", choices=["alpha", "beta"], default="alpha")
         p.add_argument("--gamma", type=float)
         p.add_argument("--n-partial", type=int, default=2000, dest="n_partial")
-        p.add_argument("--output")
 
-    p = sub.add_parser("gamma-scan", help="tabulate the nearness budget E(gamma)")
+    p = add_command("gamma-scan", help="tabulate the nearness budget E(gamma)")
     p.set_defaults(handler=_cmd_gamma_scan)
     p.add_argument("--from", type=float, required=True, dest="gamma_from")
     p.add_argument("--to", type=float, required=True, dest="gamma_to")
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--output")
 
-    p = sub.add_parser("region", help="region boundary data for the growth caps")
+    p = add_command("region", help="region boundary data for the growth caps")
     p.set_defaults(handler=_cmd_region)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--branch", default="odd_alpha_uniform",
@@ -480,14 +478,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="emit boundary vs dilation-line comparison instead")
     p.add_argument("--gamma", type=float)
     p.add_argument("--c", type=float)
-    p.add_argument("--output")
 
-    p = sub.add_parser("gram", help="extreme eigenvalues of Gram truncations (CSV)")
+    p = add_command("gram", help="extreme eigenvalues of Gram truncations (CSV)")
     p.set_defaults(handler=_cmd_gram)
     p.add_argument("--mode", choices=["diagonal", "gamma-line"], required=True)
     p.add_argument("--gamma", type=float)
     p.add_argument("--sizes", default="8,16,32")
-    p.add_argument("--output")
 
     return parser
 

@@ -33,7 +33,12 @@ Gram assembly uses the array forms instead: they read the columns of a
 :class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
 data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
 and :func:`pair_products` compute each kind of entry in one numpy pass;
-:func:`dilation_products` needs only the line's gamma.
+:func:`dilation_products` needs only the line's gamma.  The scalar and
+the array primitives both stay: a numpy primitive on Python floats costs
+16 to 25 times a ``math`` one, and a point routed through a one-row table
+took 20 to 30 times as long.  Both carry out the same operations in the
+same order, and numpy's float64 ``sin`` matches the C library's, so a
+single point gets the bits of its table row.
 
 The paper's per-case formulas and the adaptive quadrature are independent
 routes to the same numbers; they serve as oracles in the tests and in
@@ -79,15 +84,19 @@ def _case(p: FucikPoint) -> FormulaCase:
 
 
 def _progression_sum(count: int, c: float, d: float) -> float:
-    """sum_{k=0}^{count-1} sin(k c + d) by the closed product identity.
+    """sum_{k=0}^{count-1} sin(k c + d) by the closed product identity, c >= 0.
 
-    Reducing c modulo 2 pi first keeps the quotient well conditioned when
-    c is close to a multiple of 2 pi: numerator and denominator are then
-    sines of small arguments, each accurate to a relative round-off.
+    Reducing c into (-pi, pi] first keeps the quotient well conditioned
+    when c is close to a multiple of 2 pi: numerator and denominator are
+    then sines of small arguments, each accurate to a relative round-off.
+    fmod is exact, and so is the shift by 2 pi (Sterbenz); unlike
+    ``math.remainder``, it keeps a tie at pi where the array form does.
     """
     if count <= 0:
         return 0.0
-    c = math.remainder(c, 2 * math.pi)
+    c = math.fmod(c, 2 * math.pi)
+    if c > math.pi:
+        c -= 2 * math.pi
     if c == 0.0:
         return count * math.sin(d)
     return math.sin(count * c / 2) * math.sin((count - 1) * c / 2 + d) / math.sin(c / 2)
@@ -95,7 +104,8 @@ def _progression_sum(count: int, c: float, d: float) -> float:
 
 def _bump_factor(w: float, m: int) -> float:
     """pi sinc(pi (w - m) / (2 w)) / (w + m), the per-bump weight."""
-    u = math.pi * (w - m) / (2 * w)
+    # the grouping np.sinc uses, so the table route rounds u alike
+    u = math.pi * ((w - m) / (2 * w))
     return math.pi * (math.sin(u) / u if u else 1.0) / (w + m)
 
 
@@ -177,9 +187,7 @@ def norms_sq(t: BumpTable) -> np.ndarray:
 
 
 def _progression_sums(count: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_progression_sum`; every c must be >= 0."""
-    # math.remainder(c, 2 pi) for c >= 0: fmod is exact, and so is the
-    # shift of a value in (pi, 2 pi) by 2 pi (Sterbenz)
+    """Elementwise :func:`_progression_sum`, with the same reduction of c."""
     c = np.fmod(c, 2 * np.pi)
     c = np.where(c > np.pi, c - 2 * np.pi, c)
     flat = c == 0.0
@@ -289,7 +297,7 @@ _SUM_ARC = np.array([0, 1, 0, 1, 0, 0, 1, 1, 0, 1])
 
 
 def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-    """int_0^pi F(a x) F(b x) dx for each coprime pair (a[k], b[k]), in closed form.
+    """int_0^pi F(a x) F(b x) dx for each pair (a[k], b[k]) of indices >= 1, in closed form.
 
     F is the eigenfunction f_2 of the dilation line of ``gamma``, continued
     pi-periodically, so that F(a x) is the line's f_2a:
@@ -303,6 +311,9 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     :func:`fucik.eigenfunction.amplitudes`; they are not taken from the
     case of the n = 2 point, which next to gamma = 4 can fall in the
     diagonal band.
+
+    A pair has the product of (a/d, b/d), d = gcd(a, b) (substitute y = d x,
+    F is pi-periodic), so each distinct reduced pair is evaluated once.
 
     Substituting y = a x splits (0, a pi) into a periods of F.  For
     coprime a and b the map k -> b k mod a permutes them, so with
@@ -341,16 +352,19 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     of the two rows (:func:`pair_products`) takes 2a + 2b + 1 pieces.  The
     terms of a pair are added in a fixed order and nothing is summed
     across pairs, so a value does not depend on the pairs computed with
-    it.  A pair that is not coprime gets a wrong value: reduce it by its
-    gcd d first, which leaves the product unchanged (F is pi-periodic).
+    it.
     """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    d = np.gcd(a, b)
+    base = int(np.max(b // d, initial=0)) + 1
+    pairs, inverse = np.unique(a // d * base + b // d, return_inverse=True)
+    a, b = (pairs // base).astype(float), (pairs % base).astype(float)
     p = gamma_line_point(2, gamma)
     w1, w2 = p.sqrt_alpha, p.sqrt_beta
     # F(y) = Im(amp exp(i w y)) on each arc, w and amp taken at that arc
     w = np.array([[w1], [w2]])
     amp = np.array([[w2 / w1], [-np.exp(-1j * w2 * math.pi / w1)]])
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     rho = a / w1
     q = np.floor(rho)
     phi = rho - q
@@ -395,4 +409,4 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     out = terms[0]
     for piece in terms[1:]:
         out = out + piece
-    return out / (2 * a)
+    return (out / (2 * a))[inverse]

@@ -18,9 +18,9 @@ with k = 0, 1, 2, ...  On the diagonal alpha = beta = n^2 both reduce to
 sin(n x).  The functions live on [0, pi] only, and the evaluators refuse
 points beyond it.
 
-Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays, and
-:func:`evaluate_bumps` evaluates a stacked table of many functions at once;
-:func:`evaluate_panels` does so for quadrature panels, one bump per row.
+Evaluation is vectorized: ``evaluate`` accepts scalars or numpy arrays,
+and :func:`evaluate_panels` evaluates a stacked table of many functions at
+once, one bump per row of points: a quadrature panel, or a single point.
 Only this module places the bumps, by two rules that broadcast over one
 function or a stacked table of many: :func:`junctions` and :func:`local_waves`.
 It also owns the stacked format itself: :func:`bump_table` builds the
@@ -125,10 +125,11 @@ class BumpTable:
     ``l2``, the period ``l`` = l1 + l2, and its ``junctions`` row, padded
     with pi to the common width max(n) + 3: the n + 2 junctions after 0
     reach pi, as in :func:`breakpoints`.  ``bumps`` stacks the columns
-    (a_pos, a_neg, sa, sb, l1, l) that :func:`local_waves`,
-    :func:`evaluate_bumps` and :func:`evaluate_panels` take, in that
-    order, so ``*t.bumps[:, rows]`` gathers them for any rows in one
-    index; the six named columns are its rows.
+    (a_pos, a_neg, sa, sb, l1, l) that :func:`local_waves` and
+    :func:`evaluate_panels` take, in that order, so ``*t.bumps[:, rows]``
+    gathers them for any rows in one index; the six named columns are its
+    rows.  With a (k, 1) column ``rows`` and a (k, 1) x, every point is a
+    one-node panel of its own function.
     """
 
     n: np.ndarray
@@ -171,28 +172,15 @@ def _on_domain(x) -> np.ndarray:
     return np.minimum(np.maximum(arr, 0.0), math.pi)
 
 
-def evaluate_bumps(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
-    """Values at x in [0, pi] of the eigenfunctions with the given bump data.
-
-    The bump data broadcast against x as in :func:`local_waves`, so one
-    call evaluates one function, or a different function at every point.
-    Points are clamped or refused as in :func:`evaluate`.
-    """
-    amp, freq, offset = local_waves(a_pos, a_neg, sa, sb, l1, l, _on_domain(x))
-    return amp * np.sin(freq * offset)
-
-
 def evaluate_panels(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
-    """:func:`evaluate_bumps` for a 2-D x whose every row is one panel.
+    """Values at a 2-D x in [0, pi], each row of x one panel of one function.
 
-    The bump data are columns, one entry per row of x, and each row of x
-    must lie between two consecutive junctions of its function, as the
-    Gauss nodes of one quadrature panel do.  The bump is then looked up
-    once per row, at its middle point, and every point gets the value
-    :func:`evaluate_bumps` gives it, bit for bit: the same offset
-    (x - k l) - (0 or l1), the same sine and the same amplitude.  A row
-    that crosses a junction gets wrong values.  Points are clamped or
-    refused as in :func:`evaluate`.
+    The bump data are columns, one entry per row of x, or scalars for one
+    function.  Each row must lie between two consecutive junctions of its
+    function, as the Gauss nodes of a quadrature panel do and a single
+    point always does: its bump is looked up once, at its middle point, as
+    :func:`local_waves` looks it up.  A row that crosses a junction gets
+    wrong values.  Points are clamped or refused as in :func:`evaluate`.
     """
     x = _on_domain(x)
     kl, t = _bump_pair(l1, l, x[:, x.shape[1] // 2, None])
@@ -204,16 +192,17 @@ def evaluate_panels(a_pos, a_neg, sa, sb, l1, l, x) -> np.ndarray:
 def evaluate(f: FucikEigenfunction, x):
     """Evaluate f at x in [0, pi] (scalar or array).
 
-    Branch selection is exact: x is located inside its bump pair
-    [k l, k l + l1) or [k l + l1, (k+1) l) by :func:`local_waves`.  Points
+    Each point is a one-node panel of :func:`evaluate_panels`, so branch
+    selection is exact: x is located inside its bump pair [k l, k l + l1)
+    or [k l + l1, (k+1) l) as :func:`local_waves` locates it.  Points
     within 1e-12 outside the domain are clamped onto it; anything further,
     and NaN, raises OutOfDomain.
     """
-    out = evaluate_bumps(f.positive_amplitude, f.negative_amplitude,
-                         f.point.sqrt_alpha, f.point.sqrt_beta, f.l1, f.l1 + f.l2, x)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = evaluate_panels(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
+                          f.point.sqrt_beta, f.l1, f.l1 + f.l2, np.reshape(x, (-1, 1)))
+    if np.ndim(x) == 0:
+        return float(out[0, 0])
+    return out.reshape(np.shape(x))
 
 
 def breakpoints(f: FucikEigenfunction) -> np.ndarray:

@@ -4,7 +4,8 @@ Every error derives from :class:`FucikError`, so callers can catch the
 package's failures with a single ``except`` clause while still being able
 to distinguish individual conditions.  An argument the package refuses
 raises :class:`InvalidArgument` or one of its subclasses; these are also
-``ValueError``, so ``except ValueError`` keeps catching them.  A plain
+``ValueError``, so ``except ValueError`` keeps catching them.  Every error
+type but :class:`NoConvergence` is such a refusal.  A plain
 ``ValueError`` signals a fault inside the package or in a callback it was
 given, not a refused input.
 
@@ -25,15 +26,15 @@ class IndexTooSmall(InvalidArgument):
     """An integer index was below the smallest supported value."""
 
 
-class InfeasiblePoint(FucikError):
+class InfeasiblePoint(InvalidArgument):
     """No partner coordinate exists on the requested spectrum curve."""
 
 
-class NotOnCurve(FucikError):
+class NotOnCurve(InvalidArgument):
     """The (alpha, beta) pair does not satisfy the curve equation."""
 
 
-class OutOfDomain(FucikError):
+class OutOfDomain(InvalidArgument):
     """An evaluation point lies outside [0, pi]."""
 
 
@@ -41,23 +42,23 @@ class NoConvergence(FucikError):
     """An iterative scheme exhausted its refinement or sweep budget."""
 
 
-class TailNotBoundable(FucikError):
+class TailNotBoundable(InvalidArgument):
     """A summation criterion was asked for a system with no analytic tail."""
 
 
-class OddEntriesNotDiagonal(FucikError):
+class OddEntriesNotDiagonal(InvalidArgument):
     """A criterion requiring diagonal odd-index entries was violated."""
 
 
-class DivergentArgument(FucikError):
+class DivergentArgument(InvalidArgument):
     """The zeta function was evaluated at or too close to its pole."""
 
 
-class GammaOutOfRange(FucikError):
+class GammaOutOfRange(InvalidArgument):
     """A dilation-line parameter gamma lies outside its admissible range."""
 
 
-class OddIndex(FucikError):
+class OddIndex(InvalidArgument):
     """An even curve index was required."""
 
 

@@ -61,13 +61,12 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     pairwise products (:func:`~fucik.closedform.pair_products`).
     On a :class:`~fucik.nearness.GammaLine` every eigenfunction pair is
     even, f_2a(x) = F(a x) and f_2b(x) = F(b x) for one pi-periodic F, and
-    its product depends only on the reduced pair (a/d, b/d), d = gcd(a, b)
-    (substitute y = d x and use the period of F).  Each distinct reduced
-    pair is evaluated once by
-    :func:`~fucik.closedform.dilation_products`, a fixed number of
-    progression sums per pair instead of the 2a + 2b + 1 pieces of its
-    merged junctions.  Even points that fall in the diagonal band next to
-    gamma = 4 are sines and take no part in it.
+    its product depends only on the reduced pair (a/d, b/d), d = gcd(a, b).
+    :func:`~fucik.closedform.dilation_products` evaluates each distinct
+    reduced pair once, a fixed number of progression sums per pair
+    instead of the 2a + 2b + 1 pieces of its merged junctions.  Even
+    points that fall in the diagonal band next to gamma = 4 are sines and
+    take no part in it.
     An integral float N is taken as its int; an N outside [1, MAX_ORDER],
     or not an integer, raises InvalidArgument (IndexTooSmall below 1).
     ``max_workers`` is accepted for older callers and ignored.
@@ -86,12 +85,8 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
         m[np.ix_(s, e)] = cross.T
         r, c = np.triu_indices(e.size, 1)
         if isinstance(system, GammaLine):
-            a, b = table.n[r] // 2, table.n[c] // 2
-            d = np.gcd(a, b)
-            base = int(table.n.max())
-            pairs, inverse = np.unique(a // d * base + b // d, return_inverse=True)
-            products = closedform.dilation_products(system.gamma, pairs // base, pairs % base)
-            m[e[r], e[c]] = products[inverse]
+            m[e[r], e[c]] = closedform.dilation_products(system.gamma, table.n[r] // 2,
+                                                         table.n[c] // 2)
         else:
             m[e[r], e[c]] = closedform.pair_products(table, r, c)
         m[e[c], e[r]] = m[e[r], e[c]]

@@ -19,13 +19,13 @@ family parametrized by gamma.
 
 With every odd entry diagonal each C_n is K_EVEN times the even-tail
 summand, so the even-tail criterion reuses the summation criterion's sums
-divided by K_EVEN.  A power family's partial sum is computed as arrays,
-one over the even and one over the odd indices, and added by
-``math.fsum``, so it stays exactly rounded; the K_n and cap expressions
-take an int or an array, so the scalar bounds and the array sums share
-them.  The Riemann zeta values and the remainders beyond the partial
-sums come from one power-sum routine (explicit terms below 1000, summed
-as one array, Euler-Maclaurin beyond), never as zeta minus a partial sum.
+divided by K_EVEN.  A power family's sums take one array pass per parity
+class, added by ``math.fsum`` so they stay exactly rounded; the K_n, cap
+and growth-constant expressions take an int or an array, so the scalar
+bounds and the array sums share them.  The Riemann zeta values and the
+remainders beyond the partial sums come from one power-sum routine
+(explicit terms below 1000, summed as one array, Euler-Maclaurin
+beyond), never as zeta minus a partial sum.
 """
 
 from __future__ import annotations
@@ -249,6 +249,26 @@ class BranchRule:
             raise InvalidArgument(f"rule constants must lie in [0, {_C_MAX}], got {value}")
 
 
+def _growth_constants(rule: BranchRule, even: bool, n, epsilon: float):
+    """c_n of one parity class of a power family; n an int or a float array.
+
+    An absolute rule gives its constant; a cap fraction gives that fraction
+    of the class's corollary cap at each n.  A growth constant above 1e300
+    (or NaN) is refused with InvalidArgument naming its first index.
+    """
+    if rule.c is not None:
+        return rule.c
+    branch = "even" if even else f"odd_{rule.side}_dominant"
+    c = rule.cap_fraction * (_cap_numerator(n, branch) / _cap_zeta(epsilon))
+    each = np.broadcast_to(c, np.shape(n))
+    bad = np.flatnonzero(~(each <= _C_MAX))
+    if bad.size:
+        i = bad[0]
+        raise InvalidArgument(
+            f"growth constant c_{int(np.ravel(n)[i])} = {np.ravel(each)[i]} exceeds {_C_MAX}")
+    return c
+
+
 @dataclass(frozen=True)
 class FinitePerturbation:
     """Diagonal system except for finitely many explicit on-curve entries."""
@@ -297,13 +317,8 @@ class PowerFamily:
         rule = self._rule(n)
         if rule is None:
             return 0.0
-        if rule.c is not None:
-            return rule.c
-        branch = "even" if n % 2 == 0 else f"odd_{rule.side}_dominant"
-        c = rule.cap_fraction * corollary_cn_cap(n, self.epsilon, branch)
-        if not c <= _C_MAX:
-            raise InvalidArgument(f"growth constant c_{n} = {c} exceeds {_C_MAX}")
-        return c
+        return _growth_constants(rule, n % 2 == 0, require_int(n, "curve index", 1),
+                                 self.epsilon)
 
     def dominant_sqrt(self, n: int) -> float:
         return n + math.sqrt(self.c_value(n)) * n ** ((1.0 - self.epsilon) / 2.0)
@@ -389,9 +404,7 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
         )
         tail = 0.0
     elif isinstance(system, PowerFamily):
-        s_exp = 1.0 + system.epsilon
-        partial = _power_family_partial(system, n_partial, s_exp)
-        tail = _power_family_tail(system, n_partial, s_exp)
+        partial, tail = _power_family_sums(system, n_partial)
     elif system.gamma == 4.0:
         partial, tail = 0.0, 0.0
     else:
@@ -403,52 +416,38 @@ def theorem1_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:
     return NearnessReport(partial, tail, total, threshold, verdict, r=total)
 
 
-def _power_family_partial(system: PowerFamily, n_cut: int, s_exp: float) -> float:
-    """Sum of K_n c_n n^{-s} over 2 <= n <= n_cut: one array per parity class.
+def _power_family_sums(system: PowerFamily, n_cut: int) -> tuple[float, float]:
+    """(partial, tail) of sum K_n c_n n^{-s}, s = 1 + eps: one pass per parity class.
 
-    The terms are those of :meth:`PowerFamily.c_value` and :func:`_k`, and
-    ``math.fsum`` keeps the sum exactly rounded.  A growth constant above
-    1e300 (or NaN) is refused with InvalidArgument naming its first index.
+    Each class takes its growth constants over 2 <= n <= n_cut as one array
+    (refused as in :meth:`PowerFamily.c_value`), its partial terms, then
+    the bound on its remainder past n_cut.  ``math.fsum`` keeps the
+    partial sum of both classes exactly rounded.
     """
-    terms = []
+    s_exp = 1.0 + system.epsilon
+    terms, tail = [], 0.0
     for first, rule in ((2, system.even), (3, system.odd)):
         if rule is None:
             continue
+        even = first == 2
         n = np.arange(first, n_cut + 1, 2, dtype=float)
-        if rule.c is not None:
-            c = rule.c
-        else:
-            branch = "even" if first == 2 else f"odd_{rule.side}_dominant"
-            c = np.broadcast_to(
-                rule.cap_fraction * (_cap_numerator(n, branch) / _cap_zeta(system.epsilon)), n.shape)
-            bad = np.flatnonzero(~(c <= _C_MAX))
-            if bad.size:
-                i = bad[0]
-                raise InvalidArgument(
-                    f"growth constant c_{int(n[i])} = {c[i]} exceeds {_C_MAX}")
-        k = K_EVEN if first == 2 else _k_odd(n, rule.side)
+        c = _growth_constants(rule, even, n, system.epsilon)
+        k = K_EVEN if even else _k_odd(n, rule.side)
         # float_power, as in _power_tail: each term as the scalar route rounds it
         terms += (k * c * np.float_power(n, -s_exp)).tolist()
-    return math.fsum(terms)
-
-
-def _power_family_tail(system: PowerFamily, n_cut: int, s_exp: float) -> float:
-    first_even, first_odd = n_cut + 2 - n_cut % 2, n_cut + 1 + n_cut % 2
-    # sup of K_n past the cut: for odd n on the alpha side K decreases, so the
-    # first odd index dominates; on the beta side it increases toward 5 pi
-    odd_alpha = system.odd is not None and system.odd.side == "alpha"
-    k_odd = _k(first_odd, "alpha") if odd_alpha else 5 * math.pi
-    tail = 0.0
-    for rule, k_sup, first in ((system.even, K_EVEN, first_even), (system.odd, k_odd, first_odd)):
-        if rule is None:
-            continue
-        remainder = _power_tail(first, s_exp, step=2)
+        past = first + 2 * n.size
+        remainder = _power_tail(past, s_exp, step=2)
         if rule.cap_fraction is not None:
             # remainder / (zeta - 1) <= 1 keeps the product finite
             tail += rule.cap_fraction * (math.pi / 2) * (remainder / _zeta_minus_one(s_exp))
         else:
+            # sup of K_n past the cut: for odd n on the alpha side K decreases,
+            # so the first odd index dominates; on the beta side it increases
+            # toward 5 pi
+            k_sup = (K_EVEN if even else _k_odd(past, "alpha") if rule.side == "alpha"
+                     else 5 * math.pi)
             tail += k_sup * rule.c * remainder
-    return tail
+    return math.fsum(terms), tail
 
 
 def theorem2_check(system: SystemSpec, n_partial: int = 2000) -> NearnessReport:

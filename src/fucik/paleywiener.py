@@ -70,13 +70,12 @@ def fourier_Ak(gamma: float, k: int) -> float:
 
     Assembled bump by bump by :mod:`fucik.closedform`, which needs no
     special case at the resonances k^2 = gamma and
-    k^2 (sqrt(gamma)-1)^2 = gamma.  k is checked as in :func:`Tk_norm`
+    k^2 (sqrt(gamma)-1)^2 = gamma.  gamma is checked by
+    :func:`~fucik.spectrum.gamma_line_point`, and k as in :func:`Tk_norm`
     and capped at :data:`fucik.closedform.M_MAX`.
     """
-    if gamma < GAMMA_MIN:
-        raise GammaOutOfRange(f"gamma must be >= {GAMMA_MIN}, got {gamma}")
-    k = require_int(k, "coefficient index", 1)
     p = gamma_line_point(2, gamma)
+    k = require_int(k, "coefficient index", 1)
     inner = closedform.inner_same_index(p) if k == 2 else closedform.inner_cross_index(p, k)
     return (2 / math.pi) * inner.value
 

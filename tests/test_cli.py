@@ -13,8 +13,7 @@ from hypothesis import given, settings
 
 from conftest import curve_points, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import cli, closedform, grammatrix, nearness, paleywiener
-from fucik.eigenfunction import (SineMode, breakpoints, build, bump_table, evaluate_bumps,
-                                  evaluate_panels)
+from fucik.eigenfunction import SineMode, breakpoints, build, bump_table, evaluate_panels
 from fucik.errors import FucikError, OutOfDomain
 from fucik.quadrature import _CALL_NODES, _NODES, inner_numeric
 from fucik.cli import MAX_ROWS, main
@@ -235,7 +234,8 @@ def _suite_functions():
 def test_stack_finds_the_bump_once_per_panel():
     # on panels of every piece, whole, a sub-panel inside it and 1e-9 wide
     # ones touching its junctions, each as the 32 nodes of its two halves,
-    # the per-row lookup gives the per-node values bit for bit
+    # the per-row lookup gives the per-node values bit for bit: those of
+    # one-node panels, each node its own row
     t = bump_table(_suite_functions())
     rows, lo, hi = [], [], []
     for r, row in enumerate(t.junctions):
@@ -250,8 +250,8 @@ def test_stack_finds_the_bump_once_per_panel():
     a, b = np.column_stack([lo, mid]), np.column_stack([mid, hi])
     x = ((0.5 * (b + a))[:, :, None] + (0.5 * (b - a))[:, :, None] * _NODES).reshape(len(lo), -1)
     rows = np.array(rows)[:, None]
-    bumps = t.bumps[:, rows]
-    assert evaluate_panels(*bumps, x).tobytes() == evaluate_bumps(*bumps, x).tobytes()
+    per_node = evaluate_panels(*t.bumps[:, np.repeat(rows, x.shape[1], axis=0)], x.reshape(-1, 1))
+    assert evaluate_panels(*t.bumps[:, rows], x).tobytes() == per_node.tobytes()
 
     # the domain guard still holds per node
     for bad in (math.nan, math.pi + 1e-11, -1e-11):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paper_formulas as paper
@@ -246,6 +246,30 @@ def test_closed_form_properties(p):
     assert inner == pytest.approx(0.5 * (norm + math.pi / 2 - dist), abs=1e-12)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(curve_points(64).filter(lambda p: p.case != "diagonal"),
+                       min_size=1, max_size=6))
+@example(points=[complete_point(4, alpha=30.0)])  # m = 6: c = 3 pi, a tie mod 2 pi
+def test_single_point_forms_give_the_table_bits(points):
+    """Each single-point form returns the bits of its row in the table forms.
+
+    The two routes share every operation and its order, but one calls the
+    C library's ``sin`` through ``math`` and the other numpy's float64
+    ``sin``, so the test relies on the two agreeing bit for bit.
+    """
+    t = bump_table(points)
+    ms = np.arange(1, 41)
+    cross = cf.sine_products(t, ms)
+    same = cf.sine_products(t, t.n[:, None])[:, 0]
+    norms = cf.norms_sq(t)
+    for p, row, inner, norm in zip(points, cross, same, norms):
+        assert cf.norm_sq(p).value == norm
+        assert cf.inner_same_index(p).value == inner
+        for m, value in zip(ms.tolist(), row):
+            if m != p.n:
+                assert cf.inner_cross_index(p, m).value == value, (p, m)
+
+
 # ----------------------------------------------------------------------
 # products of dilates on a gamma line
 
@@ -263,6 +287,20 @@ def test_dilation_products_match_pair_products(gamma, pair):
     table = bump_table([gamma_line_point(2 * a, gamma), gamma_line_point(2 * b, gamma)])
     want = cf.pair_products(table, [0], [1])[0]
     assert abs(cf.dilation_products(gamma, [a], [b])[0] - want) <= 1e-13
+
+
+@pytest.mark.parametrize("gamma", [4.3, 5.0, pw.GAMMA_MAX])
+def test_dilation_products_reduce_pairs_that_are_not_coprime(gamma):
+    # F(d a x) F(d b x) integrates to the product of (a, b): the bits of the
+    # reduced pair, and the merged junctions of the pair's own rows
+    a, b = np.array([(2, 4), (6, 9), (10, 15), (12, 18), (7, 7)]).T
+    d = np.gcd(a, b)
+    got = cf.dilation_products(gamma, a, b)
+    for value, x, y in zip(got, a // d, b // d):
+        assert value == cf.dilation_products(gamma, [x], [y])[0]
+    table = bump_table([gamma_line_point(2 * k, gamma) for k in (*a, *b)])
+    want = cf.pair_products(table, range(a.size), range(a.size, 2 * a.size))
+    assert np.max(np.abs(got - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("gamma", [

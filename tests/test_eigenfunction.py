@@ -14,7 +14,6 @@ from fucik.eigenfunction import (
     build,
     bump_table,
     evaluate,
-    evaluate_bumps,
     evaluate_panels,
     local_waves,
 )
@@ -220,21 +219,22 @@ def test_domain_guards():
     bumps = bump_table([f.point]).bumps
     for bad in (-0.5, math.pi + 0.1, np.array([[0.0, math.nan]])):
         with pytest.raises(OutOfDomain):
-            evaluate_bumps(*bumps, bad)
+            evaluate_panels(*bumps, np.reshape(bad, (-1, 1)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(points=st.lists(curve_points(), min_size=1, max_size=5), seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_evaluation_matches_evaluate(points, seed):
-    # one row of bump data per point, gathered per sample: the same bits
-    # as evaluating each function on its own
+    # one row of bump data per point, gathered per sample and each sample
+    # a one-node panel: the same bits as evaluating each function on its own
     funcs = [build(p) for p in points]
     table = bump_table(points).bumps
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, len(funcs), size=(40, 1))
     x = np.concatenate([rng.uniform(0.0, math.pi, (40, 7)), np.full((40, 1), math.pi),
                         np.zeros((40, 1))], axis=1)
-    got = evaluate_bumps(*table[:, rows], x)
+    got = evaluate_panels(*table[:, np.repeat(rows, x.shape[1], axis=0)], x.reshape(-1, 1))
+    got = got.reshape(x.shape)
     want = np.array([funcs[r](xs) for r, xs in zip(rows[:, 0], x)])
     assert got.tobytes() == want.tobytes()
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fucik
-from fucik import closedform, grammatrix, nearness, paleywiener
+from fucik import closedform, errors, grammatrix, nearness, paleywiener
 from fucik.errors import FucikError, IndexTooSmall, InvalidArgument, require_int
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
@@ -39,7 +39,24 @@ INDEX_TAKERS = [
 def test_refusals_are_package_errors_and_value_errors():
     for cls in (InvalidArgument, IndexTooSmall):
         assert issubclass(cls, FucikError) and issubclass(cls, ValueError)
-    assert issubclass(IndexTooSmall, InvalidArgument)
+    # every error type but NoConvergence is a refused argument
+    refusals = [cls for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, FucikError)
+                and cls not in (FucikError, InvalidArgument, errors.NoConvergence)]
+    assert len(refusals) == 9
+    assert all(issubclass(cls, InvalidArgument) for cls in refusals)
+    assert not issubclass(errors.NoConvergence, ValueError)
+    calls = [
+        (lambda: nearness.GammaLine(3.9), errors.GammaOutOfRange),
+        (lambda: gamma_line_point(2, math.nan), errors.GammaOutOfRange),
+        (lambda: nearness.PowerFamily(math.nan), errors.TailNotBoundable),
+        (lambda: nearness.corollary_cn_cap(2, math.inf, "even"), errors.DivergentArgument),
+        (lambda: nearness.zeta(1.0), errors.DivergentArgument),
+    ]
+    for call, cls in calls:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert type(info.value) is cls and isinstance(info.value, ValueError)
 
 
 def test_require_int():
