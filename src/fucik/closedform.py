@@ -8,9 +8,11 @@ a sin(w (x - x0)) of length pi/w with midpoint c contributes
 
 to the scalar product with sin(m x); the denominator never vanishes, so
 the resonances m^2 = alpha or beta and the diagonal need no special case.
-The sums over the bump train collapse through the closed progression
-identity.  The squared norm is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2
-and the squared distance to sin(n x) follows by polarization.  Products
+The positive and the negative bump train share the step c = m l, so both
+sums collapse through the closed progression identity with one reduction
+of c per pair, in the scalar and the array form alike.  The squared norm
+is the bump sum k+ a+^2 l1 / 2 + k- a-^2 l2 / 2 and the squared distance
+to sin(n x) follows by polarization.  Products
 of two eigenfunctions (:func:`pair_products`) are integrated exactly on
 each piece between their merged junction points, in the sine form
 2 sin(kappa h / 2) / kappa of a cosine of frequency kappa over a piece of
@@ -28,7 +30,8 @@ fixed number of Dirichlet-kernel sums per pair, where merging junctions
 takes 2a + 2b + 1 pieces.
 
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
-:func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``.
+:func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``
+on the square roots the point stores.
 Gram assembly uses the array forms instead: they read the columns of a
 :class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
 data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
@@ -69,7 +72,7 @@ _PAIR_CHUNK = 8192
 FormulaCase = Literal["even_alpha", "odd_alpha", "even_beta", "odd_beta", "diagonal"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosedFormValue:
     """A number plus the dominance case of its point (or ``diagonal``)."""
 
@@ -83,23 +86,26 @@ def _case(p: FucikPoint) -> FormulaCase:
     return "even_alpha" if p.n % 2 == 0 else "odd_alpha"
 
 
-def _progression_sum(count: int, c: float, d: float) -> float:
-    """sum_{k=0}^{count-1} sin(k c + d) by the closed product identity, c >= 0.
+def _progression_pair(n: int, c: float, d_pos: float, d_neg: float) -> tuple[float, float]:
+    """Positive and negative bump-train sums sum_{k<count} sin(k c + d), c >= 0.
 
-    Reducing c into (-pi, pi] first keeps the quotient well conditioned
-    when c is close to a multiple of 2 pi: numerator and denominator are
-    then sines of small arguments, each accurate to a relative round-off.
-    fmod is exact, and so is the shift by 2 pi (Sterbenz); unlike
-    ``math.remainder``, it keeps a tie at pi where the array form does.
+    (n + 1) // 2 terms from d_pos and n // 2 from d_neg, n >= 2.  Reducing c
+    into (-pi, pi] once keeps both quotients well conditioned next to a
+    multiple of 2 pi: numerator and denominator are then sines of small
+    arguments, each accurate to a relative round-off.  fmod is exact, and
+    so is the shift by 2 pi (Sterbenz); unlike ``math.remainder``, it keeps
+    a tie at pi where the array form does.
     """
-    if count <= 0:
-        return 0.0
     c = math.fmod(c, 2 * math.pi)
     if c > math.pi:
         c -= 2 * math.pi
+    pos, neg = (n + 1) // 2, n // 2
     if c == 0.0:
-        return count * math.sin(d)
-    return math.sin(count * c / 2) * math.sin((count - 1) * c / 2 + d) / math.sin(c / 2)
+        return pos * math.sin(d_pos), neg * math.sin(d_neg)
+    half = c / 2
+    s = math.sin(half)
+    return (math.sin(pos * half) * math.sin((pos - 1) * half + d_pos) / s,
+            math.sin(neg * half) * math.sin((neg - 1) * half + d_neg) / s)
 
 
 def _bump_factor(w: float, m: int) -> float:
@@ -114,9 +120,7 @@ def _sine_product(p: FucikPoint, m: int) -> float:
     a_pos, a_neg = amplitudes(p)
     sa, sb = p.sqrt_alpha, p.sqrt_beta
     l1, l2 = math.pi / sa, math.pi / sb
-    c = m * (l1 + l2)
-    pos = _progression_sum((p.n + 1) // 2, c, m * l1 / 2)
-    neg = _progression_sum(p.n // 2, c, m * (l1 + l2 / 2))
+    pos, neg = _progression_pair(p.n, m * (l1 + l2), m * l1 / 2, m * (l1 + l2 / 2))
     return a_pos * _bump_factor(sa, m) * pos - a_neg * _bump_factor(sb, m) * neg
 
 
@@ -124,6 +128,14 @@ def _norm(p: FucikPoint) -> float:
     a_pos, a_neg = amplitudes(p)
     return ((p.n + 1) // 2 * a_pos ** 2 * math.pi / p.sqrt_alpha
             + p.n // 2 * a_neg ** 2 * math.pi / p.sqrt_beta) / 2
+
+
+def _dist(p: FucikPoint, norm: float) -> float:
+    """Squared distance to sin(n x) off the diagonal, given the squared norm."""
+    # |f|^2 + |sine|^2 - 2 <f, sine> cancels to O(gap^2) next to the
+    # diagonal, where round-off can leave about -1e-15; a squared
+    # distance is never negative
+    return max(norm + math.pi / 2 - 2 * _sine_product(p, p.n), 0.0)
 
 
 def _same_index(p: FucikPoint, diagonal_value: float, off_diagonal) -> ClosedFormValue:
@@ -145,13 +157,7 @@ def dist_sq_to_sine(p: FucikPoint) -> ClosedFormValue:
 
     Vanishes exactly on the diagonal.
     """
-    def dist(q):
-        # |f|^2 + |sine|^2 - 2 <f, sine> cancels to O(gap^2) next to the
-        # diagonal, where round-off can leave about -1e-15; a squared
-        # distance is never negative
-        return max(_norm(q) + math.pi / 2 - 2 * _sine_product(q, q.n), 0.0)
-
-    return _same_index(p, 0.0, dist)
+    return _same_index(p, 0.0, lambda q: _dist(q, _norm(q)))
 
 
 def inner_same_index(p: FucikPoint) -> ClosedFormValue:
@@ -186,14 +192,18 @@ def norms_sq(t: BumpTable) -> np.ndarray:
             + n // 2 * t.a_neg ** 2 * np.pi / t.sb) / 2
 
 
-def _progression_sums(count: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`_progression_sum`, with the same reduction of c."""
+def _progression_pairs(n: np.ndarray, c: np.ndarray, d_pos: np.ndarray, d_neg: np.ndarray):
+    """Elementwise :func:`_progression_pair`; a row with n = 1 gets a zero
+    negative sum."""
     c = np.fmod(c, 2 * np.pi)
     c = np.where(c > np.pi, c - 2 * np.pi, c)
     flat = c == 0.0
     half = np.where(flat, 1.0, c / 2)
-    ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / np.sin(half)
-    return np.where(flat, count * np.sin(d), ratio)
+    s = np.sin(half)
+    def train(count, d):
+        ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / s
+        return np.where(flat, count * np.sin(d), ratio)
+    return train((n + 1) // 2, d_pos), train(n // 2, d_neg)
 
 
 def _bump_factors(w: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -213,9 +223,7 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
     m = np.atleast_2d(np.asarray(ms, dtype=np.int64))
     n = t.n[:, None]
     l1, l2 = t.l1[:, None], t.l2[:, None]
-    c = m * t.l[:, None]
-    pos = _progression_sums((n + 1) // 2, c, m * l1 / 2)
-    neg = _progression_sums(n // 2, c, m * (l1 + l2 / 2))
+    pos, neg = _progression_pairs(n, m * t.l[:, None], m * l1 / 2, m * (l1 + l2 / 2))
     value = (t.a_pos[:, None] * _bump_factors(t.sa[:, None], m) * pos
              - t.a_neg[:, None] * _bump_factors(t.sb[:, None], m) * neg)
     zero = (m % 2 == 0) & ((n % 2 == 1) | (m < n))

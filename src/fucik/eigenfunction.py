@@ -147,9 +147,8 @@ class BumpTable:
 def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
     """Stack the per-function data of the eigenfunctions at ``points``."""
     n = np.array([p.n for p in points], dtype=np.int64)
-    sa = np.sqrt([p.alpha for p in points])
-    sb = np.sqrt([p.beta for p in points])
-    a_pos, a_neg = np.array([amplitudes(p) for p in points]).reshape(-1, 2).T
+    a_pos, a_neg, sa, sb = np.array([(*amplitudes(p), p.sqrt_alpha, p.sqrt_beta)
+                                     for p in points]).reshape(-1, 4).T
     l1, l2 = np.pi / sa, np.pi / sb
     bumps = np.array([a_pos, a_neg, sa, sb, l1, l1 + l2])
     return BumpTable(n, bumps, *bumps, l2,

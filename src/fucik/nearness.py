@@ -216,12 +216,14 @@ def kato_weakened_term(p: FucikPoint) -> float:
     """Summand of the weakened nearness criterion at a single point.
 
     Equals  d - (nf - pi/2 + d)^2 / (4 nf)  with d the squared distance to
-    the comparator sine and nf the squared norm; always in [0, d].
+    the comparator sine and nf the squared norm; always in [0, d], and
+    exactly 0.0 on the diagonal.
     """
-    d = closedform.dist_sq_to_sine(p).value
-    nf = closedform.norm_sq(p).value
-    term = d - (nf - math.pi / 2 + d) ** 2 / (4 * nf)
-    return max(term, 0.0)
+    if p.case == "diagonal":
+        return 0.0
+    nf = closedform._norm(p)
+    d = closedform._dist(p, nf)
+    return max(d - (nf - math.pi / 2 + d) ** 2 / (4 * nf), 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -20,8 +20,9 @@ the trivial point (1, 1) is representable.
 
 A :class:`FucikPoint` is valid by construction: its constructor is the one
 place where a point is checked against its curve and classified, so every
-consumer may take the point as given.  All functions are pure and all
-returned values immutable.
+consumer may take the point as given.  It also computes the square roots
+of its coordinates, the bump frequencies every closed form reads, once and
+for all.  All functions are pure and all returned values immutable.
 """
 
 from __future__ import annotations
@@ -55,13 +56,16 @@ class FucikPoint:
         case: which parameter dominates (derived).  "alpha_dominant" means
             alpha >= n^2 >= beta, "beta_dominant" means beta > n^2 > alpha,
             "diagonal" means alpha = beta = n^2.
+        sqrt_alpha, sqrt_beta: the bump frequencies sqrt(alpha) and
+            sqrt(beta) (derived; not in ``repr``, equality or hashing).
 
     Raises:
         InvalidArgument: if n is not integral; an integral float is stored
             as int.
         IndexTooSmall: if n < 1.
-        InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), and for
-            n >= 2 if a coordinate is at or below 1 or infinite.
+        InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), for
+            n >= 2 if a coordinate is at or below 1 or infinite, and if n
+            or a coordinate is an int beyond float range.
         NotOnCurve: if the curve-equation defect exceeds :data:`TAU_CURVE`;
             a NaN coordinate lands here too.
     """
@@ -71,40 +75,43 @@ class FucikPoint:
     beta: float
     parity: Parity = field(init=False)
     case: Case = field(init=False)
+    sqrt_alpha: float = field(init=False, repr=False, compare=False)
+    sqrt_beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, alpha, beta = require_int(self.n, "curve index", 1), self.alpha, self.beta
-        object.__setattr__(self, "n", n)
-        if n == 1:
-            if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
-                raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
-            alpha = beta = 1.0
-        elif alpha <= 1.0 or beta <= 1.0 or math.isinf(alpha) or math.isinf(beta):
-            raise InfeasiblePoint(
-                f"nontrivial spectrum points require finite alpha > 1 and beta > 1, "
-                f"got ({alpha}, {beta})"
-            )
-        object.__setattr__(self, "alpha", float(alpha))
-        object.__setattr__(self, "beta", float(beta))
-        res = curve_residual(self)
+        # an int beyond float range overflows in the first float operation it meets
+        try:
+            if n == 1:
+                if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
+                    raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
+                alpha = beta = 1.0
+            elif alpha <= 1.0 or beta <= 1.0 or math.isinf(alpha) or math.isinf(beta):
+                raise InfeasiblePoint(
+                    f"nontrivial spectrum points require finite alpha > 1 and beta > 1, "
+                    f"got ({alpha}, {beta})"
+                )
+            alpha, beta = float(alpha), float(beta)
+            sa = math.sqrt(alpha)
+            # not through vars(self): an instance dict once fetched makes
+            # every later attribute read several times slower (CPython 3.11)
+            object.__setattr__(self, "n", n)
+            object.__setattr__(self, "alpha", alpha)
+            object.__setattr__(self, "beta", beta)
+            object.__setattr__(self, "sqrt_alpha", sa)
+            object.__setattr__(self, "sqrt_beta", math.sqrt(beta))
+            res = curve_residual(self)
+        except OverflowError:
+            raise InfeasiblePoint("the curve index or a coordinate lies beyond float range") from None
         # written so that a NaN defect (a NaN coordinate) fails the test too
         if not abs(res) <= TAU_CURVE:
             raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
-        sa = self.sqrt_alpha
         if abs(sa - n) <= _DIAG_REL * n:
             case = "diagonal"
         else:
             case = "alpha_dominant" if sa > n else "beta_dominant"
         object.__setattr__(self, "parity", "even" if n % 2 == 0 else "odd")
         object.__setattr__(self, "case", case)
-
-    @property
-    def sqrt_alpha(self) -> float:
-        return math.sqrt(self.alpha)
-
-    @property
-    def sqrt_beta(self) -> float:
-        return math.sqrt(self.beta)
 
 
 def curve_residual(p: FucikPoint) -> float:
@@ -117,7 +124,7 @@ def curve_residual(p: FucikPoint) -> float:
     vanishes exactly at the trivial point (1, 1).
     """
     pos, neg = (p.n + 1) // 2, p.n // 2
-    return pos * math.pi / math.sqrt(p.alpha) + neg * math.pi / math.sqrt(p.beta) - math.pi
+    return pos * math.pi / p.sqrt_alpha + neg * math.pi / p.sqrt_beta - math.pi
 
 
 def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] = None) -> FucikPoint:
@@ -137,20 +144,24 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
         IndexTooSmall: if n < 2; InvalidArgument if n is not an integer, or
             not exactly one coordinate is given.
         InfeasiblePoint: if the given coordinate is not finite, is not > 1,
-            or the partner denominator is not positive.
+            or the partner denominator is not positive, or it or n is an int
+            beyond float range.
     """
     n = require_int(n, "curve index", 2)
     if (alpha is None) == (beta is None):
         raise InvalidArgument("give exactly one of alpha= or beta=")
     name, given = ("alpha", alpha) if alpha is not None else ("beta", beta)
-    if not math.isfinite(given):
-        raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
-    if given <= 1.0:
-        raise InfeasiblePoint(f"{name} must exceed 1, got {given}")
     pos, neg = (n + 1) // 2, n // 2
     own, other = (pos, neg) if alpha is not None else (neg, pos)
-    s = math.sqrt(given)
-    denom = 2 * s - 2 * own
+    try:
+        if not math.isfinite(given):
+            raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
+        if given <= 1.0:
+            raise InfeasiblePoint(f"{name} must exceed 1, got {given}")
+        s = math.sqrt(given)
+        denom = 2 * s - 2 * own
+    except OverflowError:
+        raise InfeasiblePoint(f"{name} or the curve index lies beyond float range") from None
     if denom <= 0.0:
         raise InfeasiblePoint(
             f"no partner on curve {n} for {name} = {given}: denominator {denom:.3e} <= 0"
@@ -182,11 +193,11 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:
         raise OddIndex(f"gamma_line_point needs an even index, got {n}")
-    if not (math.isfinite(gamma) and gamma >= 4.0):
-        raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
-    sg = math.sqrt(gamma)
     try:
+        if not (math.isfinite(gamma) and gamma >= 4.0):
+            raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
+        sg = math.sqrt(gamma)
         beta = n * n * gamma / (2 * sg - 2) ** 2
     except OverflowError:
-        raise GammaOutOfRange(f"gamma = {gamma} puts curve {n} beyond float range") from None
+        raise GammaOutOfRange("gamma puts the point beyond float range") from None
     return FucikPoint(n, n * n * gamma / 4.0, beta)

@@ -1,5 +1,7 @@
 """Closed forms against the quadrature oracle and against each other."""
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -10,8 +12,10 @@ from hypothesis import strategies as st
 import paper_formulas as paper
 from conftest import curve_points, curve_samples, quad_dist_sq, quad_inner, quad_norm_sq
 from fucik import closedform as cf
+from fucik import eigenfunction
 from fucik import nearness as nr
 from fucik import paleywiener as pw
+from fucik import spectrum
 from fucik.eigenfunction import bump_table
 from fucik.errors import NotOnCurve
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
@@ -268,6 +272,29 @@ def test_single_point_forms_give_the_table_bits(points):
         for m, value in zip(ms.tolist(), row):
             if m != p.n:
                 assert cf.inner_cross_index(p, m).value == value, (p, m)
+
+
+def _functions(module, names):
+    tree = ast.parse(inspect.getsource(module))
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in names]
+
+
+def test_single_point_forms_call_no_numpy():
+    """A numpy call on Python floats costs 16 to 25 times a ``math`` one,
+    so the single-point forms, the point constructor and the per-point
+    helpers they call use no ``np.``."""
+    forms = (_functions(cf, {"_progression_pair", "_bump_factor", "_sine_product", "_norm",
+                             "_dist", "_same_index", "norm_sq", "dist_sq_to_sine",
+                             "inner_same_index", "inner_cross_index"})
+             + _functions(spectrum, {"__post_init__", "curve_residual"})
+             + _functions(eigenfunction, {"amplitudes"})
+             + _functions(nr, {"kato_weakened_term", "_cn"}))
+    assert len(forms) == 15
+    for form in forms:
+        used = {node.value.id for node in ast.walk(form)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+        assert not used & {"np", "numpy"}, form.name
 
 
 # ----------------------------------------------------------------------

@@ -108,6 +108,9 @@ def test_bump_table_junctions_match_breakpoints(points):
                 f.point.sqrt_beta, f.l1, f.l1 + f.l2)
         assert bumps.tobytes() == np.array(want).tobytes()
     assert np.shares_memory(table.sa, table.bumps)
+    # the frequency columns are the roots the points store
+    assert table.sa.tolist() == [p.sqrt_alpha for p in points]
+    assert table.sb.tolist() == [p.sqrt_beta for p in points]
     # the oracle takes the table rows as they are, and integrates on them
     # what it integrates on each function's own breakpoints
     stacked = integrate_many(lambda owner, x: evaluate_panels(*table.bumps[:, owner], x),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paper_formulas as paper
-from conftest import curve_samples
+from conftest import curve_points, curve_samples
 from fucik import closedform as cf
 from fucik import nearness as nr
 from fucik import paleywiener as pw
@@ -460,6 +460,21 @@ def test_huge_growth_constants_are_refused():
 
 def test_kato_term_diagonal():
     assert nr.kato_weakened_term(diagonal_point(7)) == 0.0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=curve_points())
+@example(p=diagonal_point(7))
+@example(p=complete_point(6, alpha=(6 * (1 + 5e-13)) ** 2))  # in the diagonal band
+def test_kato_term_is_the_formula_of_the_public_forms(p):
+    # one norm and one same-index product give the bits of the formula
+    # over dist_sq_to_sine and norm_sq, and exactly 0.0 on the diagonal
+    d = cf.dist_sq_to_sine(p).value
+    nf = cf.norm_sq(p).value
+    term = nr.kato_weakened_term(p)
+    assert term == max(d - (nf - PI / 2 + d) ** 2 / (4 * nf), 0.0)
+    if p.case == "diagonal":
+        assert term == 0.0 and math.copysign(1.0, term) == 1.0
 
 
 def test_kato_term_bounded_by_distance():

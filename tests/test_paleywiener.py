@@ -245,6 +245,29 @@ def test_budget_assembly():
         assert b.c[:4] == tuple(pw.ck_bound(float(gamma), k) for k in (1, 2, 3, 4))
 
 
+def test_budget_audit_term_by_term():
+    """E(5.682) term by term, with every bound as it is.
+
+    The five weighted terms c_k ||T_k|| (k = 1..4 and the k >= 5 tail) sum
+    to E = 1.321112, the value acceptance 02 reports.  Each c_k dominates
+    the coefficient it bounds, and with the true |A_1|, 1 - A_2, |A_3|,
+    |A_4| and sum_{5<=k<=1000} |A_k| ||T_k|| in their place the sum is
+    0.7628: the bounds, c_3 foremost (0.598 against 0.125), take the
+    budget above 1.
+    """
+    gamma = pw.GAMMA_MAX
+    b = pw.budget(gamma)
+    terms = [c * t for c, t in zip(b.c, b.t)]
+    assert terms == pytest.approx([0.4570, 0.1700, 0.5978, 0.0535, 0.0429], abs=5e-5)
+    assert sum(terms) == b.E == pytest.approx(1.321112, abs=5e-7)
+    A = [pw.fourier_Ak(gamma, k) for k in range(1, 1001)]
+    head = [abs(A[0]), 1 - A[1], abs(A[2]), abs(A[3])]
+    assert all(c >= a for c, a in zip(b.c, head))
+    tail = sum(abs(a) * pw.Tk_norm(k) for k, a in enumerate(A[4:], start=5))
+    true = sum(a * t for a, t in zip(head, b.t)) + tail
+    assert tail <= terms[4] and true == pytest.approx(0.7628, abs=5e-5)
+
+
 # ----------------------------------------------------------------------
 # truncated dilated-series residuals
 

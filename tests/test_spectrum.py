@@ -129,6 +129,43 @@ def test_errors():
         dataclasses.replace(p, alpha=1.01 * p.alpha)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=curve_points())
+def test_points_store_their_square_roots(p):
+    # bit for bit what math.sqrt gives, and no part of the point's identity
+    assert (p.sqrt_alpha, p.sqrt_beta) == (math.sqrt(p.alpha), math.sqrt(p.beta))
+    assert "sqrt" not in repr(p)
+    twin = FucikPoint(p.n, p.alpha, p.beta)
+    object.__setattr__(twin, "sqrt_alpha", -1.0)
+    assert twin == p and hash(twin) == hash(p)
+
+
+def test_replace_recomputes_the_roots():
+    p = complete_point(4, alpha=30.0)
+    q = dataclasses.replace(p, alpha=40.0, beta=complete_point(4, alpha=40.0).beta)
+    assert (q.sqrt_alpha, q.sqrt_beta) == (math.sqrt(40.0), math.sqrt(q.beta))
+    assert q.case == "alpha_dominant"
+    with pytest.raises(NotOnCurve):
+        dataclasses.replace(p, beta=p.beta * 1.01)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(p, sqrt_alpha=1.0)
+
+
+@pytest.mark.parametrize("make,refusal", [
+    (lambda: FucikPoint(2, 10 ** 400, 5.0), InfeasiblePoint),
+    (lambda: FucikPoint(10 ** 400, 4.0, 4.0), InfeasiblePoint),
+    (lambda: complete_point(2, alpha=10 ** 400), InfeasiblePoint),
+    (lambda: complete_point(10 ** 400, beta=5.0), InfeasiblePoint),
+    (lambda: gamma_line_point(2, 10 ** 400), GammaOutOfRange),
+    (lambda: diagonal_point(10 ** 200), InfeasiblePoint),
+    (lambda: bound_Cn(2, 10 ** 400, 4.0), InfeasiblePoint),
+])
+def test_ints_beyond_float_range_refused(make, refusal):
+    # an int beyond float range raised OverflowError, which is no FucikError
+    with pytest.raises(refusal, match="beyond float range"):
+        make()
+
+
 def test_non_integral_index_refused():
     # n = 2.5 would count (n + 1) // 2 = 1.0 and n // 2 = 1.0 bumps, so the
     # point (2.5, 9, 2.25) would satisfy a curve equation and reach every
