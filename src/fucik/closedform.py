@@ -22,12 +22,17 @@ pieces of its widest pair.  Where the junctions
 fall and which bump holds a point is not decided here: both come from the
 layout rules of :mod:`fucik.eigenfunction`.
 
-On a dilation line the even eigenfunctions are dilates F(a x) of one
-pi-periodic profile F, and the product of two of them is a sum of
-progressions too (:func:`dilation_products`): summing F over the a
-shifts r pi / a, and over the b periods of the other factor, leaves a
-fixed number of Dirichlet-kernel sums per pair, where merging junctions
-takes 2a + 2b + 1 pieces.
+Every even eigenfunction is a dilate f_2a(x) = F(a x) of a pi-periodic
+two-arc profile F, whatever its curve point, and the product of
+two of them is a sum of progressions too (:func:`dilation_products`):
+summing the profile of one factor over the a shifts r pi / a, and over
+the b periods of the other factor, leaves a fixed number of
+Dirichlet-kernel sums per pair, where merging junctions takes
+2a + 2b + 1 pieces.  So a pair takes the profile kernel when both of its
+rows are even and periodic as built (their n / 2 bump pairs span [0, pi]
+within :data:`~fucik.eigenfunction.JUNCTION_SLACK`), and
+:func:`pair_products` serves only the pairs with an odd row or a row off
+its curve by more than that.
 
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
 :func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``
@@ -35,8 +40,8 @@ on the square roots the point stores.
 Gram assembly uses the array forms instead: they read the columns of a
 :class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
 data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
-and :func:`pair_products` compute each kind of entry in one numpy pass;
-:func:`dilation_products` needs only the line's gamma.  The scalar and
+and :func:`dilation_products` or :func:`pair_products` compute each
+kind of entry in one numpy pass.  The scalar and
 the array primitives both stay: a numpy primitive on Python floats costs
 16 to 25 times a ``math`` one, and a point routed through a one-row table
 took 20 to 30 times as long.  Both carry out the same operations in the
@@ -61,7 +66,7 @@ import numpy as np
 
 from .eigenfunction import BumpTable, amplitudes, local_waves
 from .errors import InvalidArgument, require_int
-from .spectrum import FucikPoint, gamma_line_point
+from .spectrum import FucikPoint
 
 #: largest comparator index accepted by inner_cross_index
 M_MAX = 10 ** 4
@@ -233,6 +238,11 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
 def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
     """<f_i[k], f_j[k]> for each k, integrated exactly over merged junctions.
 
+    Gram assembly sends it only the pairs :func:`dilation_products` does
+    not take: those with an odd row, or with a row whose bump pairs miss
+    pi by more than :data:`~fucik.eigenfunction.JUNCTION_SLACK`; it takes
+    any pair of rows.
+
     Between merged junction points both factors are single sinusoids
     a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
     (ab/2) [cos((w - v) x + ...) - cos((w + v) x + ...)], and each cosine
@@ -299,62 +309,95 @@ def _dirichlet_sums(k0: np.ndarray, count: np.ndarray, c: np.ndarray) -> np.ndar
     return np.sin(count * half) / np.sin(half) * np.exp(1j * (k0 + (count - 1) / 2) * c)
 
 
-#: the arc of F (0 positive, 1 negative) whose frequency and amplitude
-#: each of the ten Dirichlet sums of :func:`dilation_products` carries
+#: the factor (0: the b factor of a pair, 1: the a factor) and the arc of
+#: its profile (0 positive, 1 negative) whose frequency and amplitude each
+#: of the ten Dirichlet sums of :func:`dilation_products` carries
+_SUM_FACTOR = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
 _SUM_ARC = np.array([0, 1, 0, 1, 0, 0, 1, 1, 0, 1])
 
+#: rows whose profiles agree within this many units in the last place
+#: share the profile of the first of them
+_PROFILE_ULP = 8
 
-def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.ndarray:
-    """int_0^pi F(a x) F(b x) dx for each pair (a[k], b[k]) of indices >= 1, in closed form.
 
-    F is the eigenfunction f_2 of the dilation line of ``gamma``, continued
-    pi-periodically, so that F(a x) is the line's f_2a:
+def _profiles(t: BumpTable):
+    """The pi-periodic profile G(y) = f(2 y / n) of every row of ``t``.
 
-        F(y) =  A sin(w1 y)          on [0, L1),
-        F(y) = -B sin(w2 (y - L1))   on [L1, pi),
+    Returns the arc frequencies w = (sa, sb) / (n / 2) as a (2, rows)
+    array, the complex amplitudes (2, rows) with G(y) = Im(amp exp(i w y))
+    on each arc, and for each row the first row whose frequencies and bump
+    amplitudes all agree with its own within :data:`_PROFILE_ULP` ulp.
+    """
+    w = t.bumps[2:4] / (t.n / 2)
+    amp = np.array([t.a_pos, -t.a_neg * np.exp(-1j * (w[1] * np.pi / w[0]))])
+    key = np.vstack((w, t.bumps[:2]))
+    tol = _PROFILE_ULP * np.spacing(key)
+    # every row within tol of the first, as on a dilation line, or a full comparison
+    if (np.abs(key - key[:, :1]) <= tol).all():
+        return w, amp, np.zeros(t.n.size, dtype=np.intp)
+    close = np.abs(key[:, :, None] - key[:, None, :]) <= tol[:, :, None]
+    return w, amp, close.all(axis=0).argmax(axis=1)
 
-    with w1 = sqrt(alpha_2), w2 = sqrt(beta_2) and L1 = pi / w1.  Every
-    gamma > 4 puts the line on the alpha-dominant side (w1 > 2), so A =
-    w2 / w1 and B = 1 by the rule of
-    :func:`fucik.eigenfunction.amplitudes`; they are not taken from the
-    case of the n = 2 point, which next to gamma = 4 can fall in the
-    diagonal band.
 
-    A pair has the product of (a/d, b/d), d = gcd(a, b) (substitute y = d x,
-    F is pi-periodic), so each distinct reduced pair is evaluated once.
+def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
+    """<f_i[k], f_j[k]> for each k, two even rows of the table, in closed form.
+
+    An even eigenfunction is a dilate f(x) = G(n x / 2) of a pi-periodic
+    two-arc profile G, as long as its n / 2 bump pairs span [0, pi]:
+
+        G(y) =  A sin(w1 y)          on [0, L1),
+        G(y) = -B sin(w2 (y - L1))   on [L1, pi),
+
+    with w = (w1, w2) = (sqrt(alpha), sqrt(beta)) / (n / 2), L1 = pi / w1,
+    and A, B the bump amplitudes of the row, from the one amplitude rule
+    :func:`fucik.eigenfunction.amplitudes`.  Both rows of a pair must be
+    even and span [0, pi] within :data:`~fucik.eigenfunction.JUNCTION_SLACK`;
+    :func:`fucik.grammatrix.build_gram` sends every other pair to
+    :func:`pair_products`.  Rows whose profiles agree within
+    :data:`_PROFILE_ULP` ulp take the profile of the first of them
+    (:func:`_profiles`): on a dilation line every row takes that of its
+    first row.
+
+    Write F for the profile of row i and G for that of row j, a = n_i / 2
+    and b = n_j / 2.  Both F(a x) and G(b x) have period pi / d, d =
+    gcd(a, b), so a pair has the product of (a/d, b/d) with the same two
+    profiles (substitute y = d x), and each distinct (profile of i,
+    profile of j, a/d, b/d) is evaluated once.
 
     Substituting y = a x splits (0, a pi) into a periods of F.  For
     coprime a and b the map k -> b k mod a permutes them, so with
 
-        H(z) = sum_{r < a} F(z + r pi / a)
+        H(z) = sum_{r < a} G(z + r pi / a)
 
-    the product is G = (1/a) int_0^pi F(y) H(b y / a) dy, that is
+    the product is (1/a) int_0^pi F(y) H(b y / a) dy, that is
     (1/a) [A int_0^L1 sin(w1 y) H(b y / a) dy
-    - B int_0^(pi - L1) sin(w2 y) H(b (y + L1) / a) dy].
+    - B int_0^(pi - L1) sin(w2 y) H(b (y + L1) / a) dy], with A, B, w1,
+    w2 and L1 those of F.
 
-    H has period pi / a.  Let rho = a L1 / pi, q = floor(rho) and phi =
-    rho - q.  On [0, pi / a) the first R terms of H lie on the positive
-    arc, with R = q + 1 below z = phi pi / a (sub-interval 0) and R = q
-    above it (sub-interval 1).  On each sub-interval
+    H has period pi / a, and is built from G alone.  Let rho = a L1(G) /
+    pi, q = floor(rho) and phi = rho - q.  On [0, pi / a) the first R terms
+    of H lie on the positive arc of G, with R = q + 1 below z = phi pi / a
+    (sub-interval 0) and R = q above it (sub-interval 1).  On each
+    sub-interval
 
-        H(z) = Im(C1 exp(i w1 z)) + Im(C2 exp(i w2 z)),
-        C1 = A sum_{r < R} exp(i r w1 pi / a),
-        C2 = -B exp(-i w2 L1) sum_{R <= r < a} exp(i r w2 pi / a),
+        H(z) = Im(C1 exp(i w1(G) z)) + Im(C2 exp(i w2(G) z)),
+        C1 = A(G) sum_{r < R} exp(i r w1(G) pi / a),
+        C2 = -B(G) exp(-i w2(G) L1(G)) sum_{R <= r < a} exp(i r w2(G) pi / a),
 
     two Dirichlet-kernel sums.  One period of H is pi / b in y.  From one
     period k to the next, the product of an arc of F with H on one
-    sub-interval keeps its shape and shifts its phase by w_arc pi / b, so
-    each run of whole sub-intervals on one arc is one more Dirichlet sum
-    over k.  Only the sub-interval where the arcs meet, at s = b L1 / pi
-    periods, is split, and its two parts are integrated directly.  Four
-    runs and two split parts, two sinusoids of H, and the difference and
-    sum frequency of each product give 24 terms per pair.  Each term
-    carries the integral over its piece (length h, midpoint m) of
-    exp(i nu t), exp(i nu m) 2 sin(nu h / 2) / nu with nu = w_arc -+ w_c b
-    / a, which is h where nu = 0: the one resonance.  The terms of every
-    Dirichlet sum lie on one arc of F, along which the phase advances by
-    pi, so no sum spans more than half a turn and none needs its angle
-    reduced mod 2 pi (:func:`_dirichlet_sums`).
+    sub-interval keeps its shape and shifts its phase by w_arc(F) pi / b,
+    so each run of whole sub-intervals on one arc of F is one more
+    Dirichlet sum over k.  Only the sub-interval where the arcs of F meet,
+    at s = b L1(F) / pi periods, is split, and its two parts are integrated
+    directly.  Four runs and two split parts, two sinusoids of H, and the
+    difference and sum frequency of each product give 24 terms per pair.
+    Each term carries the integral over its piece (length h, midpoint m)
+    of exp(i nu t), exp(i nu m) 2 sin(nu h / 2) / nu with nu = w_arc(F) -+
+    w_c(G) b / a, which is h where nu = 0: the one resonance.  The terms of
+    every Dirichlet sum lie on one arc of one profile, along which the
+    phase advances by pi, so no sum spans more than half a turn and none
+    needs its angle reduced mod 2 pi (:func:`_dirichlet_sums`).
 
     The work per pair is fixed, whatever a and b; merging the junctions
     of the two rows (:func:`pair_products`) takes 2a + 2b + 1 pieces.  The
@@ -362,21 +405,32 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     across pairs, so a value does not depend on the pairs computed with
     it.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    if not i.size:
+        return np.empty(0)
+    w, amp, profile = _profiles(t)
+    a, b = t.n[i] // 2, t.n[j] // 2
     d = np.gcd(a, b)
-    base = int(np.max(b // d, initial=0)) + 1
-    pairs, inverse = np.unique(a // d * base + b // d, return_inverse=True)
-    a, b = (pairs // base).astype(float), (pairs % base).astype(float)
-    p = gamma_line_point(2, gamma)
-    w1, w2 = p.sqrt_alpha, p.sqrt_beta
-    # F(y) = Im(amp exp(i w y)) on each arc, w and amp taken at that arc
-    w = np.array([[w1], [w2]])
-    amp = np.array([[w2 / w1], [-np.exp(-1j * w2 * math.pi / w1)]])
-    rho = a / w1
+    a, b = a // d, b // d
+    many = profile.any()
+    base = int(b.max()) + 1
+    key = a * base + b
+    if many:
+        key += (profile[i] * t.n.size + profile[j]) * (base * (int(a.max()) + 1))
+    _, pick, inverse = np.unique(key, return_index=True, return_inverse=True)
+    a, b = a[pick].astype(float), b[pick].astype(float)
+    # the profile row behind each Dirichlet sum: G's for H, F's for the
+    # runs; one profile for every row, as on a dilation line, broadcasts
+    if many:
+        who = np.stack((profile[j[pick]], profile[i[pick]]))[_SUM_FACTOR]
+    else:
+        who = profile[:1, None]
+    wr = w[_SUM_ARC[:, None], who]
+    rho = a / wr[0]
     q = np.floor(rho)
     phi = rho - q
-    s = b / w1
+    s = b / wr[4]
     k = np.floor(s)
     frac = s - k
     # the split sub-interval of period k: 1 if the arcs meet above phi
@@ -390,9 +444,8 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     # and the positive and the negative part of the split sub-interval
     first = np.stack((zero, q + 1, zero, q, zero, zero, k + 1, ks, k, k))
     count = np.stack((q + 1, a - q - 1, q, a - q, ks, k, b - k - 1, b - ks, one, one))
-    wr = w[_SUM_ARC]
     angle = np.concatenate((np.pi / a * wr[:4], np.pi / b * wr[4:]))
-    sums = _dirichlet_sums(first, count, angle) * amp[_SUM_ARC]
+    sums = _dirichlet_sums(first, count, angle) * amp[_SUM_ARC[:, None], who]
     coef = sums[:4].reshape(2, 2, -1)
     # each piece as an offset range [t0, t1) within its period, in units
     # of pi / b
@@ -400,7 +453,7 @@ def dilation_products(gamma: float, a: Sequence[int], b: Sequence[int]) -> np.nd
     t1 = np.stack((phi, one, phi, one, frac, np.where(split, 1.0, phi)))
     h = (t1 - t0) * (np.pi / b)
     mid = (t0 + t1) / 2 * (np.pi / b)
-    nu = (w * (b / a))[:, None]
+    nu = (wr[:2] * (b / a))[:, None]
     wa = wr[4:]
     sub = np.stack((zero, one, zero, one, split, split)) != 0
     # C exp(i nu m): each sinusoid of H at the midpoint m of each piece

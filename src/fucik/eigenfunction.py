@@ -163,8 +163,11 @@ def _bump_pair(l1, l, x):
 
 def _on_domain(x) -> np.ndarray:
     """x as floats on [0, pi]: points within 1e-12 outside are clamped onto
-    it; anything further, and NaN, raises OutOfDomain."""
-    arr = np.asarray(x, dtype=float)
+    it; anything further, NaN and an int beyond float range raise OutOfDomain."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise OutOfDomain("evaluation point outside [0, pi]") from None
     if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
         raise OutOfDomain("evaluation point outside [0, pi]")
     # the same values as np.clip once NaN is refused, at half its cost

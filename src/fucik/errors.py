@@ -10,8 +10,12 @@ type but :class:`NoConvergence` is such a refusal.  A plain
 given, not a refused input.
 
 Every index a public function takes (n, m, k, N or ``n_partial``) is
-checked by :func:`require_int`, so they are all refused alike.
+checked by :func:`require_int`, so they are all refused alike.  A refusal
+shows the refused value through :func:`printable`, so that phrasing it
+never fails.
 """
+
+import math
 
 
 class FucikError(Exception):
@@ -62,6 +66,23 @@ class OddIndex(InvalidArgument):
     """An even curve index was required."""
 
 
+def printable(value) -> str:
+    """``value`` as a refusal message shows it.
+
+    Python refuses to print an int of more than 4300 digits (by default);
+    such an int is shown by its digit count instead.
+    """
+    try:
+        return f"{value}"
+    except ValueError:
+        size = abs(value)
+        # never above the count, which the loop then reaches
+        digits = int((size.bit_length() - 1) * math.log10(2))
+        while 10 ** digits <= size:
+            digits += 1
+        return f"an integer of {digits} digits"
+
+
 def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
     """``value`` as an int if it is an integer in [lo, hi] (hi None: no cap).
 
@@ -78,4 +99,4 @@ def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
     else:
         need = f"must be >= {lo}" if integral else "must be an integer"
     refusal = IndexTooSmall if integral and value < lo else InvalidArgument
-    raise refusal(f"{name} {need}, got {value}")
+    raise refusal(f"{name} {need}, got {printable(value)}")

@@ -7,13 +7,17 @@ Gram matrix of pairwise inner products.  This module assembles that
 truncation exactly from the bump algebra of :mod:`fucik.closedform` and
 takes its spectrum from LAPACK (``numpy.linalg.eigvalsh``).
 
-On a dilation line the even eigenfunctions are dilates f_2a(x) = F(a x)
-of one pi-periodic F (the dilation systems of Hedenmalm, Lindqvist and
-Seip, Duke Math. J. 86, 1997), so the even-even block is
-multiplicative-Toeplitz: G(2a, 2b) = G(2a/d, 2b/d) with d = gcd(a, b).
-Assembly evaluates each reduced pair once, in closed form from F alone
-(:func:`~fucik.closedform.dilation_products`), so the identity holds by
-construction.
+Every even eigenfunction is a dilate f_2a(x) = F(a x) of a pi-periodic
+two-arc profile F, so a system's even eigenfunctions form a dilation
+system of several profiles (one profile on a dilation line: the
+dilation systems of Hedenmalm, Lindqvist and Seip, Duke Math. J. 86,
+1997).  Assembly routes each pair by its two rows alone, never by the
+type of the system: a pair of even rows, both periodic as built, takes
+the closed form of its profiles and its reduced pair (a/d, b/d), d =
+gcd(a, b) (:func:`~fucik.closedform.dilation_products`), so on a dilation
+line the even-even block is multiplicative-Toeplitz, G(2a, 2b) =
+G(2a/d, 2b/d), by construction; every other pair merges the junctions of
+its two rows (:func:`~fucik.closedform.pair_products`).
 
 The scans are diagnostics, not certificates: truncated spectra cannot
 certify an infinite-system Riesz bound, so no verdicts are emitted here.
@@ -28,9 +32,9 @@ from typing import ClassVar, Optional, Sequence
 import numpy as np
 
 from . import closedform
-from .eigenfunction import bump_table
+from .eigenfunction import JUNCTION_SLACK, bump_table
 from .errors import InvalidArgument, require_int
-from .nearness import GammaLine, SystemSpec
+from .nearness import SystemSpec
 
 MAX_ORDER = 512
 
@@ -58,15 +62,18 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     :func:`~fucik.eigenfunction.bump_table`: their squared norms
     (:func:`~fucik.closedform.norms_sq`), their products with the sines
     of the system (:func:`~fucik.closedform.sine_products`), and their
-    pairwise products (:func:`~fucik.closedform.pair_products`).
-    On a :class:`~fucik.nearness.GammaLine` every eigenfunction pair is
-    even, f_2a(x) = F(a x) and f_2b(x) = F(b x) for one pi-periodic F, and
-    its product depends only on the reduced pair (a/d, b/d), d = gcd(a, b).
+    pairwise products.  A pair whose two rows are even, and whose n / 2
+    bump pairs each span [0, pi] within
+    :data:`~fucik.eigenfunction.JUNCTION_SLACK`, is a product of dilates
+    F(a x) G(b x) of two pi-periodic profiles:
     :func:`~fucik.closedform.dilation_products` evaluates each distinct
-    reduced pair once, a fixed number of progression sums per pair
-    instead of the 2a + 2b + 1 pieces of its merged junctions.  Even
-    points that fall in the diagonal band next to gamma = 4 are sines and
-    take no part in it.
+    (profiles, a/d, b/d) once, d = gcd(a, b), a fixed number of
+    progression sums per pair instead of the 2a + 2b + 1 pieces of its
+    merged junctions.  So a system whose odd entries are all diagonal,
+    a dilation line or any Theorem-2 system, is assembled in O(N^2).
+    Every other pair, with an odd row or a row off its curve by more
+    than that slack, goes to :func:`~fucik.closedform.pair_products`.
+    Even points in the diagonal band are sines and take part in neither.
     An integral float N is taken as its int; an N outside [1, MAX_ORDER],
     or not an integer, raises InvalidArgument (IndexTooSmall below 1).
     ``max_workers`` is accepted for older callers and ignored.
@@ -83,13 +90,19 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
         cross = closedform.sine_products(table, s + 1)
         m[np.ix_(e, s)] = cross
         m[np.ix_(s, e)] = cross.T
-        r, c = np.triu_indices(e.size, 1)
-        if isinstance(system, GammaLine):
-            m[e[r], e[c]] = closedform.dilation_products(system.gamma, table.n[r] // 2,
-                                                         table.n[c] // 2)
-        else:
-            m[e[r], e[c]] = closedform.pair_products(table, r, c)
-        m[e[c], e[r]] = m[e[r], e[c]]
+        # the pairs above the diagonal, row by row, as np.triu_indices gives them
+        r, c = np.nonzero(~np.tri(e.size, dtype=bool))
+        # an even row whose n / 2 bump pairs span [0, pi] is a dilate of
+        # its pi-periodic profile
+        dilate = (table.n % 2 == 0) & (np.abs(table.n // 2 * table.l - np.pi) <= JUNCTION_SLACK)
+        profiled = dilate[r] & dilate[c]
+        upper = np.empty(r.size)
+        for pairs, kernel in ((profiled, closedform.dilation_products),
+                              (~profiled, closedform.pair_products)):
+            if pairs.any():
+                upper[pairs] = kernel(table, r[pairs], c[pairs])
+        m[e[r], e[c]] = upper
+        m[e[c], e[r]] = upper
     m.setflags(write=False)
     return GramTruncation(m)
 

@@ -44,6 +44,7 @@ from .errors import (
     InvalidArgument,
     OddEntriesNotDiagonal,
     TailNotBoundable,
+    printable,
     require_int,
 )
 from .spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
@@ -123,7 +124,7 @@ def _power_tail(start: int, s: float, step: int = 1) -> float:
     equal sums.
     """
     if not 1.0 + 1e-6 < s < math.inf:
-        raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {s}")
+        raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {printable(s)}")
     n = start if start >= _EM_START else start - (start - _EM_START) // step * step
     # np.float_power calls the C library's pow, as Python's ** does; the **
     # of a float array may take a SIMD pow that differs in the last bit
@@ -152,16 +153,23 @@ def zeta(s: float) -> float:
     """Riemann zeta for finite s > 1 + 1e-6, relative error below 1e-15.
 
     Near the pole zeta is large (about 5e5 at s = 1 + 2e-6, where floats
-    are 1e-10 apart), so only the relative error is small there.
+    are 1e-10 apart), so only the relative error is small there.  An int
+    s beyond float range raises InvalidArgument.
     """
-    return 1.0 + _zeta_minus_one(s)
+    try:
+        return 1.0 + _zeta_minus_one(s)
+    except OverflowError:
+        raise InvalidArgument("s lies beyond float range") from None
 
 
 def _cap_zeta(epsilon: float) -> float:
     """zeta(1 + epsilon) - 1, the denominator of every cap, checked."""
     if not epsilon > 0:
-        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
-    z = _zeta_minus_one(1.0 + epsilon)
+        raise InvalidArgument(f"epsilon must be positive, got {printable(epsilon)}")
+    try:
+        z = _zeta_minus_one(1.0 + epsilon)
+    except OverflowError:
+        raise InvalidArgument("epsilon lies beyond float range") from None
     if not z >= sys.float_info.min:
         raise InvalidArgument(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
     return z
@@ -248,7 +256,8 @@ class BranchRule:
             raise InvalidArgument("give exactly one of c= or cap_fraction=")
         value = self.c if self.c is not None else self.cap_fraction
         if not 0 <= value <= _C_MAX:
-            raise InvalidArgument(f"rule constants must lie in [0, {_C_MAX}], got {value}")
+            raise InvalidArgument(
+                f"rule constants must lie in [0, {_C_MAX}], got {printable(value)}")
 
 
 def _growth_constants(rule: BranchRule, even: bool, n, epsilon: float):
@@ -307,8 +316,12 @@ class PowerFamily:
     odd: Optional[BranchRule] = None
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise TailNotBoundable(f"epsilon must be finite, got {self.epsilon}")
+        try:
+            finite = math.isfinite(self.epsilon)
+        except OverflowError:  # an int beyond float range
+            finite = False
+        if not finite:
+            raise TailNotBoundable(f"epsilon must be a finite float, got {printable(self.epsilon)}")
         if self.epsilon <= 0:
             raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
 
@@ -380,9 +393,14 @@ class NearnessReport:
     r: float
 
 
+#: largest n_partial: every count of indices up to it is an exact float
+_N_PARTIAL_MAX = 2 ** 53
+
+
 def _require_checkable(system: SystemSpec, n_partial: int) -> int:
-    """n_partial as an int: an integral float is taken as its int, a fraction refused."""
-    n_partial = require_int(n_partial, "n_partial", 2)
+    """n_partial as an int: an integral float is taken as its int, a fraction
+    or an int above :data:`_N_PARTIAL_MAX` refused."""
+    n_partial = require_int(n_partial, "n_partial", 2, _N_PARTIAL_MAX)
     if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
         raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
     return n_partial

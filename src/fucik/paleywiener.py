@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from . import closedform
-from .errors import GammaOutOfRange, InvalidArgument, require_int
+from .errors import GammaOutOfRange, InvalidArgument, printable, require_int
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -123,7 +123,7 @@ def _coefficients(gamma: float) -> tuple:
 def _require_gamma_range(gamma: float) -> None:
     if not (GAMMA_MIN <= gamma <= GAMMA_MAX):
         raise GammaOutOfRange(
-            f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {gamma}"
+            f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {printable(gamma)}"
         )
 
 
@@ -134,7 +134,7 @@ def E_gamma_extended(gamma: float) -> float:
     check; used by the bisection search and by exploratory scans.
     """
     if not (GAMMA_MIN <= gamma < 9.0):
-        raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {gamma}")
+        raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {printable(gamma)}")
     return sum(c * t for c, t in zip(_coefficients(gamma), _WEIGHTS))
 
 
@@ -158,7 +158,7 @@ def gamma_admissible_max(tol: float) -> float:
     Postcondition: E(result) < 1 <= E(result + tol).
     """
     if not tol >= 1e-10:
-        raise InvalidArgument(f"tol must be >= 1e-10, got {tol}")
+        raise InvalidArgument(f"tol must be >= 1e-10, got {printable(tol)}")
     lo, hi = 4.0, 8.0
     if E_gamma_extended(hi) < 1.0:
         return hi

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence
+from .errors import InvalidArgument, NoConvergence, printable
 
 DEFAULT_TOL = 1e-12
 MIN_TOL = 1e-14
@@ -176,7 +176,11 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
     subintervals, or as soon as one of its Gauss values is not finite.
     """
     if not tol >= MIN_TOL:
-        raise InvalidArgument(f"tol must be >= {MIN_TOL:g}, got {tol:g}")
+        raise InvalidArgument(f"tol must be >= {MIN_TOL:g}, got {printable(tol)}")
+    try:
+        tol = float(tol)
+    except OverflowError:
+        raise InvalidArgument("tol lies beyond float range") from None
     rows = _rows(breakpoint_sets)
     parts = []
     tail = None

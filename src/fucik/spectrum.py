@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .errors import (GammaOutOfRange, InfeasiblePoint, InvalidArgument, NotOnCurve, OddIndex,
-                     require_int)
+                     printable, require_int)
 
 #: absolute tolerance on the curve-equation defect accepted as "on the curve"
 TAU_CURVE = 1e-9
@@ -192,7 +192,7 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     """
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:
-        raise OddIndex(f"gamma_line_point needs an even index, got {n}")
+        raise OddIndex(f"gamma_line_point needs an even index, got {printable(n)}")
     try:
         if not (math.isfinite(gamma) and gamma >= 4.0):
             raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")

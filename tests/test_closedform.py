@@ -298,22 +298,33 @@ def test_single_point_forms_call_no_numpy():
 
 
 # ----------------------------------------------------------------------
-# products of dilates on a gamma line
+# products of even eigenfunctions as dilates of their profiles
 
 
 def _coprime_pairs(bmax):
     return [(a, b) for b in range(2, bmax + 1) for a in range(1, b) if math.gcd(a, b) == 1]
 
 
+def _even_row(n, g, side):
+    """The even eigenfunction of index n whose dominant frequency is (n/2) sqrt(g).
+
+    Its profile is the alpha-side dilation-line profile of ``g``, or the
+    mirror profile on the beta side.
+    """
+    if side == "alpha":
+        return gamma_line_point(n, g)
+    return complete_point(n, beta=n * n * g / 4)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(gamma=st.floats(4 + 1e-6, pw.GAMMA_MAX), pair=st.sampled_from(_coprime_pairs(64)))
 def test_dilation_products_match_pair_products(gamma, pair):
-    # f_2a(x) = F(a x): the closed form from F against the merged junctions
-    # of the two built rows
+    # f_2a(x) = F(a x): the closed form from the profile against the merged
+    # junctions of the two built rows
     a, b = pair
     table = bump_table([gamma_line_point(2 * a, gamma), gamma_line_point(2 * b, gamma)])
     want = cf.pair_products(table, [0], [1])[0]
-    assert abs(cf.dilation_products(gamma, [a], [b])[0] - want) <= 1e-13
+    assert abs(cf.dilation_products(table, [0], [1])[0] - want) <= 1e-13
 
 
 @pytest.mark.parametrize("gamma", [4.3, 5.0, pw.GAMMA_MAX])
@@ -322,11 +333,13 @@ def test_dilation_products_reduce_pairs_that_are_not_coprime(gamma):
     # reduced pair, and the merged junctions of the pair's own rows
     a, b = np.array([(2, 4), (6, 9), (10, 15), (12, 18), (7, 7)]).T
     d = np.gcd(a, b)
-    got = cf.dilation_products(gamma, a, b)
+    ks = sorted({*a, *b, *(a // d), *(b // d)})
+    row = {k: r for r, k in enumerate(ks)}
+    table = bump_table([gamma_line_point(2 * k, gamma) for k in ks])
+    got = cf.dilation_products(table, [row[k] for k in a], [row[k] for k in b])
     for value, x, y in zip(got, a // d, b // d):
-        assert value == cf.dilation_products(gamma, [x], [y])[0]
-    table = bump_table([gamma_line_point(2 * k, gamma) for k in (*a, *b)])
-    want = cf.pair_products(table, range(a.size), range(a.size, 2 * a.size))
+        assert value == cf.dilation_products(table, [row[x]], [row[y]])[0]
+    want = cf.pair_products(table, [row[k] for k in a], [row[k] for k in b])
     assert np.max(np.abs(got - want)) <= 1e-13
 
 
@@ -343,55 +356,136 @@ def test_dilation_products_at_the_edge_cases(gamma):
     line = nr.GammaLine(gamma)
     keep = [k for k in range(1, 65) if line.point(2 * k).case != "diagonal"]
     row = {k: i for i, k in enumerate(keep)}
-    a, b = np.array([(a, b) for a, b in _coprime_pairs(64) if a in row and b in row]).T
+    a, b = np.array([(row[a], row[b]) for a, b in _coprime_pairs(64) if a in row and b in row]).T
     table = bump_table([line.point(2 * k) for k in keep])
-    want = cf.pair_products(table, [row[k] for k in a], [row[k] for k in b])
-    assert np.max(np.abs(cf.dilation_products(gamma, a, b) - want)) <= 1e-13
+    want = cf.pair_products(table, a, b)
+    assert np.max(np.abs(cf.dilation_products(table, a, b) - want)) <= 1e-13
 
 
 def test_dilation_products_on_the_diagonal_profile():
-    # at gamma = 4, F(y) = sin(2 y), and the Dirichlet angle w1 pi of
-    # a = 1 or b = 1 is 2 pi itself, with one term in its sum
-    a, b = np.array(_coprime_pairs(64)).T
-    assert np.max(np.abs(cf.dilation_products(4.0, a, b))) <= 1e-15
-    assert cf.dilation_products(4.0, [1], [1])[0] == pytest.approx(math.pi / 2, abs=1e-15)
+    # the sines sin(2a x) are dilates of sin(2 y), and the Dirichlet angle
+    # w1 pi of a = 1 or b = 1 is 2 pi itself, with one term in its sum
+    table = bump_table([diagonal_point(2 * k) for k in range(1, 65)])
+    a, b = np.array(_coprime_pairs(64)).T - 1
+    assert np.max(np.abs(cf.dilation_products(table, a, b))) <= 1e-15
+    assert cf.dilation_products(table, [0], [0])[0] == pytest.approx(math.pi / 2, abs=1e-15)
 
 
-def _exact_dilate_product(mpmath, gamma, a, b):
-    """int_0^pi F(a x) F(b x) dx in 40 digits, F the period-pi f_2 of the line.
+def _exact_dilate_product(mpmath, f, g, a, b):
+    """int_0^pi F(a x) G(b x) dx in 40 digits, for profiles f and g given as (g, side).
 
-    F is built here from gamma alone, with exact bump ends k pi / m and
+    Each profile is built here from its dominant frequency sqrt(g) alone,
+    as :func:`_even_row` builds its row, with exact bump ends k pi / m and
     (k pi + L1) / m, so no rounding of a built row enters; each piece
     between merged bump ends is integrated in closed form.
     """
     with mpmath.workdps(40):
-        w1 = mpmath.sqrt(mpmath.mpf(gamma))
-        w2 = w1 / (w1 - 1)
-        l1 = mpmath.pi / w1
+        def profile(spec):
+            w = mpmath.sqrt(mpmath.mpf(spec[0]))
+            other = w / (w - 1)
+            if spec[1] == "alpha":
+                return w, other, other / w, mpmath.mpf(1)
+            return other, w, mpmath.mpf(1), other / w
 
-        def wave(m, x):
+        def wave(prof, m, x):
+            w1, w2, amp_pos, amp_neg = prof
+            l1 = mpmath.pi / w1
             k = mpmath.floor(m * x / mpmath.pi)
             if m * x - k * mpmath.pi < l1:
-                return w2 / w1, m * w1, -w1 * k * mpmath.pi
-            return -1, m * w2, -w2 * (k * mpmath.pi + l1)
+                return amp_pos, m * w1, -w1 * k * mpmath.pi
+            return -amp_neg, m * w2, -w2 * (k * mpmath.pi + l1)
 
-        ends = sorted({e / m for m in (a, b) for k in range(m)
-                       for e in (k * mpmath.pi, k * mpmath.pi + l1)} | {mpmath.pi})
+        pf, pg = profile(f), profile(g)
+        ends = sorted({e / m for m, prof in ((a, pf), (b, pg)) for k in range(m)
+                       for e in (k * mpmath.pi, k * mpmath.pi + mpmath.pi / prof[0])}
+                      | {mpmath.pi})
         total = mpmath.mpf(0)
         for x0, x1 in zip(ends, ends[1:]):
             mid, h = (x0 + x1) / 2, x1 - x0
-            p, w, th = wave(a, mid)
-            q, v, ps = wave(b, mid)
+            p, w, th = wave(pf, a, mid)
+            q, v, ps = wave(pg, b, mid)
             for kappa, phase, sign in ((w - v, th - ps, 1), (w + v, th + ps, -1)):
                 span = h if kappa == 0 else 2 * mpmath.sin(kappa * h / 2) / kappa
                 total += sign * p * q / 2 * span * mpmath.cos(kappa * mid + phase)
         return float(total)
 
 
-@pytest.mark.parametrize("a, b", [(191, 192), (1, 2), (100, 171)])
-def test_dilation_products_against_exact_dilates(a, b):
-    # the closed form uses F alone; merging built rows instead carries the
-    # rounding of their bump ends, about 9e-14 at (191, 192)
+_LINE = (5.55, "alpha")
+
+
+@pytest.mark.parametrize("f, g, a, b", [
+    pytest.param(_LINE, _LINE, 191, 192, id="191-192"),
+    pytest.param(_LINE, _LINE, 1, 2, id="1-2"),
+    pytest.param(_LINE, _LINE, 100, 171, id="100-171"),
+    pytest.param((4.3, "alpha"), (5.55, "alpha"), 1, 2, id="alpha-alpha-1-2"),
+    pytest.param((5.55, "alpha"), (4.3, "alpha"), 191, 192, id="alpha-alpha-191-192"),
+    pytest.param((5.0, "alpha"), (4.6, "beta"), 3, 5, id="alpha-beta-3-5"),
+    pytest.param((4.6, "beta"), (5.0, "alpha"), 100, 171, id="beta-alpha-100-171"),
+    pytest.param((4.8, "beta"), (5.3, "beta"), 7, 3, id="beta-beta-7-3"),
+    pytest.param((5.3, "beta"), (4.05, "beta"), 64, 2, id="beta-beta-64-2"),
+])
+def test_dilation_products_against_exact_dilates(f, g, a, b):
+    # H is summed from the b factor's profile and the runs from the a
+    # factor's, which may differ, on either dominance side; merging built
+    # rows instead carries the rounding of their bump ends, about 9e-14 at
+    # (191, 192) on one profile
     mpmath = pytest.importorskip("mpmath")
-    got = cf.dilation_products(5.55, [a], [b])[0]
-    assert abs(got - _exact_dilate_product(mpmath, 5.55, a, b)) <= 1e-14
+    table = bump_table([_even_row(2 * a, *f), _even_row(2 * b, *g)])
+    got = cf.dilation_products(table, [0], [1])[0]
+    assert abs(got - _exact_dilate_product(mpmath, f, g, a, b)) <= 1e-14
+
+
+@st.composite
+def _even_rows(draw):
+    """Two even rows of one power family, or two explicit even entries."""
+    n = [2 * draw(st.integers(1, 64)) for _ in range(2)]
+    if draw(st.booleans()):
+        rule = nr.BranchRule(c=draw(st.floats(1e-3, 5.0)),
+                             side=draw(st.sampled_from(["alpha", "beta"])))
+        family = nr.PowerFamily(draw(st.floats(0.05, 1.0)), even=rule)
+        return [family.point(k) for k in n]
+    return [_even_row(k, draw(st.floats(4 + 1e-9, 9.0)), draw(st.sampled_from(["alpha", "beta"])))
+            for k in n]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(points=_even_rows())
+def test_dilation_products_of_two_profiles_match_pair_products(points):
+    table = bump_table(points)
+    got = cf.dilation_products(table, [0, 1, 0], [1, 0, 0])
+    assert np.max(np.abs(got - cf.pair_products(table, [0, 1, 0], [1, 0, 0]))) <= 1e-13
+
+
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_dilation_products_next_to_the_diagonal_band(side):
+    # s = max(sqrt(alpha), sqrt(beta)) / n just outside the band of relative
+    # half-width 1e-12, where the Dirichlet angles w pi / a approach 2 pi / a
+    points = [_even_row(2 * k, (2 * (1 + gap)) ** 2, side)
+              for k in (1, 2, 3, 5, 32, 64) for gap in (2e-12, 1e-9, 1e-6)]
+    assert all(p.case != "diagonal" for p in points)
+    table = bump_table(points)
+    i, j = np.triu_indices(len(points))
+    assert np.max(np.abs(cf.dilation_products(table, i, j) - cf.pair_products(table, i, j))) <= 1e-13
+
+
+def test_one_profile_broadcasts_the_bits_of_many():
+    # one profile for every row is broadcast, not gathered per pair; a row
+    # of another profile makes every pair gather, with the same bits
+    rows = [gamma_line_point(2 * k, 5.3) for k in range(1, 17)]
+    i, j = np.triu_indices(len(rows), 1)
+    alone = cf.dilation_products(bump_table(rows), i, j)
+    mixed = cf.dilation_products(bump_table(rows + [complete_point(4, beta=30.0)]), i, j)
+    assert alone.tobytes() == mixed.tobytes()
+
+
+def test_rows_with_one_profile_share_it():
+    # w = (3, 3/2) for n = 4 at alpha = 36 and n = 8 at alpha = 144 alike;
+    # a row a few ulp away takes the profile of the first row too, and a
+    # row of another profile keeps its own
+    rows = [complete_point(4, alpha=36.0), complete_point(6, beta=30.0),
+            complete_point(8, alpha=144.0), complete_point(10, alpha=np.nextafter(225.0, 300))]
+    table = bump_table(rows)
+    _, _, profile = cf._profiles(table)
+    assert list(profile) == [0, 1, 0, 0]
+    i, j = np.triu_indices(len(rows), 1)
+    assert np.max(np.abs(cf.dilation_products(table, i, j) - cf.pair_products(table, i, j))) <= 1e-13

@@ -79,6 +79,43 @@ def test_require_int():
             require_int(bad, "n", 1, 5)
 
 
+def test_refusals_show_an_unprintable_int_by_its_digit_count():
+    # Python refuses to print an int of more than 4300 digits; a refusal
+    # that printed one raised a plain ValueError instead of itself
+    assert errors.printable(10 ** 4299) == str(10 ** 4299)
+    assert errors.printable(10 ** 4300) == "an integer of 4301 digits"
+    assert errors.printable(-(10 ** 5000) + 1) == "an integer of 5000 digits"
+    assert errors.printable(2.5) == "2.5"
+    with pytest.raises(InvalidArgument, match=r"\[1, 10000\], got an integer of 5001 digits") as info:
+        closedform.inner_cross_index(complete_point(4, alpha=30.0), 10 ** 5000)
+    assert type(info.value) is InvalidArgument
+    with pytest.raises(IndexTooSmall, match="must be >= 2, got an integer of 5001 digits"):
+        complete_point(-10 ** 5000, alpha=4.0)
+
+
+def _integrand():
+    f = fucik.build(complete_point(4, alpha=30.0))
+    return fucik.PiecewiseIntegrand(f, fucik.breakpoints(f))
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: nearness.PowerFamily(10 ** 400, even=nearness.BranchRule(c=1)),
+     errors.TailNotBoundable),
+    (lambda: nearness.region_boundary(10 ** 400, "even", [2, 3]), InvalidArgument),
+    (lambda: fucik.integrate(_integrand(), tol=10 ** 400), InvalidArgument),
+    (lambda: fucik.evaluate(fucik.build(complete_point(4, alpha=30.0)), 10 ** 400),
+     errors.OutOfDomain),
+    (lambda: nearness.theorem1_check(nearness.GammaLine(5), n_partial=10 ** 400),
+     InvalidArgument),
+    (lambda: nearness.zeta(10 ** 400), InvalidArgument),
+], ids=["power-family", "region-boundary", "integrate", "evaluate", "theorem1", "zeta"])
+def test_ints_beyond_float_range_are_refused(call, refusal):
+    # each raised OverflowError, which is no FucikError
+    with pytest.raises(refusal) as info:
+        call()
+    assert type(info.value) is refusal
+
+
 @pytest.mark.parametrize("call, below", INDEX_TAKERS)
 def test_every_index_is_refused_alike(call, below):
     for bad in (2.5, math.nan, math.inf, -math.inf):

@@ -12,7 +12,7 @@ from fucik import grammatrix as gm
 from fucik import nearness as nr
 from fucik import paleywiener as pw
 from fucik.eigenfunction import breakpoints, build, bump_table
-from fucik.spectrum import complete_point, gamma_line_point
+from fucik.spectrum import FucikPoint, complete_point, curve_residual, gamma_line_point
 
 PI = math.pi
 
@@ -142,6 +142,11 @@ _BATCH_SYSTEMS = [
                             complete_point(5, alpha=36.0))), 10),
     (nr.FinitePerturbation((complete_point(3, alpha=13.0), complete_point(4, alpha=20.0),
                             complete_point(5, beta=31.0), complete_point(9, alpha=90.0))), 12),
+    # a Theorem-2 system: every eigenfunction pair is even
+    (nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=1.0)), 40),
+    # f_4 and f_8 share one profile, and f_6 lies on the beta side
+    (nr.FinitePerturbation((complete_point(4, alpha=36.0), complete_point(6, beta=50.0),
+                            complete_point(7, alpha=60.0), complete_point(8, alpha=144.0))), 10),
 ]
 
 
@@ -192,13 +197,38 @@ def test_pair_products_obey_the_dilation_identity(gamma, pair):
 
 @pytest.mark.parametrize("gamma", [4.84, 5.0, 5.55, 4.000000000008001])
 def test_gamma_line_gram_matches_its_direct_assembly(gamma):
-    # the same even points as a finite perturbation are all integrated
-    # directly; at gamma = 4.000000000008001 some even rows are diagonal,
-    # so their dilates must be integrated directly too
+    # the kernel of a pair depends on its rows, not on the system type, so
+    # the same even points as a finite perturbation give the same bytes; at
+    # gamma = 4.000000000008001 some even rows are diagonal, and are sines
+    # in both
     line = nr.GammaLine(gamma)
     direct = nr.FinitePerturbation(tuple(line.point(n) for n in range(2, 129, 2)))
     copied = gm.build_gram(line, 128).entries
-    assert np.max(np.abs(copied - gm.build_gram(direct, 128).entries)) <= 1e-13
+    assert copied.tobytes() == gm.build_gram(direct, 128).entries.tobytes()
+
+
+def test_theorem2_pairs_take_the_profile_kernel(monkeypatch):
+    # every odd row of a Theorem-2 system is a sine, so no pair of its
+    # eigenfunctions merges junctions
+    def refuse(*args):
+        raise AssertionError("pair_products called")
+    monkeypatch.setattr(cf, "pair_products", refuse)
+    for system in (nr.PowerFamily(0.5, even=nr.BranchRule(c=1.0)), nr.GammaLine(5.0)):
+        gm.build_gram(system, 64)
+
+
+def test_an_entry_off_its_curve_merges_junctions():
+    # 9e-10 off its curve (TAU_CURVE is 1e-9), f_4 is not a dilate of a
+    # pi-periodic profile: its two bump pairs end 9e-10 short of pi, so the
+    # profile kernel would be off by about 6e-10 on the pair (4, 6)
+    off = FucikPoint(4, 36.0, 9.0 + 7.7e-9)
+    assert 8e-10 < -curve_residual(off) < 1e-9
+    on = complete_point(6, alpha=50.0)
+    entry = gm.build_gram(nr.FinitePerturbation((off, on)), 8).entries[3, 5]
+    table = bump_table([off, on])
+    assert entry == cf.pair_products(table, [0], [1])[0]
+    assert abs(entry - _pair_reference(off, on)) <= 1e-13
+    assert abs(cf.dilation_products(table, [0], [1])[0] - entry) > 1e-10
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
