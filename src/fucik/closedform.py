@@ -30,7 +30,7 @@ the b periods of the other factor, leaves a fixed number of
 Dirichlet-kernel sums per pair, where merging junctions takes
 2a + 2b + 1 pieces.  So a pair takes the profile kernel when both of its
 rows are even and periodic as built (their n / 2 bump pairs span [0, pi]
-within :data:`~fucik.eigenfunction.JUNCTION_SLACK`), and
+within 1e-14, :data:`fucik.grammatrix._PERIOD_SLACK`), and
 :func:`pair_products` serves only the pairs with an odd row or a row off
 its curve by more than that.
 
@@ -240,8 +240,8 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
 
     Gram assembly sends it only the pairs :func:`dilation_products` does
     not take: those with an odd row, or with a row whose bump pairs miss
-    pi by more than :data:`~fucik.eigenfunction.JUNCTION_SLACK`; it takes
-    any pair of rows.
+    pi by more than :data:`fucik.grammatrix._PERIOD_SLACK`; it takes any
+    pair of rows.
 
     Between merged junction points both factors are single sinusoids
     a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
@@ -309,14 +309,13 @@ def _dirichlet_sums(k0: np.ndarray, count: np.ndarray, c: np.ndarray) -> np.ndar
     return np.sin(count * half) / np.sin(half) * np.exp(1j * (k0 + (count - 1) / 2) * c)
 
 
-#: the factor (0: the b factor of a pair, 1: the a factor) and the arc of
-#: its profile (0 positive, 1 negative) whose frequency and amplitude each
-#: of the ten Dirichlet sums of :func:`dilation_products` carries
-_SUM_FACTOR = np.array([0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
-_SUM_ARC = np.array([0, 1, 0, 1, 0, 0, 1, 1, 0, 1])
+#: the arc of the a factor's profile (0 positive, 1 negative) whose
+#: frequency and amplitude each of the six period runs of
+#: :func:`dilation_products` carries
+_RUN_ARC = np.array([0, 0, 1, 1, 0, 1])
 
-#: rows whose profiles agree within this many units in the last place
-#: share the profile of the first of them
+#: a row whose profile agrees with that of the first row within this many
+#: units in the last place shares the profile of the first row
 _PROFILE_ULP = 8
 
 
@@ -325,18 +324,16 @@ def _profiles(t: BumpTable):
 
     Returns the arc frequencies w = (sa, sb) / (n / 2) as a (2, rows)
     array, the complex amplitudes (2, rows) with G(y) = Im(amp exp(i w y))
-    on each arc, and for each row the first row whose frequencies and bump
-    amplitudes all agree with its own within :data:`_PROFILE_ULP` ulp.
+    on each arc, and the profile row of each row: 0 where its frequencies
+    and bump amplitudes all agree with those of row 0 within
+    :data:`_PROFILE_ULP` ulp, as on a dilation line, and its own index
+    otherwise.
     """
     w = t.bumps[2:4] / (t.n / 2)
     amp = np.array([t.a_pos, -t.a_neg * np.exp(-1j * (w[1] * np.pi / w[0]))])
     key = np.vstack((w, t.bumps[:2]))
-    tol = _PROFILE_ULP * np.spacing(key)
-    # every row within tol of the first, as on a dilation line, or a full comparison
-    if (np.abs(key - key[:, :1]) <= tol).all():
-        return w, amp, np.zeros(t.n.size, dtype=np.intp)
-    close = np.abs(key[:, :, None] - key[:, None, :]) <= tol[:, :, None]
-    return w, amp, close.all(axis=0).argmax(axis=1)
+    first = (np.abs(key - key[:, :1]) <= _PROFILE_ULP * np.spacing(key)).all(axis=0)
+    return w, amp, np.where(first, 0, np.arange(t.n.size))
 
 
 def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
@@ -351,12 +348,12 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     with w = (w1, w2) = (sqrt(alpha), sqrt(beta)) / (n / 2), L1 = pi / w1,
     and A, B the bump amplitudes of the row, from the one amplitude rule
     :func:`fucik.eigenfunction.amplitudes`.  Both rows of a pair must be
-    even and span [0, pi] within :data:`~fucik.eigenfunction.JUNCTION_SLACK`;
+    even and span [0, pi] within :data:`fucik.grammatrix._PERIOD_SLACK`;
     :func:`fucik.grammatrix.build_gram` sends every other pair to
-    :func:`pair_products`.  Rows whose profiles agree within
-    :data:`_PROFILE_ULP` ulp take the profile of the first of them
-    (:func:`_profiles`): on a dilation line every row takes that of its
-    first row.
+    :func:`pair_products`.  A row whose profile agrees with that of the
+    first row within :data:`_PROFILE_ULP` ulp takes the profile of the
+    first row, as every row of a dilation line does (:func:`_profiles`);
+    every other row keeps its own.
 
     Write F for the profile of row i and G for that of row j, a = n_i / 2
     and b = n_j / 2.  Both F(a x) and G(b x) have period pi / d, d =
@@ -413,20 +410,15 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     a, b = t.n[i] // 2, t.n[j] // 2
     d = np.gcd(a, b)
     a, b = a // d, b // d
-    many = profile.any()
-    base = int(b.max()) + 1
-    key = a * base + b
-    if many:
-        key += (profile[i] * t.n.size + profile[j]) * (base * (int(a.max()) + 1))
+    base = int(t.n.max()) // 2 + 1
+    key = ((profile[i] * t.n.size + profile[j]) * base + a) * base + b
     _, pick, inverse = np.unique(key, return_index=True, return_inverse=True)
     a, b = a[pick].astype(float), b[pick].astype(float)
-    # the profile row behind each Dirichlet sum: G's for H, F's for the
-    # runs; one profile for every row, as on a dilation line, broadcasts
-    if many:
-        who = np.stack((profile[j[pick]], profile[i[pick]]))[_SUM_FACTOR]
-    else:
-        who = profile[:1, None]
-    wr = w[_SUM_ARC[:, None], who]
+    # the profile arcs behind the ten Dirichlet sums: both arcs of G for C1
+    # and C2 on each sub-interval of H, then the arcs of F along the runs
+    g, f = profile[j[pick]], profile[i[pick]]
+    wg, ag = w.take(g, axis=1), amp.take(g, axis=1)
+    wr = np.concatenate((wg, wg, w.take(f, axis=1)[_RUN_ARC]))
     rho = a / wr[0]
     q = np.floor(rho)
     phi = rho - q
@@ -445,7 +437,8 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     first = np.stack((zero, q + 1, zero, q, zero, zero, k + 1, ks, k, k))
     count = np.stack((q + 1, a - q - 1, q, a - q, ks, k, b - k - 1, b - ks, one, one))
     angle = np.concatenate((np.pi / a * wr[:4], np.pi / b * wr[4:]))
-    sums = _dirichlet_sums(first, count, angle) * amp[_SUM_ARC[:, None], who]
+    sums = _dirichlet_sums(first, count, angle) * np.concatenate(
+        (ag, ag, amp.take(f, axis=1)[_RUN_ARC]))
     coef = sums[:4].reshape(2, 2, -1)
     # each piece as an offset range [t0, t1) within its period, in units
     # of pi / b

@@ -468,24 +468,15 @@ def test_dilation_products_next_to_the_diagonal_band(side):
     assert np.max(np.abs(cf.dilation_products(table, i, j) - cf.pair_products(table, i, j))) <= 1e-13
 
 
-def test_one_profile_broadcasts_the_bits_of_many():
-    # one profile for every row is broadcast, not gathered per pair; a row
-    # of another profile makes every pair gather, with the same bits
-    rows = [gamma_line_point(2 * k, 5.3) for k in range(1, 17)]
-    i, j = np.triu_indices(len(rows), 1)
-    alone = cf.dilation_products(bump_table(rows), i, j)
-    mixed = cf.dilation_products(bump_table(rows + [complete_point(4, beta=30.0)]), i, j)
-    assert alone.tobytes() == mixed.tobytes()
-
-
 def test_rows_with_one_profile_share_it():
     # w = (3, 3/2) for n = 4 at alpha = 36 and n = 8 at alpha = 144 alike;
     # a row a few ulp away takes the profile of the first row too, and a
-    # row of another profile keeps its own
+    # row of another profile keeps its own index
     rows = [complete_point(4, alpha=36.0), complete_point(6, beta=30.0),
-            complete_point(8, alpha=144.0), complete_point(10, alpha=np.nextafter(225.0, 300))]
+            complete_point(8, alpha=144.0), complete_point(10, alpha=np.nextafter(225.0, 300)),
+            complete_point(12, beta=40.0)]
     table = bump_table(rows)
     _, _, profile = cf._profiles(table)
-    assert list(profile) == [0, 1, 0, 0]
+    assert list(profile) == [0, 1, 0, 0, 4]
     i, j = np.triu_indices(len(rows), 1)
     assert np.max(np.abs(cf.dilation_products(table, i, j) - cf.pair_products(table, i, j))) <= 1e-13

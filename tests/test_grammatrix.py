@@ -231,6 +231,21 @@ def test_an_entry_off_its_curve_merges_junctions():
     assert abs(cf.dilation_products(table, [0], [1])[0] - entry) > 1e-10
 
 
+@pytest.mark.parametrize("gap, short_max, profiled", [(7.7e-14, 1e-14, True),
+                                                      (7.7e-12, 1e-12, False)])
+def test_entries_next_to_the_period_slack_keep_their_accuracy(gap, short_max, profiled):
+    # f_4 9e-15 short of pi takes the profile kernel, which misses its
+    # product as built by about 0.7 times the shortfall; 9e-13 short, the
+    # profile kernel would miss by 6e-13, so it merges junctions
+    off, on = FucikPoint(4, 36.0, 9.0 + gap), complete_point(6, alpha=50.0)
+    table = bump_table([off, on])
+    assert 0.8 * short_max < np.pi - 2 * table.l[0] < short_max
+    entry = gm.build_gram(nr.FinitePerturbation((off, on)), 8).entries[3, 5]
+    kernel = cf.dilation_products if profiled else cf.pair_products
+    assert entry == kernel(table, [0], [1])[0]
+    assert abs(entry - _pair_reference(off, on)) <= 1e-13
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(gamma=st.floats(pw.GAMMA_MIN, pw.GAMMA_MAX), N=st.integers(2, 40),
        k=st.integers(1, 40))
