@@ -251,7 +251,7 @@ def _suite_gram(args, tol: float, checks: list) -> None:
     asym = float(np.max(np.abs(g5.entries - g5.entries.T)))
     checks.append(_check("gram_symmetry", asym <= 1e-12, 1e-12, asym))
     # the eigenfunction pairs, integrated exactly by assembly, against quadrature
-    points = {i: p for i in range(1, 9) if (p := system.point(i)).case != "diagonal"}
+    points = grammatrix._eigenfunction_points(system, 8)
     t = bump_table(list(points.values()))
     left, right = np.array(list(combinations(range(len(points)), 2))).T
     quad = integrate_many(

@@ -115,7 +115,8 @@ def _progression_pair(n: int, c: float, d_pos: float, d_neg: float) -> tuple[flo
 
 def _bump_factor(w: float, m: int) -> float:
     """pi sinc(pi (w - m) / (2 w)) / (w + m), the per-bump weight."""
-    # the grouping np.sinc uses, so the table route rounds u alike
+    # u = pi x, x = (w - m) / (2 w), grouped as in :func:`_bump_factors`,
+    # so the table route rounds u alike
     u = math.pi * ((w - m) / (2 * w))
     return math.pi * (math.sin(u) / u if u else 1.0) / (w + m)
 
@@ -198,22 +199,27 @@ def norms_sq(t: BumpTable) -> np.ndarray:
 
 
 def _progression_pairs(n: np.ndarray, c: np.ndarray, d_pos: np.ndarray, d_neg: np.ndarray):
-    """Elementwise :func:`_progression_pair`; a row with n = 1 gets a zero
-    negative sum."""
+    """Elementwise :func:`_progression_pair`, the positive and the negative
+    sums stacked on a leading axis; a row with n = 1 gets a zero negative
+    sum."""
     c = np.fmod(c, 2 * np.pi)
     c = np.where(c > np.pi, c - 2 * np.pi, c)
     flat = c == 0.0
     half = np.where(flat, 1.0, c / 2)
-    s = np.sin(half)
-    def train(count, d):
-        ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / s
-        return np.where(flat, count * np.sin(d), ratio)
-    return train((n + 1) // 2, d_pos), train(n // 2, d_neg)
+    # both trains in one pass: counts and offsets stacked on a leading axis
+    count, d = np.array(((n + 1) // 2, n // 2)), np.array((d_pos, d_neg))
+    ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / np.sin(half)
+    return np.where(flat, count * np.sin(d), ratio)
 
 
 def _bump_factors(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elementwise :func:`_bump_factor`."""
-    return np.pi * np.sinc((w - m) / (2 * w)) / (w + m)
+    # np.sinc inlined without its Python wrapper, in its grouping u = pi x
+    # with x = (w - m) / (2 w); a zero u becomes pi 1e-20, whose sine over
+    # itself is exactly 1, the value :func:`_bump_factor` takes there
+    u = np.pi * ((w - m) / (2 * w))
+    u = np.where(u == 0, np.pi * 1e-20, u)
+    return np.pi * (np.sin(u) / u) / (w + m)
 
 
 def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
@@ -229,8 +235,8 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
     n = t.n[:, None]
     l1, l2 = t.l1[:, None], t.l2[:, None]
     pos, neg = _progression_pairs(n, m * t.l[:, None], m * l1 / 2, m * (l1 + l2 / 2))
-    value = (t.a_pos[:, None] * _bump_factors(t.sa[:, None], m) * pos
-             - t.a_neg[:, None] * _bump_factors(t.sb[:, None], m) * neg)
+    f_pos, f_neg = _bump_factors(t.bumps[2:4, :, None], m)
+    value = t.a_pos[:, None] * f_pos * pos - t.a_neg[:, None] * f_neg * neg
     zero = (m % 2 == 0) & ((n % 2 == 1) | (m < n))
     return np.where(zero, 0.0, value)
 
@@ -434,26 +440,26 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     # rows 4-9: the six pieces summed over the period k, namely the
     # positive arc on sub-intervals 0 and 1, the negative arc on 0 and 1,
     # and the positive and the negative part of the split sub-interval
-    first = np.stack((zero, q + 1, zero, q, zero, zero, k + 1, ks, k, k))
-    count = np.stack((q + 1, a - q - 1, q, a - q, ks, k, b - k - 1, b - ks, one, one))
+    first = np.array((zero, q + 1, zero, q, zero, zero, k + 1, ks, k, k))
+    count = np.array((q + 1, a - q - 1, q, a - q, ks, k, b - k - 1, b - ks, one, one))
     angle = np.concatenate((np.pi / a * wr[:4], np.pi / b * wr[4:]))
     sums = _dirichlet_sums(first, count, angle) * np.concatenate(
         (ag, ag, amp.take(f, axis=1)[_RUN_ARC]))
     coef = sums[:4].reshape(2, 2, -1)
     # each piece as an offset range [t0, t1) within its period, in units
     # of pi / b
-    t0 = np.stack((zero, phi, zero, phi, split * phi, frac))
-    t1 = np.stack((phi, one, phi, one, frac, np.where(split, 1.0, phi)))
+    t0 = np.array((zero, phi, zero, phi, split * phi, frac))
+    t1 = np.array((phi, one, phi, one, frac, np.where(split, 1.0, phi)))
     h = (t1 - t0) * (np.pi / b)
     mid = (t0 + t1) / 2 * (np.pi / b)
     nu = (wr[:2] * (b / a))[:, None]
     wa = wr[4:]
-    sub = np.stack((zero, one, zero, one, split, split)) != 0
+    sub = np.array((zero, one, zero, one, split, split)) != 0
     # C exp(i nu m): each sinusoid of H at the midpoint m of each piece
     u = np.where(sub, coef[1][:, None], coef[0][:, None]) * np.exp(1j * nu * mid)
-    kappa = np.stack((wa - nu, wa + nu))
-    span = np.divide(2 * np.sin(kappa * h / 2), kappa,
-                     out=np.broadcast_to(h, kappa.shape).copy(), where=kappa != 0)
+    kappa = np.array((wa - nu, wa + nu))
+    span = np.divide(2 * np.sin(kappa * h / 2), kappa, out=h + np.zeros_like(kappa),
+                     where=kappa != 0)
     # Im(X) Im(Y) = Re(X conj(Y) - X Y) / 2, summed over H's sinusoids.
     # A complex product rounds differently with its operands swapped, and
     # numpy swaps them to reuse a large temporary on the right, so every

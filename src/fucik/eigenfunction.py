@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,7 +125,10 @@ class BumpTable:
     sqrt(alpha) and ``sb`` = sqrt(beta), the bump lengths ``l1`` and
     ``l2``, the period ``l`` = l1 + l2, and its ``junctions`` row, padded
     with pi to the common width max(n) + 3: the n + 2 junctions after 0
-    reach pi, as in :func:`breakpoints`.  ``bumps`` stacks the columns
+    reach pi, as in :func:`breakpoints`.  The junction rows are computed
+    on first read and kept: only the merged-junction kernel and the
+    quadrature oracle read them, so a Gram whose pairs all take the
+    profile kernel never builds them.  ``bumps`` stacks the columns
     (a_pos, a_neg, sa, sb, l1, l) that :func:`local_waves` and
     :func:`evaluate_panels` take, in that order, so ``*t.bumps[:, rows]``
     gathers them for any rows in one index; the six named columns are its
@@ -141,7 +145,10 @@ class BumpTable:
     l1: np.ndarray
     l: np.ndarray
     l2: np.ndarray
-    junctions: np.ndarray
+
+    @cached_property
+    def junctions(self) -> np.ndarray:
+        return junctions(self.l1[:, None], self.l[:, None], int(self.n.max(initial=0)) + 2)
 
 
 def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
@@ -151,8 +158,7 @@ def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
                                      for p in points]).reshape(-1, 4).T
     l1, l2 = np.pi / sa, np.pi / sb
     bumps = np.array([a_pos, a_neg, sa, sb, l1, l1 + l2])
-    return BumpTable(n, bumps, *bumps, l2,
-                     junctions(bumps[4, :, None], bumps[5, :, None], int(n.max(initial=0)) + 2))
+    return BumpTable(n, bumps, *bumps, l2)
 
 
 def _bump_pair(l1, l, x):

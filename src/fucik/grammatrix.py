@@ -35,6 +35,7 @@ from . import closedform
 from .eigenfunction import bump_table
 from .errors import InvalidArgument, require_int
 from .nearness import SystemSpec
+from .spectrum import FucikPoint
 
 MAX_ORDER = 512
 
@@ -58,6 +59,16 @@ class GramTruncation:
     normalization: ClassVar[float] = 2.0 / math.pi
 
 
+def _eigenfunction_points(system: SystemSpec, N: int) -> dict[int, FucikPoint]:
+    """index -> point of every index n <= N whose point is off the diagonal.
+
+    Only the indices the system lists as candidates are built; every
+    other one is sin(n x) by the system's construction.
+    """
+    return {n: p for n in system._candidate_indices(N)
+            if (p := system.point(n)).case != "diagonal"}
+
+
 def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) -> GramTruncation:
     """Assemble the order-N Gram truncation of a system specification.
 
@@ -78,19 +89,26 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     a dilation line or any Theorem-2 system, is assembled in O(N^2).
     Every other pair, with an odd row or a row off its curve by more
     than that slack, goes to :func:`~fucik.closedform.pair_products`.
-    Even points in the diagonal band are sines and take part in neither.
+
+    Only the points that may be off the diagonal are built
+    (:func:`_eigenfunction_points`): the even ones of a dilation line,
+    those of a power family's parity classes with a rule, the entries of
+    a finite perturbation.  Every other index is sin(n x), and so is a
+    built point in the diagonal band.
     An integral float N is taken as its int; an N outside [1, MAX_ORDER],
     or not an integer, raises InvalidArgument (IndexTooSmall below 1).
     ``max_workers`` is accepted for older callers and ignored.
     """
     N = require_int(N, "truncation order", 1, MAX_ORDER)
-    points = [system.point(i) for i in range(1, N + 1)]
-    sine = np.array([p.case == "diagonal" for p in points])
-    s, e = np.flatnonzero(sine), np.flatnonzero(~sine)
+    points = _eigenfunction_points(system, N)
+    e = np.array(list(points), dtype=np.intp) - 1
+    sine = np.ones(N, dtype=bool)
+    sine[e] = False
+    s = np.flatnonzero(sine)
     m = np.zeros((N, N))
     m[s, s] = math.pi / 2
     if e.size:
-        table = bump_table([points[k] for k in e])
+        table = bump_table(list(points.values()))
         m[e, e] = closedform.norms_sq(table)
         cross = closedform.sine_products(table, s + 1)
         m[np.ix_(e, s)] = cross
@@ -115,6 +133,11 @@ def extreme_eigenvalues(g: GramTruncation) -> tuple[float, float]:
     asym = float(np.max(np.abs(scaled - scaled.T)))
     if not asym <= 1e-12:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds 1e-12")
+    return _extremes(scaled)
+
+
+def _extremes(scaled: np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix, unchecked."""
     eig = np.linalg.eigvalsh(scaled)
     return float(eig[0]), float(eig[-1])
 
@@ -126,7 +149,10 @@ def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, 
     [1, MAX_ORDER], all checked before any work.  The largest Gram matrix
     is assembled once and the smaller truncations are its leading
     submatrices, so the interlacing monotonicity (lambda_min nonincreasing,
-    lambda_max nondecreasing) is exact by construction.
+    lambda_max nondecreasing) is exact by construction.  Only the largest
+    passes through :func:`extreme_eigenvalues`, whose symmetry check raises
+    ValueError on an asymmetric or NaN matrix; a leading block of a
+    matrix that passed is symmetric too, and goes straight to LAPACK.
     """
     sizes = [require_int(n, "truncation order", 1, MAX_ORDER) for n in Ns]
     if not sizes:
@@ -134,8 +160,9 @@ def riesz_scan(system: SystemSpec, Ns: Sequence[int]) -> list[tuple[int, float, 
     if sizes != sorted(sizes):
         raise InvalidArgument("truncation orders must be ascending")
     full = build_gram(system, sizes[-1])
+    top = extreme_eigenvalues(full)
     out = []
     for n in sizes:
-        lo, hi = extreme_eigenvalues(GramTruncation(full.entries[:n, :n]))
+        lo, hi = top if n == sizes[-1] else _extremes(full.normalization * full.entries[:n, :n])
         out.append((n, lo, hi))
     return out

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fucik import closedform as cf
+from fucik import eigenfunction as ef
 from fucik import grammatrix as gm
 from fucik import nearness as nr
 from fucik import paleywiener as pw
@@ -217,6 +218,75 @@ def test_theorem2_pairs_take_the_profile_kernel(monkeypatch):
         gm.build_gram(system, 64)
 
 
+def _rules():
+    return st.one_of(
+        st.none(),
+        st.builds(lambda c, side: nr.BranchRule(c=c, side=side),
+                  st.floats(0.0, 2.0), st.sampled_from(("alpha", "beta"))),
+        st.builds(lambda f, side: nr.BranchRule(cap_fraction=f, side=side),
+                  st.floats(0.0, 1.0), st.sampled_from(("alpha", "beta"))))
+
+
+@st.composite
+def _perturbations(draw):
+    """Finite perturbations with up to six entries of any index up to 80,
+    some of them beyond the truncation and some on the diagonal."""
+    entries = []
+    for n in draw(st.lists(st.integers(2, 80), max_size=6, unique=True)):
+        r = draw(st.sampled_from((1.0, 1.001, 1.3, 1.9)))
+        side = draw(st.sampled_from(("alpha", "beta")))
+        entries.append(complete_point(n, **{side: (n * r) ** 2}))
+    return nr.FinitePerturbation(tuple(entries))
+
+
+_SPECS = {
+    "gamma-line": st.builds(nr.GammaLine, st.floats(pw.GAMMA_MIN, pw.GAMMA_MAX)),
+    "power": st.builds(nr.PowerFamily, st.floats(0.05, 20.0), _rules(), _rules()),
+    "finite": _perturbations(),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SPECS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), N=st.integers(1, 64))
+def test_every_index_outside_the_candidates_is_a_sine(kind, data, N):
+    # build_gram builds only the candidate points and takes every other
+    # index as sin(n x); that is sound only if the system's own point
+    # there is diagonal
+    system = data.draw(_SPECS[kind])
+    listed = list(system._candidate_indices(N))
+    assert listed == sorted(set(listed)) and set(listed) <= set(range(1, N + 1))
+    for n in set(range(1, N + 1)) - set(listed):
+        assert system.point(n).case == "diagonal", n
+
+
+def test_build_gram_builds_only_the_candidate_points(monkeypatch):
+    calls = []
+    for spec in (nr.GammaLine, nr.FinitePerturbation):
+        def counted(self, n, point=spec.point):
+            calls.append(n)
+            return point(self, n)
+        monkeypatch.setattr(spec, "point", counted)
+    gm.build_gram(nr.GammaLine(5.0), 64)
+    assert calls == list(range(2, 65, 2))
+    calls.clear()
+    pair = nr.FinitePerturbation((complete_point(7, beta=60.0), complete_point(4, alpha=20.0)))
+    gm.build_gram(pair, 512)
+    assert calls == [4, 7]
+
+
+def test_profile_kernel_grams_never_build_junction_rows(monkeypatch):
+    # only pair_products and the quadrature oracle read the junction rows
+    def refuse(*args):
+        raise AssertionError("junction rows built")
+    monkeypatch.setattr(ef, "junctions", refuse)
+    for system in (nr.GammaLine(5.0), nr.PowerFamily(0.5, even=nr.BranchRule(c=1.0))):
+        gm.build_gram(system, 64)
+    with pytest.raises(AssertionError, match="junction rows"):
+        gm.build_gram(nr.FinitePerturbation((complete_point(3, alpha=13.0),
+                                             complete_point(4, alpha=20.0))), 8)
+
+
 def test_an_entry_off_its_curve_merges_junctions():
     # 9e-10 off its curve (TAU_CURVE is 1e-9), f_4 is not a dilate of a
     # pi-periodic profile: its two bump pairs end 9e-10 short of pi, so the
@@ -323,6 +393,29 @@ def test_extreme_eigenvalues_rejects_nan_entry():
     m[1, 2] = m[2, 1] = math.nan
     with pytest.raises(ValueError):
         gm.extreme_eigenvalues(gm.GramTruncation(entries=m))
+
+
+def test_riesz_scan_matches_each_leading_block():
+    # a repeated order gives the same row twice, and every row carries the
+    # bits extreme_eigenvalues gives for its leading block
+    system = nr.GammaLine(5.3)
+    full = gm.build_gram(system, 16)
+    sizes = [1, 8, 8, 16, 16]
+    want = [(n, *gm.extreme_eigenvalues(gm.GramTruncation(full.entries[:n, :n])))
+            for n in sizes]
+    assert gm.riesz_scan(system, sizes) == want
+
+
+@pytest.mark.parametrize("value", [1e-3, math.nan])
+@pytest.mark.parametrize("row", [1, 5])
+def test_riesz_scan_refuses_a_faulty_gram(monkeypatch, value, row):
+    # the one symmetry check, on the largest order, also covers a fault
+    # inside a smaller leading block
+    m = np.eye(8) * PI / 2
+    m[row, row + 1] = value
+    monkeypatch.setattr(gm, "build_gram", lambda system, N: gm.GramTruncation(m))
+    with pytest.raises(ValueError, match="asymmetry"):
+        gm.riesz_scan(nr.GammaLine(5.0), [4, 8])
 
 
 def test_riesz_scan_requires_ascending():

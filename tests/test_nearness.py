@@ -15,6 +15,7 @@ from fucik import paleywiener as pw
 from fucik.errors import (
     DivergentArgument,
     IndexTooSmall,
+    InvalidArgument,
     NotOnCurve,
     OddEntriesNotDiagonal,
     TailNotBoundable,
@@ -561,3 +562,42 @@ def test_criteria_reject_short_partial_sums():
             assert check(system, n_partial=2).partial_sum >= 0.0
             # an integral float is the count it names
             assert check(system, n_partial=10.0) == check(system, n_partial=10)
+
+
+def test_n_partial_above_its_cap_is_refused_before_any_sum(monkeypatch):
+    # 2**53 once reached the sums and raised numpy's MemoryError (32 PiB)
+    def refuse(*args):
+        raise AssertionError("summed")
+    monkeypatch.setattr(nr, "_power_family_sums", refuse)
+    power = nr.PowerFamily(epsilon=0.5, even=nr.BranchRule(c=1.0))
+    for check in (nr.theorem1_check, nr.theorem2_check):
+        for bad in (2 ** 53, 10 ** 9, nr._N_PARTIAL_MAX + 1):
+            with pytest.raises(InvalidArgument, match="n_partial"):
+                check(power, n_partial=bad)
+
+
+def _direct_partial(fam, n_cut):
+    """The partial sum as one array of terms per class and one fsum."""
+    terms = []
+    for first, rule in ((2, fam.even), (3, fam.odd)):
+        if rule is not None:
+            n = np.arange(first, n_cut + 1, 2, dtype=float)
+            c = nr._growth_constants(rule, first == 2, n, fam.epsilon)
+            k = nr.K_EVEN if first == 2 else nr._k_odd(n, rule.side)
+            terms += (k * c * np.float_power(n, -(1.0 + fam.epsilon))).tolist()
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("fam", [
+    nr.PowerFamily(0.6, even=nr.BranchRule(cap_fraction=0.5),
+                   odd=nr.BranchRule(cap_fraction=0.4, side="beta")),
+    nr.PowerFamily(0.3, even=nr.BranchRule(c=1.0), odd=nr.BranchRule(c=0.2)),
+    nr.PowerFamily(2.0, odd=nr.BranchRule(cap_fraction=0.9)),
+], ids=["caps", "constants", "odd-only"])
+@pytest.mark.parametrize("n_cut", [2, 3, 2000, 2001])
+def test_chunked_partial_sum_is_the_direct_fsum(monkeypatch, fam, n_cut):
+    whole = nr._power_family_sums(fam, n_cut)
+    assert whole[0] == _direct_partial(fam, n_cut)
+    # chunks of 7 indices split each class many times, at odd offsets
+    monkeypatch.setattr(nr, "_TERM_CHUNK", 7)
+    assert nr._power_family_sums(fam, n_cut) == whole
