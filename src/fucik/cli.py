@@ -378,8 +378,8 @@ def _cmd_region(args, checks) -> str:
         raise UsageError(f"--compare needs finite --gamma >= {paleywiener.GAMMA_MIN}, "
                          "--c >= 0 and --epsilon > 0")
     # the power-cap boundary against the dominant root n sqrt(gamma) / 2 of the line
-    rows = [(n, n + math.sqrt(args.c) * n ** ((1.0 - args.epsilon) / 2.0),
-             n * math.sqrt(args.gamma) / 2.0) for n in ns if n % 2 == 0]
+    rows = [(n, nearness._boundary(n, args.c, args.epsilon), n * math.sqrt(args.gamma) / 2.0)
+            for n in ns if n % 2 == 0]
     return _csv(["n", "boundary", "line_value"], rows)
 
 

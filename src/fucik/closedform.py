@@ -16,11 +16,24 @@ to sin(n x) follows by polarization.  Products
 of two eigenfunctions (:func:`pair_products`) are integrated exactly on
 each piece between their merged junction points, in the sine form
 2 sin(kappa h / 2) / kappa of a cosine of frequency kappa over a piece of
-length h (h itself where kappa is exactly 0), and only over real pieces:
+length h, and only over real pieces:
 the pairs run widest first, and each chunk's merged rows end after the
 pieces of its widest pair.  Where the junctions
 fall and which bump holds a point is not decided here: both come from the
 layout rules of :mod:`fucik.eigenfunction`.
+
+Every kernel takes one path through its removable singularities.  Where
+the frequency kappa of sin(kappa h) / kappa, the half step t of the
+progression quotient sin(count t) sin((count - 1) t + d) / sin(t), or the
+u of sin(u) / u is exactly 0, the zero is replaced by one stand-in,
+:data:`_TINY` = 2^-600, at which each quotient equals its limit bit for
+bit.  Below 2^-26 the cubic term of sin(x) lies below half an ulp of x,
+so ``math.sin`` and numpy's float64 ``sin`` both return x itself, and
+scaling by a power of two is exact while the result stays normal (every
+length here is 0 or far above 2^-400); (count - 1) 2^-600 is lost when
+added to an offset d above 2^-500, and every offset here is.  So
+sin(2^-600 h) / 2^-600 is h, the progression quotient is count sin(d),
+and sin(u) / u is 1, with no second branch.
 
 Every even eigenfunction is a dilate f_2a(x) = F(a x) of a pi-periodic
 two-arc profile F, whatever its curve point, and the product of
@@ -74,6 +87,9 @@ M_MAX = 10 ** 4
 #: elements per array in one chunk of pair_products; bounds peak memory
 _PAIR_CHUNK = 8192
 
+#: the stand-in for a zero angle or frequency (see the module docstring)
+_TINY = 2.0 ** -600
+
 FormulaCase = Literal["even_alpha", "odd_alpha", "even_beta", "odd_beta", "diagonal"]
 
 
@@ -99,15 +115,14 @@ def _progression_pair(n: int, c: float, d_pos: float, d_neg: float) -> tuple[flo
     multiple of 2 pi: numerator and denominator are then sines of small
     arguments, each accurate to a relative round-off.  fmod is exact, and
     so is the shift by 2 pi (Sterbenz); unlike ``math.remainder``, it keeps
-    a tie at pi where the array form does.
+    a tie at pi where the array form does.  A c of 0 takes its limit
+    count sin(d) at the stand-in :data:`_TINY` (module docstring).
     """
     c = math.fmod(c, 2 * math.pi)
     if c > math.pi:
         c -= 2 * math.pi
     pos, neg = (n + 1) // 2, n // 2
-    if c == 0.0:
-        return pos * math.sin(d_pos), neg * math.sin(d_neg)
-    half = c / 2
+    half = c / 2 if c else _TINY
     s = math.sin(half)
     return (math.sin(pos * half) * math.sin((pos - 1) * half + d_pos) / s,
             math.sin(neg * half) * math.sin((neg - 1) * half + d_neg) / s)
@@ -116,9 +131,9 @@ def _progression_pair(n: int, c: float, d_pos: float, d_neg: float) -> tuple[flo
 def _bump_factor(w: float, m: int) -> float:
     """pi sinc(pi (w - m) / (2 w)) / (w + m), the per-bump weight."""
     # u = pi x, x = (w - m) / (2 w), grouped as in :func:`_bump_factors`,
-    # so the table route rounds u alike
-    u = math.pi * ((w - m) / (2 * w))
-    return math.pi * (math.sin(u) / u if u else 1.0) / (w + m)
+    # so the table route rounds u alike; a zero u takes the stand-in
+    u = math.pi * ((w - m) / (2 * w)) or _TINY
+    return math.pi * (math.sin(u) / u) / (w + m)
 
 
 def _sine_product(p: FucikPoint, m: int) -> float:
@@ -204,22 +219,29 @@ def _progression_pairs(n: np.ndarray, c: np.ndarray, d_pos: np.ndarray, d_neg: n
     sum."""
     c = np.fmod(c, 2 * np.pi)
     c = np.where(c > np.pi, c - 2 * np.pi, c)
-    flat = c == 0.0
-    half = np.where(flat, 1.0, c / 2)
+    half = np.where(c == 0, _TINY, c / 2)
     # both trains in one pass: counts and offsets stacked on a leading axis
     count, d = np.array(((n + 1) // 2, n // 2)), np.array((d_pos, d_neg))
-    ratio = np.sin(count * half) * np.sin((count - 1) * half + d) / np.sin(half)
-    return np.where(flat, count * np.sin(d), ratio)
+    return np.sin(count * half) * np.sin((count - 1) * half + d) / np.sin(half)
+
+
+def _beat(kappa: np.ndarray, half) -> np.ndarray:
+    """sin(kappa half) / kappa elementwise, half where kappa is 0.
+
+    The integral of cos(kappa x) over a piece of half-length ``half``
+    around its midpoint is twice this.  A zero kappa takes the stand-in
+    :data:`_TINY` (module docstring).
+    """
+    kappa = np.where(kappa == 0, _TINY, kappa)
+    return np.sin(kappa * half) / kappa
 
 
 def _bump_factors(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Elementwise :func:`_bump_factor`."""
     # np.sinc inlined without its Python wrapper, in its grouping u = pi x
-    # with x = (w - m) / (2 w); a zero u becomes pi 1e-20, whose sine over
-    # itself is exactly 1, the value :func:`_bump_factor` takes there
+    # with x = (w - m) / (2 w)
     u = np.pi * ((w - m) / (2 * w))
-    u = np.where(u == 0, np.pi * 1e-20, u)
-    return np.pi * (np.sin(u) / u) / (w + m)
+    return np.pi * _beat(u, 1.0) / (w + m)
 
 
 def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
@@ -254,9 +276,10 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
     (ab/2) [cos((w - v) x + ...) - cos((w + v) x + ...)], and each cosine
     integrates over a piece of length h around its midpoint to
     cos(phase at the midpoint) 2 sin(kappa h / 2) / kappa for its
-    frequency kappa, or h where kappa = w - v is exactly 0 (two factors
-    with a common frequency); a junction point the two factors share
-    gives a piece with h = 0, which contributes exactly 0.  The sinusoid
+    frequency kappa (:func:`_beat`), which is h where kappa = w - v is
+    exactly 0 (two factors with a common frequency); a junction point the
+    two factors share gives a piece with h = 0, which contributes exactly
+    0.  The sinusoid
     of each factor on a piece comes from
     :func:`fucik.eigenfunction.local_waves` at the piece's midpoint.
 
@@ -290,10 +313,8 @@ def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarra
         mid = x[:, :-1] + g
         a, w, s = local_waves(*t.bumps[:, ii, None], mid)
         b, v, u = local_waves(*t.bumps[:, jj, None], mid)
-        kappa = w - v
-        minus = np.divide(np.sin(kappa * g), kappa, out=g.copy(), where=kappa != 0)
-        plus = np.sin((w + v) * g) / (w + v)
-        terms = a * b * (np.cos(w * s - v * u) * minus - np.cos(w * s + v * u) * plus)
+        terms = a * b * (np.cos(w * s - v * u) * _beat(w - v, g)
+                         - np.cos(w * s + v * u) * _beat(w + v, g))
         # reduceat sums each row's own pieces at the even bounds; the odd
         # bounds sum its trailing zero-length pieces and are dropped
         start = np.arange(0, terms.size, width)
@@ -397,10 +418,11 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     difference and sum frequency of each product give 24 terms per pair.
     Each term carries the integral over its piece (length h, midpoint m)
     of exp(i nu t), exp(i nu m) 2 sin(nu h / 2) / nu with nu = w_arc(F) -+
-    w_c(G) b / a, which is h where nu = 0: the one resonance.  The terms of
-    every Dirichlet sum lie on one arc of one profile, along which the
-    phase advances by pi, so no sum spans more than half a turn and none
-    needs its angle reduced mod 2 pi (:func:`_dirichlet_sums`).
+    w_c(G) b / a (:func:`_beat`), which is h where nu = 0: the one
+    resonance.  The terms of every Dirichlet sum lie on one arc of one
+    profile, along which the phase advances by pi, so no sum spans more
+    than half a turn and none needs its angle reduced mod 2 pi
+    (:func:`_dirichlet_sums`).
 
     The work per pair is fixed, whatever a and b; merging the junctions
     of the two rows (:func:`pair_products`) takes 2a + 2b + 1 pieces.  The
@@ -457,9 +479,7 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     sub = np.array((zero, one, zero, one, split, split)) != 0
     # C exp(i nu m): each sinusoid of H at the midpoint m of each piece
     u = np.where(sub, coef[1][:, None], coef[0][:, None]) * np.exp(1j * nu * mid)
-    kappa = np.array((wa - nu, wa + nu))
-    span = np.divide(2 * np.sin(kappa * h / 2), kappa, out=h + np.zeros_like(kappa),
-                     where=kappa != 0)
+    span = 2 * _beat(np.array((wa - nu, wa + nu)), h / 2)
     # Im(X) Im(Y) = Re(X conj(Y) - X Y) / 2, summed over H's sinusoids.
     # A complex product rounds differently with its operands swapped, and
     # numpy swaps them to reuse a large temporary on the right, so every

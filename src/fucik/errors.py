@@ -47,7 +47,7 @@ class NoConvergence(FucikError):
 
 
 class TailNotBoundable(InvalidArgument):
-    """A summation criterion was asked for a system with no analytic tail."""
+    """A system with no analytic tail, or no system specification at all."""
 
 
 class OddEntriesNotDiagonal(InvalidArgument):

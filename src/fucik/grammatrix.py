@@ -34,7 +34,7 @@ import numpy as np
 from . import closedform
 from .eigenfunction import bump_table
 from .errors import InvalidArgument, require_int
-from .nearness import SystemSpec
+from .nearness import SystemSpec, _require_system
 from .spectrum import FucikPoint
 
 MAX_ORDER = 512
@@ -97,9 +97,11 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     built point in the diagonal band.
     An integral float N is taken as its int; an N outside [1, MAX_ORDER],
     or not an integer, raises InvalidArgument (IndexTooSmall below 1).
-    ``max_workers`` is accepted for older callers and ignored.
+    ``max_workers`` is accepted for older callers and ignored.  Anything
+    but a system specification raises TailNotBoundable.
     """
     N = require_int(N, "truncation order", 1, MAX_ORDER)
+    _require_system(system)
     points = _eigenfunction_points(system, N)
     e = np.array(list(points), dtype=np.intp) - 1
     sine = np.ones(N, dtype=bool)

@@ -178,13 +178,21 @@ def _cap_zeta(epsilon: float) -> float:
 
 
 def _cap_numerator(n, branch: Branch):
-    """Cap on c_n times zeta(1 + eps) - 1; n an int or a float array."""
+    """Cap on c_n times zeta(1 + eps) - 1; n an int or a float array.
+
+    An int n whose fourth power lies beyond float range raises
+    InvalidArgument.
+    """
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2))
-    if branch == "odd_alpha_dominant":
-        return ((n - 1) ** 2) ** 2 / (8.0 * n * n * (n * n + 1))
-    if branch == "odd_beta_dominant":
-        return ((n + 1) ** 2) ** 2 / (10.0 * n * n * (n * n + 1))
+    try:
+        if branch == "odd_alpha_dominant":
+            return ((n - 1) ** 2) ** 2 / (8.0 * n * n * (n * n + 1))
+        if branch == "odd_beta_dominant":
+            return ((n + 1) ** 2) ** 2 / (10.0 * n * n * (n * n + 1))
+    except OverflowError:
+        raise InvalidArgument(
+            f"curve index {printable(n)} is too large for float arithmetic") from None
     if branch == "odd_alpha_uniform":
         return 1.0 / 46
     if branch == "odd_beta_uniform":
@@ -199,12 +207,24 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     n^{(1-eps)/2} whose constants stay strictly below these caps satisfies
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).  An index
-    n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one
-    InvalidArgument.
+    n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one, or
+    one too large for float arithmetic, InvalidArgument.
     """
     n = require_int(n, "curve index", 1)
     z = _cap_zeta(epsilon)
     return _cap_numerator(n, branch) / z
+
+
+def _boundary(n: int, c: float, epsilon: float) -> float:
+    """n + sqrt(c) n^{(1-eps)/2}, the dominant root of a power family.
+
+    An n beyond float range raises InvalidArgument.
+    """
+    try:
+        return n + math.sqrt(c) * n ** ((1.0 - epsilon) / 2.0)
+    except OverflowError:
+        raise InvalidArgument(
+            f"curve index {printable(n)} is too large for float arithmetic") from None
 
 
 def region_boundary(epsilon: float, branch: Branch,
@@ -218,7 +238,7 @@ def region_boundary(epsilon: float, branch: Branch,
     for n in n_range:
         n = require_int(n, "curve index", 1)
         cap = corollary_cn_cap(max(n, 2), epsilon, branch)
-        out.append((n, n + math.sqrt(cap) * n ** ((1.0 - epsilon) / 2.0)))
+        out.append((n, _boundary(n, cap, epsilon)))
     return out
 
 
@@ -292,6 +312,8 @@ class FinitePerturbation:
     def __post_init__(self):
         seen = {}
         for e in self.entries:
+            if not isinstance(e, FucikPoint):
+                raise InvalidArgument(f"entries must be FucikPoint, got {type(e).__name__}")
             if e.n in seen:
                 raise InvalidArgument(f"duplicate entry for n = {e.n}")
             seen[e.n] = e
@@ -343,7 +365,7 @@ class PowerFamily:
                                  self.epsilon)
 
     def dominant_sqrt(self, n: int) -> float:
-        return n + math.sqrt(self.c_value(n)) * n ** ((1.0 - self.epsilon) / 2.0)
+        return _boundary(n, self.c_value(n), self.epsilon)
 
     def point(self, n: int) -> FucikPoint:
         if n == 1:
@@ -418,12 +440,17 @@ _N_PARTIAL_MAX = 10 ** 7
 _TERM_CHUNK = 2 ** 16
 
 
+def _require_system(system) -> None:
+    """Refuse anything but a :data:`SystemSpec` with TailNotBoundable."""
+    if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
+        raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
+
+
 def _require_checkable(system: SystemSpec, n_partial: int) -> int:
     """n_partial as an int: an integral float is taken as its int, a fraction
     or an int above :data:`_N_PARTIAL_MAX` refused."""
     n_partial = require_int(n_partial, "n_partial", 2, _N_PARTIAL_MAX)
-    if not isinstance(system, (FinitePerturbation, PowerFamily, GammaLine)):
-        raise TailNotBoundable(f"unsupported system specification {type(system).__name__}")
+    _require_system(system)
     return n_partial
 
 

@@ -86,10 +86,16 @@ def ck_bound(gamma: float, k: int) -> float:
     c_1 bounds |A_1|, c_2 bounds 1 - A_2 (which is nonnegative for gamma
     in range), and for k >= 3 the bound dominates |A_k|.  All three carry
     the factor sqrt(gamma) - 2 and vanish at gamma = 4.  k is checked as
-    in :func:`Tk_norm`.
+    in :func:`Tk_norm`; one too large for float arithmetic raises
+    InvalidArgument.
     """
     _require_gamma_range(gamma)
-    return _ck(gamma, require_int(k, "coefficient index", 1))
+    k = require_int(k, "coefficient index", 1)
+    try:
+        return _ck(gamma, k)
+    except OverflowError:
+        raise InvalidArgument(
+            f"coefficient index {printable(k)} is too large for float arithmetic") from None
 
 
 def _common(gamma: float) -> float:

@@ -297,6 +297,35 @@ def test_single_point_forms_call_no_numpy():
         assert not used & {"np", "numpy"}, form.name
 
 
+def test_zero_angles_take_their_limits_bit_for_bit():
+    """Every kernel evaluates its quotients at the stand-in cf._TINY where
+    the angle or frequency is 0, and gets the limit there exactly."""
+    rng = np.random.default_rng(24)
+    h = np.concatenate(([0.0, 1.0, np.pi, 1e-100], rng.uniform(0, 10, 2000),
+                        rng.uniform(0, 1e-12, 200)))
+    assert np.array_equal(cf._beat(np.zeros_like(h), h), h)
+    assert np.array_equal(cf._beat(np.zeros(h.size), 1.0), np.ones(h.size))
+    # a progression at c = 0 (or c = 2 pi, reduced to 0) is count sin(d)
+    n = np.repeat(np.arange(1, 41), 50)
+    d_pos, d_neg = rng.uniform(-7, 7, (2, n.size))
+    d_pos[:3], d_neg[:3] = -0.0, 0.0
+    for c in (0.0, -0.0, 2 * np.pi):
+        pos, neg = cf._progression_pairs(n, np.full(n.size, c), d_pos, d_neg)
+        assert (pos == (n + 1) // 2 * np.sin(d_pos)).all()
+        # n = 1 has no negative bump: count 0
+        assert (neg == n // 2 * np.sin(d_neg)).all() and (neg[n == 1] == 0).all()
+        for k in range(0, n.size, 37):
+            if n[k] >= 2:
+                got = cf._progression_pair(int(n[k]), c, d_pos[k], d_neg[k])
+                assert got == ((n[k] + 1) // 2 * math.sin(d_pos[k]),
+                               n[k] // 2 * math.sin(d_neg[k]))
+    # a bump whose frequency is its comparator's: sinc(0) = 1
+    for m in range(1, 40):
+        assert cf._bump_factor(float(m), m) == math.pi / (2 * m)
+    m = np.arange(1, 40)
+    assert np.array_equal(cf._bump_factors(m.astype(float), m), np.pi / (2 * m))
+
+
 # ----------------------------------------------------------------------
 # products of even eigenfunctions as dilates of their profiles
 

@@ -108,9 +108,35 @@ def _integrand():
     (lambda: nearness.theorem1_check(nearness.GammaLine(5), n_partial=10 ** 400),
      InvalidArgument),
     (lambda: nearness.zeta(10 ** 400), InvalidArgument),
-], ids=["power-family", "region-boundary", "integrate", "evaluate", "theorem1", "zeta"])
+    (lambda: nearness.corollary_cn_cap(10 ** 400, 0.5, "odd_alpha_dominant"), InvalidArgument),
+    (lambda: nearness.corollary_cn_cap(10 ** 400, 0.5, "odd_beta_dominant"), InvalidArgument),
+    (lambda: nearness.region_boundary(0.5, "odd_alpha_uniform", [10 ** 400]), InvalidArgument),
+    (lambda: nearness.PowerFamily(0.5, odd=nearness.BranchRule(cap_fraction=0.5))
+     .c_value(10 ** 400 + 1), InvalidArgument),
+    (lambda: nearness.PowerFamily(0.5, even=nearness.BranchRule(c=1.0))
+     .dominant_sqrt(10 ** 400), InvalidArgument),
+    (lambda: nearness.PowerFamily(0.5, even=nearness.BranchRule(c=1.0)).point(10 ** 400),
+     InvalidArgument),
+    (lambda: paleywiener.ck_bound(5.0, 10 ** 400), InvalidArgument),
+], ids=["power-family", "region-boundary", "integrate", "evaluate", "theorem1", "zeta",
+        "cap-odd-alpha", "cap-odd-beta", "region-boundary-index", "c-value", "dominant-sqrt",
+        "power-point", "ck-bound"])
 def test_ints_beyond_float_range_are_refused(call, refusal):
     # each raised OverflowError, which is no FucikError
+    with pytest.raises(refusal) as info:
+        call()
+    assert type(info.value) is refusal
+
+
+@pytest.mark.parametrize("call, refusal", [
+    (lambda: grammatrix.build_gram("x", 8), errors.TailNotBoundable),
+    (lambda: grammatrix.riesz_scan(object(), [8]), errors.TailNotBoundable),
+    (lambda: nearness.theorem1_check(object()), errors.TailNotBoundable),
+    (lambda: nearness.theorem2_check("x"), errors.TailNotBoundable),
+    (lambda: nearness.FinitePerturbation((1, 2)), InvalidArgument),
+], ids=["build-gram", "riesz-scan", "theorem1", "theorem2", "finite-entries"])
+def test_anything_but_a_system_specification_is_refused(call, refusal):
+    # each but the criteria raised AttributeError, which is no FucikError
     with pytest.raises(refusal) as info:
         call()
     assert type(info.value) is refusal
