@@ -41,11 +41,15 @@ two of them is a sum of progressions too (:func:`dilation_products`):
 summing the profile of one factor over the a shifts r pi / a, and over
 the b periods of the other factor, leaves a fixed number of
 Dirichlet-kernel sums per pair, where merging junctions takes
-2a + 2b + 1 pieces.  So a pair takes the profile kernel when both of its
-rows are even and periodic as built (their n / 2 bump pairs span [0, pi]
-within 1e-14, :data:`fucik.grammatrix._PERIOD_SLACK`), and
-:func:`pair_products` serves only the pairs with an odd row or a row off
-its curve by more than that.
+2a + 2b + 1 pieces.
+
+:func:`gram_block` routes every pair of a table's rows by one rule: a
+pair takes the profile kernel :func:`dilation_products` when both of its
+rows are even and periodic as built (their n / 2 bump pairs end within
+:data:`_PERIOD_SLACK` = 1e-14 of pi), and :func:`pair_products` takes
+every other pair, those with an odd row or a row off its curve by more
+than that.  Both kernels stay callable on their own, each the other's
+reference in the tests.
 
 The single-point functions (:func:`norm_sq`, :func:`dist_sq_to_sine`,
 :func:`inner_same_index`, :func:`inner_cross_index`) use scalar ``math``
@@ -53,8 +57,8 @@ on the square roots the point stores.
 Gram assembly uses the array forms instead: they read the columns of a
 :class:`~fucik.eigenfunction.BumpTable`, which stacks the per-function
 data of a whole system once, and :func:`norms_sq`, :func:`sine_products`
-and :func:`dilation_products` or :func:`pair_products` compute each
-kind of entry in one numpy pass.  The scalar and
+and the two pair kernels behind :func:`gram_block` compute each kind of
+entry in one numpy pass.  The scalar and
 the array primitives both stay: a numpy primitive on Python floats costs
 16 to 25 times a ``math`` one, and a point routed through a one-row table
 took 20 to 30 times as long.  Both carry out the same operations in the
@@ -266,10 +270,8 @@ def sine_products(t: BumpTable, ms: Sequence[int]) -> np.ndarray:
 def pair_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.ndarray:
     """<f_i[k], f_j[k]> for each k, integrated exactly over merged junctions.
 
-    Gram assembly sends it only the pairs :func:`dilation_products` does
-    not take: those with an odd row, or with a row whose bump pairs miss
-    pi by more than :data:`fucik.grammatrix._PERIOD_SLACK`; it takes any
-    pair of rows.
+    It takes any pair of rows; :func:`gram_block` sends it those the
+    profile kernel does not take (module docstring).
 
     Between merged junction points both factors are single sinusoids
     a sin(w (x - x0)) and b sin(v (x - y0)), so the product is
@@ -345,6 +347,12 @@ _RUN_ARC = np.array([0, 0, 1, 1, 0, 1])
 #: units in the last place shares the profile of the first row
 _PROFILE_ULP = 8
 
+#: an even row whose n / 2 bump pairs end within this of pi is a dilate of
+#: its pi-periodic profile.  The profile kernel misses the product of a row
+#: as built by about 0.7 times its shortfall, so this keeps that gap below
+#: 1e-14; rows on their curve fall short by at most about 1e-15
+_PERIOD_SLACK = 1e-14
+
 
 def _profiles(t: BumpTable):
     """The pi-periodic profile G(y) = f(2 y / n) of every row of ``t``.
@@ -375,12 +383,11 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     with w = (w1, w2) = (sqrt(alpha), sqrt(beta)) / (n / 2), L1 = pi / w1,
     and A, B the bump amplitudes of the row, from the one amplitude rule
     :func:`fucik.eigenfunction.amplitudes`.  Both rows of a pair must be
-    even and span [0, pi] within :data:`fucik.grammatrix._PERIOD_SLACK`;
-    :func:`fucik.grammatrix.build_gram` sends every other pair to
-    :func:`pair_products`.  A row whose profile agrees with that of the
-    first row within :data:`_PROFILE_ULP` ulp takes the profile of the
-    first row, as every row of a dilation line does (:func:`_profiles`);
-    every other row keeps its own.
+    even and span [0, pi] within :data:`_PERIOD_SLACK`; :func:`gram_block`
+    sends every other pair to :func:`pair_products`.  A row whose profile
+    agrees with that of the first row within :data:`_PROFILE_ULP` ulp
+    takes the profile of the first row, as every row of a dilation line
+    does (:func:`_profiles`); every other row keeps its own.
 
     Write F for the profile of row i and G for that of row j, a = n_i / 2
     and b = n_j / 2.  Both F(a x) and G(b x) have period pi / d, d =
@@ -432,8 +439,6 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     """
     i = np.asarray(i, dtype=np.intp)
     j = np.asarray(j, dtype=np.intp)
-    if not i.size:
-        return np.empty(0)
     w, amp, profile = _profiles(t)
     a, b = t.n[i] // 2, t.n[j] // 2
     d = np.gcd(a, b)
@@ -490,3 +495,23 @@ def dilation_products(t: BumpTable, i: Sequence[int], j: Sequence[int]) -> np.nd
     for piece in terms[1:]:
         out = out + piece
     return (out / (2 * a))[inverse]
+
+
+def gram_block(t: BumpTable) -> np.ndarray:
+    """The symmetric matrix <f_r, f_q> over the rows r, q of ``t``.
+
+    :func:`norms_sq` on the diagonal; each pair above it goes to
+    :func:`dilation_products` or :func:`pair_products` by the rule of the
+    module docstring, and its value is mirrored below.  A kernel is called
+    only for a nonempty set of pairs.
+    """
+    r, q = np.triu_indices(t.n.size, 1)
+    periodic = (t.n % 2 == 0) & (np.abs(t.n // 2 * t.l - np.pi) <= _PERIOD_SLACK)
+    profiled = periodic[r] & periodic[q]
+    upper = np.empty(r.size)
+    for pairs, kernel in ((profiled, dilation_products), (~profiled, pair_products)):
+        if pairs.any():
+            upper[pairs] = kernel(t, r[pairs], q[pairs])
+    out = np.diag(norms_sq(t))
+    out[r, q] = out[q, r] = upper
+    return out

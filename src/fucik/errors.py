@@ -10,12 +10,15 @@ type but :class:`NoConvergence` is such a refusal.  A plain
 given, not a refused input.
 
 Every index a public function takes (n, m, k, N or ``n_partial``) is
-checked by :func:`require_int`, so they are all refused alike.  A refusal
+checked by :func:`require_int`, so they are all refused alike; a real
+parameter of the wrong type is refused by :func:`require_real` before
+its range is checked.  A refusal
 shows the refused value through :func:`printable`, so that phrasing it
 never fails.
 """
 
 import math
+import numbers
 
 
 class FucikError(Exception):
@@ -100,3 +103,13 @@ def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
         need = f"must be >= {lo}" if integral else "must be an integer"
     refusal = IndexTooSmall if integral and value < lo else InvalidArgument
     raise refusal(f"{name} {need}, got {printable(value)}")
+
+
+def require_real(value, name: str):
+    """``value`` itself if it is a real number (an int, a float or a numpy
+    scalar); anything else raises :class:`InvalidArgument`.  Its range is
+    left to the caller."""
+    # the plain types first: the abstract check is several times slower
+    if isinstance(value, (int, float)) or isinstance(value, numbers.Real):
+        return value
+    raise InvalidArgument(f"{name} must be a real number, got {type(value).__name__}")

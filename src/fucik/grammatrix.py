@@ -7,17 +7,15 @@ Gram matrix of pairwise inner products.  This module assembles that
 truncation exactly from the bump algebra of :mod:`fucik.closedform` and
 takes its spectrum from LAPACK (``numpy.linalg.eigvalsh``).
 
-Every even eigenfunction is a dilate f_2a(x) = F(a x) of a pi-periodic
-two-arc profile F, so a system's even eigenfunctions form a dilation
-system of several profiles (one profile on a dilation line: the
-dilation systems of Hedenmalm, Lindqvist and Seip, Duke Math. J. 86,
-1997).  Assembly routes each pair by its two rows alone, never by the
-type of the system: a pair of even rows, both periodic as built, takes
-the closed form of its profiles and its reduced pair (a/d, b/d), d =
-gcd(a, b) (:func:`~fucik.closedform.dilation_products`), so on a dilation
-line the even-even block is multiplicative-Toeplitz, G(2a, 2b) =
-G(2a/d, 2b/d), by construction; every other pair merges the junctions of
-its two rows (:func:`~fucik.closedform.pair_products`).
+Assembly writes three blocks and routes no pair itself: the sine block
+(pi/2 on the diagonal, 0 off it), the block of the eigenfunctions'
+products with one another (:func:`~fucik.closedform.gram_block`, which
+picks the kernel of each pair), and their products with the sines
+(:func:`~fucik.closedform.sine_products`).  On a dilation line the even
+eigenfunctions are the dilates of one profile (a dilation system in the
+sense of Hedenmalm, Lindqvist and Seip, Duke Math. J. 86, 1997), and the
+profile kernel makes their block multiplicative-Toeplitz, G(2a, 2b) =
+G(2a/d, 2b/d) for d = gcd(a, b), by construction.
 
 The scans are diagnostics, not certificates: truncated spectra cannot
 certify an infinite-system Riesz bound, so no verdicts are emitted here.
@@ -38,12 +36,6 @@ from .nearness import SystemSpec, _require_system
 from .spectrum import FucikPoint
 
 MAX_ORDER = 512
-
-#: an even row whose n / 2 bump pairs end within this of pi is a dilate of
-#: its pi-periodic profile.  The profile kernel misses the product of a row
-#: as built by about 0.7 times its shortfall, so this keeps that gap below
-#: 1e-14; rows on their curve fall short by at most about 1e-15
-_PERIOD_SLACK = 1e-14
 
 
 @dataclass(frozen=True)
@@ -74,21 +66,13 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
 
     Sine-sine entries are exact (pi/2 on the diagonal, 0 off it).  The
     other entries come from the exact bump algebra of
-    :mod:`fucik.closedform`, one array pass per kind of entry over the
-    eigenfunctions of the system, stacked once by
-    :func:`~fucik.eigenfunction.bump_table`: their squared norms
-    (:func:`~fucik.closedform.norms_sq`), their products with the sines
-    of the system (:func:`~fucik.closedform.sine_products`), and their
-    pairwise products.  A pair whose two rows are even, and whose n / 2
-    bump pairs each span [0, pi] within :data:`_PERIOD_SLACK`, is a
-    product of dilates F(a x) G(b x) of two pi-periodic profiles:
-    :func:`~fucik.closedform.dilation_products` evaluates each distinct
-    (profiles, a/d, b/d) once, d = gcd(a, b), a fixed number of
-    progression sums per pair instead of the 2a + 2b + 1 pieces of its
-    merged junctions.  So a system whose odd entries are all diagonal,
-    a dilation line or any Theorem-2 system, is assembled in O(N^2).
-    Every other pair, with an odd row or a row off its curve by more
-    than that slack, goes to :func:`~fucik.closedform.pair_products`.
+    :mod:`fucik.closedform` over the eigenfunctions of the system, stacked
+    once by :func:`~fucik.eigenfunction.bump_table`: one
+    :func:`~fucik.closedform.gram_block` call gives their norms and
+    pairwise products, each pair by its own kernel, and
+    :func:`~fucik.closedform.sine_products` their products with the sines
+    of the system.  A system whose odd entries are all diagonal, a
+    dilation line or any Theorem-2 system, is assembled in O(N^2).
 
     Only the points that may be off the diagonal are built
     (:func:`_eigenfunction_points`): the even ones of a dilation line,
@@ -111,20 +95,10 @@ def build_gram(system: SystemSpec, N: int, max_workers: Optional[int] = None) ->
     m[s, s] = math.pi / 2
     if e.size:
         table = bump_table(list(points.values()))
-        m[e, e] = closedform.norms_sq(table)
+        m[np.ix_(e, e)] = closedform.gram_block(table)
         cross = closedform.sine_products(table, s + 1)
         m[np.ix_(e, s)] = cross
         m[np.ix_(s, e)] = cross.T
-        r, c = np.triu_indices(e.size, 1)
-        dilate = (table.n % 2 == 0) & (np.abs(table.n // 2 * table.l - np.pi) <= _PERIOD_SLACK)
-        profiled = dilate[r] & dilate[c]
-        upper = np.empty(r.size)
-        for pairs, kernel in ((profiled, closedform.dilation_products),
-                              (~profiled, closedform.pair_products)):
-            if pairs.any():
-                upper[pairs] = kernel(table, r[pairs], c[pairs])
-        m[e[r], e[c]] = upper
-        m[e[c], e[r]] = upper
     m.setflags(write=False)
     return GramTruncation(m)
 

@@ -48,6 +48,7 @@ from .errors import (
     TailNotBoundable,
     printable,
     require_int,
+    require_real,
 )
 from .spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
@@ -265,8 +266,8 @@ class BranchRule:
 
     Exactly one of ``c`` (absolute constant) or ``cap_fraction`` (fraction
     of the applicable corollary cap, evaluated per index for odd n) must
-    be given, at most 1e300.  ``side`` says which coordinate dominates when the point is
-    materialized.
+    be given, a real number in [0, 1e300].  ``side``, "alpha" or "beta",
+    says which coordinate dominates when the point is materialized.
     """
 
     c: Optional[float] = None
@@ -276,10 +277,12 @@ class BranchRule:
     def __post_init__(self):
         if (self.c is None) == (self.cap_fraction is None):
             raise InvalidArgument("give exactly one of c= or cap_fraction=")
-        value = self.c if self.c is not None else self.cap_fraction
+        value = require_real(self.c if self.c is not None else self.cap_fraction, "rule constant")
         if not 0 <= value <= _C_MAX:
             raise InvalidArgument(
                 f"rule constants must lie in [0, {_C_MAX}], got {printable(value)}")
+        if self.side not in ("alpha", "beta"):
+            raise InvalidArgument(f"side must be 'alpha' or 'beta', got {self.side!r}")
 
 
 def _growth_constants(rule: BranchRule, even: bool, n, epsilon: float):
@@ -304,12 +307,21 @@ def _growth_constants(rule: BranchRule, even: bool, n, epsilon: float):
 
 @dataclass(frozen=True)
 class FinitePerturbation:
-    """Diagonal system except for finitely many explicit on-curve entries."""
+    """Diagonal system except for finitely many explicit on-curve entries.
+
+    ``entries`` is kept as a tuple of :class:`~fucik.spectrum.FucikPoint`,
+    one per index; anything but an iterable of them is refused.
+    """
 
     entries: tuple[FucikPoint, ...] = ()
     _by_n: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "entries", tuple(self.entries))
+        except TypeError:
+            raise InvalidArgument(f"entries must be a tuple of FucikPoint, got "
+                                  f"{type(self.entries).__name__}") from None
         seen = {}
         for e in self.entries:
             if not isinstance(e, FucikPoint):
@@ -337,7 +349,8 @@ class FinitePerturbation:
 class PowerFamily:
     """System with max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2}.
 
-    A parity class with rule ``None`` stays on the diagonal.
+    A parity class with rule ``None``, or with a rule whose constant is 0,
+    stays on the diagonal.
     """
 
     epsilon: float
@@ -346,13 +359,17 @@ class PowerFamily:
 
     def __post_init__(self):
         try:
-            finite = math.isfinite(self.epsilon)
+            finite = math.isfinite(require_real(self.epsilon, "epsilon"))
         except OverflowError:  # an int beyond float range
             finite = False
         if not finite:
             raise TailNotBoundable(f"epsilon must be a finite float, got {printable(self.epsilon)}")
         if self.epsilon <= 0:
             raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
+        for name, rule in (("even", self.even), ("odd", self.odd)):
+            if not isinstance(rule, (BranchRule, type(None))):
+                raise InvalidArgument(
+                    f"{name} must be a BranchRule or None, got {type(rule).__name__}")
 
     def _rule(self, n: int) -> Optional[BranchRule]:
         return self.even if n % 2 == 0 else self.odd
@@ -384,7 +401,9 @@ class PowerFamily:
         return [n for n in range(2, N + 1) if self._rule(n) is not None]
 
     def _require_odd_diagonal(self) -> None:
-        if self.odd is not None:
+        """An odd rule whose constant is 0 keeps every odd point diagonal."""
+        # one of c and cap_fraction is None, the other the rule's constant
+        if self.odd is not None and (self.odd.c or self.odd.cap_fraction):
             raise OddEntriesNotDiagonal("power family has a nondiagonal odd rule")
 
 

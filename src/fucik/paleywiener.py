@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 
 from . import closedform
-from .errors import GammaOutOfRange, InvalidArgument, printable, require_int
+from .errors import GammaOutOfRange, InvalidArgument, printable, require_int, require_real
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -127,7 +127,7 @@ def _coefficients(gamma: float) -> tuple:
 
 
 def _require_gamma_range(gamma: float) -> None:
-    if not (GAMMA_MIN <= gamma <= GAMMA_MAX):
+    if not (GAMMA_MIN <= require_real(gamma, "gamma") <= GAMMA_MAX):
         raise GammaOutOfRange(
             f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {printable(gamma)}"
         )
@@ -139,7 +139,7 @@ def E_gamma_extended(gamma: float) -> float:
     Same expression as :func:`E_gamma` without the admissibility range
     check; used by the bisection search and by exploratory scans.
     """
-    if not (GAMMA_MIN <= gamma < 9.0):
+    if not (GAMMA_MIN <= require_real(gamma, "gamma") < 9.0):
         raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {printable(gamma)}")
     return sum(c * t for c, t in zip(_coefficients(gamma), _WEIGHTS))
 

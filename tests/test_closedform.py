@@ -398,6 +398,9 @@ def test_dilation_products_on_the_diagonal_profile():
     a, b = np.array(_coprime_pairs(64)).T - 1
     assert np.max(np.abs(cf.dilation_products(table, a, b))) <= 1e-15
     assert cf.dilation_products(table, [0], [0])[0] == pytest.approx(math.pi / 2, abs=1e-15)
+    # no pairs: both kernels return an empty array, with no guard of their own
+    for kernel in (cf.dilation_products, cf.pair_products):
+        assert kernel(table, [], []).shape == (0,)
 
 
 def _exact_dilate_product(mpmath, f, g, a, b):
@@ -509,3 +512,34 @@ def test_rows_with_one_profile_share_it():
     assert list(profile) == [0, 1, 0, 0, 4]
     i, j = np.triu_indices(len(rows), 1)
     assert np.max(np.abs(cf.dilation_products(table, i, j) - cf.pair_products(table, i, j))) <= 1e-13
+
+
+def _mixed_rows():
+    """Dilation-line rows, power-family rows of both parities, and f_4 9e-10
+    off its curve, with the indices of the rows that are even and periodic
+    as built."""
+    line = nr.GammaLine(5.3)
+    family = nr.PowerFamily(0.5, even=nr.BranchRule(c=1.0),
+                            odd=nr.BranchRule(c=0.3, side="beta"))
+    rows = [line.point(n) for n in (2, 6, 8)] + [family.point(n) for n in (3, 4, 5, 10)]
+    return rows + [FucikPoint(4, 36.0, 9.0 + 7.7e-9)], {0, 1, 2, 4, 6}
+
+
+@pytest.mark.parametrize("rows, periodic", [_mixed_rows(), ([complete_point(3, alpha=13.0)], set())],
+                         ids=["mixed", "one-row"])
+def test_gram_block_routes_each_pair_to_one_kernel(rows, periodic):
+    # the norms on the diagonal; above it, the profile kernel for a pair of
+    # even rows periodic as built and the merged junctions for every other,
+    # each entry the bits of its own one-pair call, mirrored below
+    table = bump_table(rows)
+    block = cf.gram_block(table)
+    assert block.shape == (len(rows), len(rows))
+    assert np.array_equal(np.diag(block), cf.norms_sq(table))
+    assert np.array_equal(block, block.T)
+    routes = set()
+    for r, q in zip(*np.triu_indices(len(rows), 1)):
+        profiled = r in periodic and q in periodic
+        routes.add(profiled)
+        kernel = cf.dilation_products if profiled else cf.pair_products
+        assert block[r, q] == kernel(table, [r], [q])[0]
+    assert routes == ({True, False} if len(rows) > 1 else set())

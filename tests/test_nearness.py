@@ -362,6 +362,20 @@ def test_theorem2_rejects_odd_perturbations():
                                          odd=nr.BranchRule(c=0.1)))
 
 
+@pytest.mark.parametrize("odd", [nr.BranchRule(c=0.0), nr.BranchRule(cap_fraction=0.0),
+                                 nr.BranchRule(c=0.0, side="beta"),
+                                 nr.BranchRule(cap_fraction=0.0, side="beta")])
+@pytest.mark.parametrize("n_partial", [2, 2000])
+def test_theorem2_accepts_a_zero_odd_rule(odd, n_partial):
+    # an odd rule with constant 0 puts every odd point on the diagonal, and
+    # its terms and tail are exact zeros, so the report is the even-only one
+    even = nr.BranchRule(c=1.0)
+    fam = nr.PowerFamily(0.5, even=even, odd=odd)
+    assert all(fam.point(n).case == "diagonal" for n in (3, 5, 7, 99))
+    want = nr.theorem2_check(nr.PowerFamily(0.5, even=even), n_partial)
+    assert nr.theorem2_check(fam, n_partial) == want
+
+
 def test_theorem2_finite_even_perturbation():
     sys = nr.FinitePerturbation((complete_point(2, alpha=9), diagonal_point(5)))
     rep = nr.theorem2_check(sys)
@@ -519,6 +533,35 @@ def test_branch_rule_validation():
         nr.BranchRule(c=0.1, cap_fraction=0.5)
     with pytest.raises(ValueError):
         nr.PowerFamily(epsilon=0.0, even=nr.BranchRule(c=0.1))
+    # a side is "alpha" or "beta"; PowerFamily.point would build any other
+    # as beta-dominant
+    for side in ("gamma", "Alpha", None, 3):
+        with pytest.raises(InvalidArgument, match="side must be"):
+            nr.BranchRule(c=1.0, side=side)
+        with pytest.raises(InvalidArgument, match="side must be"):
+            nr.BranchRule(cap_fraction=0.5, side=side)
+
+
+def test_system_fields_of_the_wrong_type_are_refused():
+    # each is a package refusal, not a TypeError or an AttributeError from
+    # deeper down
+    from fucik import grammatrix as gm
+    cases = [lambda: nr.FinitePerturbation(5),
+             lambda: nr.FinitePerturbation(complete_point(2, alpha=9.0)),
+             lambda: nr.GammaLine("5"),
+             lambda: nr.BranchRule(c="x"),
+             lambda: nr.BranchRule(cap_fraction=[0.5]),
+             lambda: nr.PowerFamily("0.5"),
+             lambda: gm.build_gram(nr.PowerFamily(0.5, even="x"), 8),
+             lambda: nr.theorem1_check(nr.PowerFamily(0.5, odd=1.0)),
+             lambda: pw.E_gamma("5"),
+             lambda: pw.E_gamma_extended(None)]
+    for case in cases:
+        with pytest.raises(InvalidArgument):
+            case()
+    # an iterable of points is taken as the tuple it names
+    assert (nr.FinitePerturbation([complete_point(2, alpha=9.0)])
+            == nr.FinitePerturbation((complete_point(2, alpha=9.0),)))
 
 
 def test_non_finite_system_parameters_rejected():
