@@ -1,4 +1,4 @@
-"""Exception types raised across the package, and its one integer check.
+"""Exception types raised across the package, and its integer and real checks.
 
 Every error derives from :class:`FucikError`, so callers can catch the
 package's failures with a single ``except`` clause while still being able
@@ -10,11 +10,12 @@ type but :class:`NoConvergence` is such a refusal.  A plain
 given, not a refused input.
 
 Every index a public function takes (n, m, k, N or ``n_partial``) is
-checked by :func:`require_int`, so they are all refused alike; a real
-parameter of the wrong type is refused by :func:`require_real` before
-its range is checked.  A refusal
-shows the refused value through :func:`printable`, so that phrasing it
-never fails.
+checked by :func:`require_int`, and every real parameter (a coordinate,
+gamma, epsilon, s, a rule constant or a tolerance) by
+:func:`require_real`, so each kind is refused alike everywhere.  A real
+is converted there, once, to the Python float that all later arithmetic
+runs in; no other module converts one.  A refusal shows the refused
+value through :func:`printable`, so that phrasing it never fails.
 """
 
 import math
@@ -86,7 +87,7 @@ def printable(value) -> str:
         return f"an integer of {digits} digits"
 
 
-def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
+def require_int(value, name: str, lo: int, hi: float | None = None) -> int:
     """``value`` as an int if it is an integer in [lo, hi] (hi None: no cap).
 
     An integral float or numpy integer is taken as the int it names.  An
@@ -105,11 +106,21 @@ def require_int(value, name: str, lo: int, hi: int | None = None) -> int:
     raise refusal(f"{name} {need}, got {printable(value)}")
 
 
-def require_real(value, name: str):
-    """``value`` itself if it is a real number (an int, a float or a numpy
-    scalar); anything else raises :class:`InvalidArgument`.  Its range is
-    left to the caller."""
-    # the plain types first: the abstract check is several times slower
-    if isinstance(value, (int, float)) or isinstance(value, numbers.Real):
+def require_real(value, name: str, refusal: type = InvalidArgument) -> float:
+    """``value`` as a Python float if it is a real number: an int, a float,
+    a :class:`fractions.Fraction` or a numpy integer or float scalar.
+
+    Anything else (a string, None, a complex number, a ``Decimal``, an
+    array) raises :class:`InvalidArgument`; a value beyond float range
+    raises ``refusal``, the type its caller documents for it.  NaN and the
+    infinities are returned as they are: the range is left to the caller.
+    """
+    if type(value) is float:
         return value
+    # the plain int first: the abstract check is several times slower
+    if isinstance(value, int) or isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            raise refusal(f"{name} lies beyond float range, got {printable(value)}") from None
     raise InvalidArgument(f"{name} must be a real number, got {type(value).__name__}")

@@ -127,7 +127,7 @@ def _power_tail(start: int, s: float, step: int = 1) -> float:
     equal sums.
     """
     if not 1.0 + 1e-6 < s < math.inf:
-        raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {printable(s)}")
+        raise DivergentArgument(f"zeta requires a finite s > 1 + 1e-6, got {s}")
     n = start if start >= _EM_START else start - (start - _EM_START) // step * step
     # np.float_power calls the C library's pow, as Python's ** does; the **
     # of a float array may take a SIMD pow that differs in the last bit
@@ -156,23 +156,19 @@ def zeta(s: float) -> float:
     """Riemann zeta for finite s > 1 + 1e-6, relative error below 1e-15.
 
     Near the pole zeta is large (about 5e5 at s = 1 + 2e-6, where floats
-    are 1e-10 apart), so only the relative error is small there.  An int
-    s beyond float range raises InvalidArgument.
+    are 1e-10 apart), so only the relative error is small there.  An s
+    that is not a real number, or an int beyond float range, raises
+    InvalidArgument.
     """
-    try:
-        return 1.0 + _zeta_minus_one(s)
-    except OverflowError:
-        raise InvalidArgument("s lies beyond float range") from None
+    return 1.0 + _zeta_minus_one(require_real(s, "s"))
 
 
 def _cap_zeta(epsilon: float) -> float:
     """zeta(1 + epsilon) - 1, the denominator of every cap, checked."""
+    epsilon = require_real(epsilon, "epsilon")
     if not epsilon > 0:
-        raise InvalidArgument(f"epsilon must be positive, got {printable(epsilon)}")
-    try:
-        z = _zeta_minus_one(1.0 + epsilon)
-    except OverflowError:
-        raise InvalidArgument("epsilon lies beyond float range") from None
+        raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+    z = _zeta_minus_one(1.0 + epsilon)
     if not z >= sys.float_info.min:
         raise InvalidArgument(f"zeta(1 + epsilon) - 1 underflows at epsilon = {epsilon}")
     return z
@@ -181,24 +177,28 @@ def _cap_zeta(epsilon: float) -> float:
 def _cap_numerator(n, branch: Branch):
     """Cap on c_n times zeta(1 + eps) - 1; n an int or a float array.
 
-    An int n whose fourth power lies beyond float range raises
-    InvalidArgument.
+    An int n whose float denominator n^2 (n^2 + 1) overflows (n above
+    about 6.5e76) takes the quotient of the exact ints, which Python rounds
+    once; one beyond float range raises InvalidArgument.
     """
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2))
-    try:
-        if branch == "odd_alpha_dominant":
-            return ((n - 1) ** 2) ** 2 / (8.0 * n * n * (n * n + 1))
-        if branch == "odd_beta_dominant":
-            return ((n + 1) ** 2) ** 2 / (10.0 * n * n * (n * n + 1))
-    except OverflowError:
-        raise InvalidArgument(
-            f"curve index {printable(n)} is too large for float arithmetic") from None
     if branch == "odd_alpha_uniform":
         return 1.0 / 46
     if branch == "odd_beta_uniform":
         return 1.0 / 10
-    raise InvalidArgument(f"unknown branch {branch!r}")
+    if branch not in ("odd_alpha_dominant", "odd_beta_dominant"):
+        raise InvalidArgument(f"unknown branch {branch!r}")
+    near, scale = (n - 1, 8) if branch == "odd_alpha_dominant" else (n + 1, 10)
+    try:
+        den = float(scale) * n * n * (n * n + 1)
+    except OverflowError:  # n * n + 1 beyond float range
+        den = math.inf
+    if not isinstance(n, int) or den < math.inf:
+        return (near ** 2) ** 2 / den
+    if n > sys.float_info.max:
+        raise InvalidArgument(f"curve index {printable(n)} lies beyond float range")
+    return (near ** 2) ** 2 / (scale * n * n * (n * n + 1))
 
 
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
@@ -209,7 +209,10 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).  An index
     n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one, or
-    one too large for float arithmetic, InvalidArgument.
+    one of a dominant branch beyond float range, InvalidArgument.  An
+    epsilon that is not a real number, is not positive or is an int beyond
+    float range raises InvalidArgument, and one at most 1e-6 or infinite
+    DivergentArgument.
     """
     n = require_int(n, "curve index", 1)
     z = _cap_zeta(epsilon)
@@ -232,9 +235,11 @@ def region_boundary(epsilon: float, branch: Branch,
                     n_range: Sequence[int]) -> list[tuple[int, float]]:
     """Boundary values n + sqrt(cap) n^{(1-eps)/2} for region plots.
 
-    The row n = 1 uses the cap of n = 2.  Indices are checked as in
-    :func:`corollary_cn_cap`.
+    The row n = 1 uses the cap of n = 2.  epsilon and the indices are
+    checked as in :func:`corollary_cn_cap`; an index beyond float range
+    raises InvalidArgument for every branch.
     """
+    epsilon = require_real(epsilon, "epsilon")
     out = []
     for n in n_range:
         n = require_int(n, "curve index", 1)
@@ -266,8 +271,9 @@ class BranchRule:
 
     Exactly one of ``c`` (absolute constant) or ``cap_fraction`` (fraction
     of the applicable corollary cap, evaluated per index for odd n) must
-    be given, a real number in [0, 1e300].  ``side``, "alpha" or "beta",
-    says which coordinate dominates when the point is materialized.
+    be given, a real number in [0, 1e300], stored as a Python float.
+    ``side``, "alpha" or "beta", says which coordinate dominates when the
+    point is materialized.
     """
 
     c: Optional[float] = None
@@ -277,10 +283,11 @@ class BranchRule:
     def __post_init__(self):
         if (self.c is None) == (self.cap_fraction is None):
             raise InvalidArgument("give exactly one of c= or cap_fraction=")
-        value = require_real(self.c if self.c is not None else self.cap_fraction, "rule constant")
+        name = "c" if self.c is not None else "cap_fraction"
+        value = require_real(getattr(self, name), "rule constant")
         if not 0 <= value <= _C_MAX:
-            raise InvalidArgument(
-                f"rule constants must lie in [0, {_C_MAX}], got {printable(value)}")
+            raise InvalidArgument(f"rule constants must lie in [0, {_C_MAX}], got {value}")
+        object.__setattr__(self, name, value)
         if self.side not in ("alpha", "beta"):
             raise InvalidArgument(f"side must be 'alpha' or 'beta', got {self.side!r}")
 
@@ -350,7 +357,9 @@ class PowerFamily:
     """System with max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2}.
 
     A parity class with rule ``None``, or with a rule whose constant is 0,
-    stays on the diagonal.
+    stays on the diagonal.  ``epsilon`` is stored as a Python float; one
+    that is not a real number or not positive raises InvalidArgument, and
+    a NaN, infinite one or an int beyond float range TailNotBoundable.
     """
 
     epsilon: float
@@ -358,14 +367,12 @@ class PowerFamily:
     odd: Optional[BranchRule] = None
 
     def __post_init__(self):
-        try:
-            finite = math.isfinite(require_real(self.epsilon, "epsilon"))
-        except OverflowError:  # an int beyond float range
-            finite = False
-        if not finite:
-            raise TailNotBoundable(f"epsilon must be a finite float, got {printable(self.epsilon)}")
-        if self.epsilon <= 0:
-            raise InvalidArgument(f"epsilon must be positive, got {self.epsilon}")
+        epsilon = require_real(self.epsilon, "epsilon", TailNotBoundable)
+        if not math.isfinite(epsilon):
+            raise TailNotBoundable(f"epsilon must be a finite float, got {epsilon}")
+        if epsilon <= 0:
+            raise InvalidArgument(f"epsilon must be positive, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
         for name, rule in (("even", self.even), ("odd", self.odd)):
             if not isinstance(rule, (BranchRule, type(None))):
                 raise InvalidArgument(
@@ -409,12 +416,16 @@ class PowerFamily:
 
 @dataclass(frozen=True)
 class GammaLine:
-    """Even entries on the dilation line for a fixed gamma, diagonal odd entries."""
+    """Even entries on the dilation line for a fixed gamma, diagonal odd entries.
+
+    ``gamma`` is stored as a Python float, refused as in
+    :func:`fucik.paleywiener.E_gamma`.
+    """
 
     gamma: float
 
     def __post_init__(self):
-        paleywiener._require_gamma_range(self.gamma)
+        object.__setattr__(self, "gamma", paleywiener._require_gamma_range(self.gamma))
 
     def point(self, n: int) -> FucikPoint:
         if n >= 2 and n % 2 == 0:

@@ -40,10 +40,11 @@ dilated series residual in ``tests/paper_formulas.py`` stalls for n >= 4.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import closedform
-from .errors import GammaOutOfRange, InvalidArgument, printable, require_int, require_real
+from .errors import GammaOutOfRange, InvalidArgument, require_int, require_real
 from .spectrum import gamma_line_point
 
 GAMMA_MIN = 4.0
@@ -86,16 +87,18 @@ def ck_bound(gamma: float, k: int) -> float:
     c_1 bounds |A_1|, c_2 bounds 1 - A_2 (which is nonnegative for gamma
     in range), and for k >= 3 the bound dominates |A_k|.  All three carry
     the factor sqrt(gamma) - 2 and vanish at gamma = 4.  k is checked as
-    in :func:`Tk_norm`; one too large for float arithmetic raises
-    InvalidArgument.
+    in :func:`Tk_norm`, and one beyond float range raises InvalidArgument.
+    A k so large that (k^2 - gamma)^2 overflows gets the quotient by each
+    factor in turn, which underflows to 0.0 for every gamma from k of about
+    1.2e81 on.
     """
-    _require_gamma_range(gamma)
-    k = require_int(k, "coefficient index", 1)
+    gamma = _require_gamma_range(gamma)
+    k = require_int(k, "coefficient index", 1, sys.float_info.max)
     try:
         return _ck(gamma, k)
     except OverflowError:
-        raise InvalidArgument(
-            f"coefficient index {printable(k)} is too large for float arithmetic") from None
+        d = float(k) * k - gamma
+        return _common(gamma) / d / d
 
 
 def _common(gamma: float) -> float:
@@ -126,21 +129,26 @@ def _coefficients(gamma: float) -> tuple:
     return tuple(_ck(gamma, k) for k in (1, 2, 3, 4)) + (_common(gamma) * TAIL_CONSTANT,)
 
 
-def _require_gamma_range(gamma: float) -> None:
-    if not (GAMMA_MIN <= require_real(gamma, "gamma") <= GAMMA_MAX):
-        raise GammaOutOfRange(
-            f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {printable(gamma)}"
-        )
+def _require_gamma_range(gamma: float) -> float:
+    """gamma as a float in [GAMMA_MIN, GAMMA_MAX]; one of another type raises
+    InvalidArgument, and one out of range (an int beyond float range
+    too) GammaOutOfRange."""
+    gamma = require_real(gamma, "gamma", GammaOutOfRange)
+    if not GAMMA_MIN <= gamma <= GAMMA_MAX:
+        raise GammaOutOfRange(f"gamma must lie in [{GAMMA_MIN}, {GAMMA_MAX}], got {gamma}")
+    return gamma
 
 
 def E_gamma_extended(gamma: float) -> float:
     """The budget formula on the wider interval [4, 9).
 
     Same expression as :func:`E_gamma` without the admissibility range
-    check; used by the bisection search and by exploratory scans.
+    check; used by the bisection search and by exploratory scans.  gamma is
+    refused as in :func:`E_gamma`.
     """
-    if not (GAMMA_MIN <= require_real(gamma, "gamma") < 9.0):
-        raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {printable(gamma)}")
+    gamma = require_real(gamma, "gamma", GammaOutOfRange)
+    if not GAMMA_MIN <= gamma < 9.0:
+        raise GammaOutOfRange(f"extended budget needs gamma in [4, 9), got {gamma}")
     return sum(c * t for c, t in zip(_coefficients(gamma), _WEIGHTS))
 
 
@@ -152,19 +160,22 @@ def E_gamma(gamma: float) -> float:
     closed tail constant.  E(4) = 0 exactly and E is strictly increasing.
     E < 1 is the paper's sufficient condition for Paley-Wiener nearness
     of the line family; it certifies nothing about the built
-    eigenfunctions (see the module docstring).
+    eigenfunctions (see the module docstring).  A gamma that is not a real
+    number raises InvalidArgument, and one out of range GammaOutOfRange.
     """
-    _require_gamma_range(gamma)
-    return E_gamma_extended(gamma)
+    return E_gamma_extended(_require_gamma_range(gamma))
 
 
 def gamma_admissible_max(tol: float) -> float:
     """Largest gamma with E(gamma) < 1, located by bisection on [4, 8].
 
-    Postcondition: E(result) < 1 <= E(result + tol).
+    Postcondition: E(result) < 1 <= E(result + tol).  A tol that is not a
+    real number, is below 1e-10 or lies beyond float range raises
+    InvalidArgument.
     """
+    tol = require_real(tol, "tol")
     if not tol >= 1e-10:
-        raise InvalidArgument(f"tol must be >= 1e-10, got {printable(tol)}")
+        raise InvalidArgument(f"tol must be >= 1e-10, got {tol}")
     lo, hi = 4.0, 8.0
     if E_gamma_extended(hi) < 1.0:
         return hi
@@ -194,7 +205,7 @@ class PaleyWienerBudget:
 
 
 def budget(gamma: float) -> PaleyWienerBudget:
-    """Assemble the full budget record at one gamma."""
-    _require_gamma_range(gamma)
+    """Assemble the full budget record at one gamma, refused as in :func:`E_gamma`."""
+    gamma = _require_gamma_range(gamma)
     return PaleyWienerBudget(gamma=gamma, c=_coefficients(gamma), t=_WEIGHTS,
                              E=E_gamma(gamma))

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence, printable
+from .errors import InvalidArgument, NoConvergence, require_real
 
 DEFAULT_TOL = 1e-12
 MIN_TOL = 1e-14
@@ -173,14 +173,13 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
     or of one-valued calls per component, bit for bit; a panel is split
     while any integral of its row is still refined on it.  Raises
     NoConvergence once one integral exhausts its budget of 2**20
-    subintervals, or as soon as one of its Gauss values is not finite.
+    subintervals, or as soon as one of its Gauss values is not finite.  A
+    ``tol`` that is not a real number, is below 1e-14 or lies beyond float
+    range raises InvalidArgument.
     """
+    tol = require_real(tol, "tol")
     if not tol >= MIN_TOL:
-        raise InvalidArgument(f"tol must be >= {MIN_TOL:g}, got {printable(tol)}")
-    try:
-        tol = float(tol)
-    except OverflowError:
-        raise InvalidArgument("tol lies beyond float range") from None
+        raise InvalidArgument(f"tol must be >= {MIN_TOL:g}, got {tol}")
     rows = _rows(breakpoint_sets)
     parts = []
     tail = None
@@ -273,7 +272,8 @@ def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
 
     The one-integrand case of :func:`integrate_many`.  Refinement never
     crosses a breakpoint.  Raises NoConvergence once the subdivision
-    budget of 2**20 subintervals is exhausted or a value is not finite.
+    budget of 2**20 subintervals is exhausted or a value is not finite;
+    ``tol`` is refused as in :func:`integrate_many`.
     """
     return float(integrate_many(lambda owner, x: np.reshape(g.evaluator(x.ravel()), x.shape),
                                 [g.breakpoints], tol)[0])
@@ -284,7 +284,8 @@ def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],
     """Inner product of a and b over (0, pi).
 
     ``breakpoints`` must contain the union of both functions' junction
-    points; the product is then smooth on every piece.
+    points; the product is then smooth on every piece.  ``tol`` is refused
+    as in :func:`integrate_many`.
     """
     def product(x):
         return np.asarray(a(x), dtype=float) * np.asarray(b(x), dtype=float)

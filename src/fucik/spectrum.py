@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Literal, Optional
 
 from .errors import (GammaOutOfRange, InfeasiblePoint, InvalidArgument, NotOnCurve, OddIndex,
-                     printable, require_int)
+                     printable, require_int, require_real)
 
 #: absolute tolerance on the curve-equation defect accepted as "on the curve"
 TAU_CURVE = 1e-9
@@ -59,9 +59,12 @@ class FucikPoint:
         sqrt_alpha, sqrt_beta: the bump frequencies sqrt(alpha) and
             sqrt(beta) (derived; not in ``repr``, equality or hashing).
 
+    The coordinates are stored as the Python floats
+    :func:`~fucik.errors.require_real` makes of them.
+
     Raises:
-        InvalidArgument: if n is not integral; an integral float is stored
-            as int.
+        InvalidArgument: if n is not integral (an integral float is stored
+            as int), or a coordinate is not a real number.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), for
             n >= 2 if a coordinate is at or below 1 or infinite, and if n
@@ -79,30 +82,30 @@ class FucikPoint:
     sqrt_beta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, alpha, beta = require_int(self.n, "curve index", 1), self.alpha, self.beta
-        # an int beyond float range overflows in the first float operation it meets
+        n = require_int(self.n, "curve index", 1)
+        alpha = require_real(self.alpha, "alpha", InfeasiblePoint)
+        beta = require_real(self.beta, "beta", InfeasiblePoint)
+        if n == 1:
+            if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
+                raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
+            alpha = beta = 1.0
+        elif alpha <= 1.0 or beta <= 1.0 or math.isinf(alpha) or math.isinf(beta):
+            raise InfeasiblePoint(
+                f"nontrivial spectrum points require finite alpha > 1 and beta > 1, "
+                f"got ({alpha}, {beta})"
+            )
+        sa = math.sqrt(alpha)
+        # not through vars(self): an instance dict once fetched makes
+        # every later attribute read several times slower (CPython 3.11)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "sqrt_alpha", sa)
+        object.__setattr__(self, "sqrt_beta", math.sqrt(beta))
         try:
-            if n == 1:
-                if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
-                    raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
-                alpha = beta = 1.0
-            elif alpha <= 1.0 or beta <= 1.0 or math.isinf(alpha) or math.isinf(beta):
-                raise InfeasiblePoint(
-                    f"nontrivial spectrum points require finite alpha > 1 and beta > 1, "
-                    f"got ({alpha}, {beta})"
-                )
-            alpha, beta = float(alpha), float(beta)
-            sa = math.sqrt(alpha)
-            # not through vars(self): an instance dict once fetched makes
-            # every later attribute read several times slower (CPython 3.11)
-            object.__setattr__(self, "n", n)
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "beta", beta)
-            object.__setattr__(self, "sqrt_alpha", sa)
-            object.__setattr__(self, "sqrt_beta", math.sqrt(beta))
             res = curve_residual(self)
         except OverflowError:
-            raise InfeasiblePoint("the curve index or a coordinate lies beyond float range") from None
+            raise InfeasiblePoint("the curve index lies beyond float range") from None
         # written so that a NaN defect (a NaN coordinate) fails the test too
         if not abs(res) <= TAU_CURVE:
             raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
@@ -141,8 +144,8 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
     further range check is needed.
 
     Raises:
-        IndexTooSmall: if n < 2; InvalidArgument if n is not an integer, or
-            not exactly one coordinate is given.
+        IndexTooSmall: if n < 2; InvalidArgument if n is not an integer,
+            not exactly one coordinate is given, or it is not a real number.
         InfeasiblePoint: if the given coordinate is not finite, is not > 1,
             or the partner denominator is not positive, or it or n is an int
             beyond float range.
@@ -150,26 +153,25 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
     n = require_int(n, "curve index", 2)
     if (alpha is None) == (beta is None):
         raise InvalidArgument("give exactly one of alpha= or beta=")
-    name, given = ("alpha", alpha) if alpha is not None else ("beta", beta)
+    name = "alpha" if alpha is not None else "beta"
+    given = require_real(alpha if alpha is not None else beta, name, InfeasiblePoint)
     pos, neg = (n + 1) // 2, n // 2
     own, other = (pos, neg) if alpha is not None else (neg, pos)
+    if not 1.0 < given < math.inf:
+        raise InfeasiblePoint(f"{name} must be finite and exceed 1, got {given}")
+    s = math.sqrt(given)
     try:
-        if not math.isfinite(given):
-            raise InfeasiblePoint(f"the given coordinate must be finite, got {given}")
-        if given <= 1.0:
-            raise InfeasiblePoint(f"{name} must exceed 1, got {given}")
-        s = math.sqrt(given)
         denom = 2 * s - 2 * own
     except OverflowError:
-        raise InfeasiblePoint(f"{name} or the curve index lies beyond float range") from None
+        raise InfeasiblePoint("the curve index lies beyond float range") from None
     if denom <= 0.0:
         raise InfeasiblePoint(
             f"no partner on curve {n} for {name} = {given}: denominator {denom:.3e} <= 0"
         )
     r = 2 * other * s / denom
     if alpha is not None:
-        return FucikPoint(n, alpha, r * r)
-    return FucikPoint(n, r * r, beta)
+        return FucikPoint(n, given, r * r)
+    return FucikPoint(n, r * r, given)
 
 
 def diagonal_point(n: int) -> FucikPoint:
@@ -188,15 +190,17 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     all lie on the line beta = 4 alpha / (2 sqrt(gamma) - 2)^2 through the
     origin, and the attached eigenfunctions are dilates of each other.
     At gamma = 4 the family collapses to the diagonal points.  A gamma so
-    large that beta rounds to 1 or the coordinates overflow is refused.
+    large that beta rounds to 1 or the coordinates overflow is refused; one
+    that is not a real number raises InvalidArgument.
     """
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:
         raise OddIndex(f"gamma_line_point needs an even index, got {printable(n)}")
+    gamma = require_real(gamma, "gamma", GammaOutOfRange)
+    if not (math.isfinite(gamma) and gamma >= 4.0):
+        raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
+    sg = math.sqrt(gamma)
     try:
-        if not (math.isfinite(gamma) and gamma >= 4.0):
-            raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
-        sg = math.sqrt(gamma)
         beta = n * n * gamma / (2 * sg - 2) ** 2
     except OverflowError:
         raise GammaOutOfRange("gamma puts the point beyond float range") from None

@@ -1,15 +1,19 @@
-"""The package's refusal types and its one integer check, at every index it takes."""
+"""The package's refusal types and its integer and real checks, at every
+index and every real parameter it takes."""
 
 import ast
+import dataclasses
 import math
 import pathlib
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fucik
 from fucik import closedform, errors, grammatrix, nearness, paleywiener
-from fucik.errors import FucikError, IndexTooSmall, InvalidArgument, require_int
+from fucik.errors import FucikError, IndexTooSmall, InvalidArgument, require_int, require_real
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
 SRC = pathlib.Path(fucik.__file__).parent
@@ -34,6 +38,114 @@ INDEX_TAKERS = [
     (lambda N: grammatrix.build_gram(_DIAGONAL, N), 0),
     (lambda N: grammatrix.riesz_scan(_DIAGONAL, [N]), 0),
 ]
+
+
+_SINE = fucik.SineMode(2)
+_CAP = nearness.BranchRule(cap_fraction=0.5)
+
+#: (public callable of one real, an integral value it takes, the type that
+#: refuses an int beyond float range)
+REAL_TAKERS = [
+    (lambda a: FucikPoint(2, a, 2.25), 9, errors.InfeasiblePoint),
+    (lambda b: FucikPoint(2, 2.25, b), 9, errors.InfeasiblePoint),
+    (lambda a: FucikPoint(3, a, 4.0), 16, errors.InfeasiblePoint),
+    (lambda a: complete_point(3, alpha=a), 16, errors.InfeasiblePoint),
+    (lambda b: complete_point(2, beta=b), 9, errors.InfeasiblePoint),
+    (lambda g: gamma_line_point(4, g), 5, errors.GammaOutOfRange),
+    (lambda a: nearness.bound_Cn(2, a, 2.25), 9, errors.InfeasiblePoint),
+    (lambda b: nearness.bound_Cn(3, 16.0, b), 4, errors.InfeasiblePoint),
+    (lambda s: nearness.zeta(s), 2, InvalidArgument),
+    (lambda e: nearness.corollary_cn_cap(3, e, "odd_alpha_dominant"), 1, InvalidArgument),
+    (lambda e: nearness.region_boundary(e, "odd_beta_dominant", [1, 2, 3]), 1, InvalidArgument),
+    (lambda c: nearness.BranchRule(c=c), 1, InvalidArgument),
+    (lambda c: nearness.BranchRule(cap_fraction=c, side="beta"), 1, InvalidArgument),
+    (lambda e: nearness.PowerFamily(e, even=nearness.BranchRule(c=1.0)), 1,
+     errors.TailNotBoundable),
+    (lambda e: nearness.theorem1_check(nearness.PowerFamily(e, even=_CAP, odd=_CAP), 50), 1,
+     errors.TailNotBoundable),
+    (lambda g: nearness.GammaLine(g), 5, errors.GammaOutOfRange),
+    (lambda g: paleywiener.fourier_Ak(g, 3), 5, errors.GammaOutOfRange),
+    (lambda g: paleywiener.ck_bound(g, 3), 5, errors.GammaOutOfRange),
+    (paleywiener.E_gamma, 5, errors.GammaOutOfRange),
+    (paleywiener.E_gamma_extended, 6, errors.GammaOutOfRange),
+    (paleywiener.budget, 5, errors.GammaOutOfRange),
+    (paleywiener.gamma_admissible_max, 1, InvalidArgument),
+    (lambda tol: fucik.integrate(fucik.PiecewiseIntegrand(np.sin, [0.0, math.pi]), tol), 1,
+     InvalidArgument),
+    (lambda tol: fucik.integrate_many(lambda owner, x: np.sin(x), [[0.0, math.pi]] * 2, tol), 1,
+     InvalidArgument),
+    (lambda tol: fucik.inner_numeric(_SINE, _SINE, [0.0, math.pi], tol), 1, InvalidArgument),
+]
+REAL_TAKER_IDS = [
+    "point-alpha", "point-beta", "point-odd-alpha", "complete-alpha", "complete-beta",
+    "gamma-line-point", "bound-cn-alpha", "bound-cn-beta", "zeta", "cap-epsilon",
+    "region-epsilon", "rule-c", "rule-cap-fraction", "power-family", "theorem1-power",
+    "gamma-line", "fourier-ak", "ck-bound", "e-gamma", "e-gamma-extended",
+    "budget", "gamma-admissible-max", "integrate", "integrate-many", "inner-numeric",
+]
+
+
+def _bits(result):
+    """A result's numbers as their bit patterns, checking every float is a Python float."""
+    if isinstance(result, float):
+        assert type(result) is float
+        return result.hex()
+    if isinstance(result, np.ndarray):
+        assert result.dtype == np.float64
+        return result.tobytes()
+    if dataclasses.is_dataclass(result):
+        return tuple(_bits(getattr(result, f.name)) for f in dataclasses.fields(result))
+    if isinstance(result, (tuple, list)):
+        return tuple(_bits(r) for r in result)
+    assert isinstance(result, (int, str, type(None)))
+    return result
+
+
+@pytest.mark.parametrize("call, value, refusal", REAL_TAKERS, ids=REAL_TAKER_IDS)
+def test_every_real_is_taken_alike(call, value, refusal):
+    for bad in ("5", None, 5 + 0j, Decimal("5"), np.array(5.0)):
+        with pytest.raises(InvalidArgument) as info:
+            call(bad)
+        assert type(info.value) is InvalidArgument
+    # every real type computes in float64, as the float it names
+    for real in (np.float32(value), np.float64(value), np.int64(value), Fraction(value)):
+        assert _bits(call(real)) == _bits(call(float(real)))
+    with pytest.raises(refusal) as info:
+        call(10 ** 400)
+    assert type(info.value) is refusal
+
+
+def test_require_real():
+    for value in (2.5, 2, True, np.float32(2.5), np.int8(-3), Fraction(1, 3), math.inf, math.nan):
+        got = require_real(value, "x")
+        assert type(got) is float and got.hex() == float(value).hex()
+    with pytest.raises(InvalidArgument, match="x must be a real number, got str"):
+        require_real("2.5", "x")
+    with pytest.raises(errors.GammaOutOfRange, match="x lies beyond float range, got 1000"):
+        require_real(10 ** 400, "x", errors.GammaOutOfRange)
+    with pytest.raises(errors.OutOfDomain):
+        require_real(Fraction(10 ** 400, 3), "x", errors.OutOfDomain)
+
+
+def test_a_float32_argument_leaves_no_float32_in_the_zeta_cache():
+    # zeta(np.float32(1.7)) returned a float32 and cached it, so a later
+    # call with the float64 it names returned that float32 value
+    nearness._zeta_minus_one.cache_clear()
+    want = nearness.zeta(float(np.float32(1.7)))
+    nearness._zeta_minus_one.cache_clear()
+    got = nearness.zeta(np.float32(1.7))
+    assert type(got) is float and got.hex() == want.hex()
+    again = nearness.zeta(1.7000000476837158)
+    assert type(again) is float and again.hex() == want.hex() == (2.0542886626546855).hex()
+
+
+@pytest.mark.parametrize("gamma", [4.5, 5.0, 5.3])
+def test_a_float32_gamma_builds_the_gram_of_the_float_it_names(gamma):
+    # a float32 gamma made gamma_line_point compute in float32, whose curve
+    # defect NotOnCurve refused
+    g32 = grammatrix.build_gram(nearness.GammaLine(np.float32(gamma)), 64)
+    g64 = grammatrix.build_gram(nearness.GammaLine(float(np.float32(gamma))), 64)
+    assert g32.entries.tobytes() == g64.entries.tobytes()
 
 
 def test_refusals_are_package_errors_and_value_errors():
@@ -159,28 +271,87 @@ def test_gamma_line_checks_the_integer_before_the_parity():
     assert type(info.value) is InvalidArgument
 
 
-def _value_error_raises(path: pathlib.Path):
-    """(module, function) of every ``raise ValueError`` in a source file."""
+def _sites(hit):
+    """(module, function) of every node of the package's source that ``hit`` accepts."""
     found = []
 
-    def visit(node, function):
+    def visit(module, node, function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(module, child, child.name)
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                    found.append((path.stem, function))
-            visit(child, function)
+            if hit(child):
+                found.append((module, function))
+            visit(module, child, function)
 
-    visit(ast.parse(path.read_text()), None)
-    return found
+    for path in SRC.glob("*.py"):
+        visit(path.stem, ast.parse(path.read_text()), None)
+    return sorted(found)
+
+
+def _is_name(node, name: str) -> bool:
+    return isinstance(node, ast.Name) and node.id == name
 
 
 def test_only_faults_raise_a_plain_value_error():
     # every refused argument raises InvalidArgument; a plain ValueError is
     # left to the checks that catch a fault, which the CLI must not report
     # as a usage error
-    found = [site for path in sorted(SRC.glob("*.py")) for site in _value_error_raises(path)]
-    assert sorted(found) == [("grammatrix", "extreme_eigenvalues"), ("quadrature", "_gauss_sums")]
+    def raises_value_error(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        return _is_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc, "ValueError")
+
+    assert _sites(raises_value_error) == [("grammatrix", "extreme_eigenvalues"),
+                                          ("quadrature", "_gauss_sums")]
+
+
+def test_no_module_converts_a_real_by_hand():
+    # a real parameter becomes a float in require_real alone; the other
+    # handlers guard arithmetic on an index (or, in gamma_line_point, on a
+    # gamma near the float maximum), and _on_domain converts evaluation arrays
+    def catches_overflow(node):
+        return isinstance(node, ast.ExceptHandler) and (
+            _is_name(node.type, "OverflowError") or isinstance(node.type, ast.Tuple)
+            and any(_is_name(e, "OverflowError") for e in node.type.elts))
+
+    assert _sites(catches_overflow) == [
+        ("eigenfunction", "_on_domain"),
+        ("errors", "require_real"),
+        ("nearness", "_boundary"),
+        ("nearness", "_cap_numerator"),
+        ("paleywiener", "ck_bound"),
+        ("spectrum", "__post_init__"),
+        ("spectrum", "complete_point"),
+        ("spectrum", "gamma_line_point"),
+    ]
+
+
+def _near(got: float, want: Fraction) -> bool:
+    """got within 1e-15 of want, relatively, plus 2 subnormal steps."""
+    return abs(Fraction(got) - want) <= abs(want) / 10 ** 15 + Fraction(2 * 5e-324)
+
+
+@pytest.mark.parametrize("k", [10 ** 76, 11 * 10 ** 76, 12 * 10 ** 76, 10 ** 80, 10 ** 150,
+                               2 * 10 ** 154, 10 ** 308])
+def test_a_huge_coefficient_index_gets_its_finite_bound(k):
+    # (k^2 - gamma)^2 leaves float range from k of about 1.16e77 on, where
+    # ck_bound raised InvalidArgument though c_k only underflows (to 0.0
+    # from about 1.2e81 on)
+    for gamma in (4.0, 4.5, 5.682):
+        want = Fraction(paleywiener._common(gamma)) / (k * k - Fraction(gamma)) ** 2
+        got = paleywiener.ck_bound(gamma, k)
+        assert type(got) is float and _near(got, want)
+
+
+@pytest.mark.parametrize("n", [10 ** 76 + 1, 6 * 10 ** 76 + 1, 7 * 10 ** 76 + 1, 11 * 10 ** 76 + 1,
+                               12 * 10 ** 76 + 1, 10 ** 100 + 1, 10 ** 200 + 1, 10 ** 308 + 1])
+def test_a_huge_odd_index_gets_its_finite_cap(n):
+    # the float denominator n^2 (n^2 + 1) overflowed from about 6.5e76 on,
+    # which gave a cap of 0.0, and (n -+ 1)^4 from about 1.16e77 on, which
+    # was refused; the cap tends to 1/(8 (zeta(1 + eps) - 1)), or 1/10 of it
+    for branch, near, scale in (("odd_alpha_dominant", n - 1, 8), ("odd_beta_dominant", n + 1, 10)):
+        z = Fraction(nearness._cap_zeta(0.5))
+        want = Fraction(near ** 4, scale * n * n * (n * n + 1)) / z
+        got = nearness.corollary_cn_cap(n, 0.5, branch)
+        assert type(got) is float and _near(got, want)
