@@ -351,12 +351,13 @@ def _cmd_check_theorem(which: int, args, checks) -> str:
 
 
 def _cmd_gamma_scan(args, checks) -> str:
-    if args.step < 1e-9:
-        raise UsageError("--step must be at least 1e-9")
+    if not 1e-9 <= args.step < math.inf:
+        raise UsageError(f"--step must be finite and at least 1e-9, got {args.step}")
+    # a NaN or infinite --from or --to makes the count NaN or infinite
     count = (args.gamma_to - args.gamma_from) / args.step + 1
-    if not count <= MAX_ROWS:
-        raise UsageError(f"--from/--to/--step give {count:.3g} rows, "
-                         f"more than the cap of {MAX_ROWS}")
+    if not -math.inf < count <= MAX_ROWS:
+        raise UsageError(f"--from {args.gamma_from} and --to {args.gamma_to} must be finite "
+                         f"and give at most {MAX_ROWS} rows, got {count:.3g}")
     rows = []
     g = args.gamma_from
     while g <= args.gamma_to + 1e-12:
@@ -371,14 +372,12 @@ def _cmd_region(args, checks) -> str:
     ns = range(args.n_from, args.n_to + 1)
     if not args.compare:
         return _csv(["n", "boundary"], nearness.region_boundary(args.epsilon, args.branch, ns))
-    if args.gamma is None or args.c is None:
-        raise UsageError("--compare needs --gamma and --c")
-    if not (paleywiener.GAMMA_MIN <= args.gamma < math.inf and 0 <= args.c < math.inf
-            and 0 < args.epsilon < math.inf):
-        raise UsageError(f"--compare needs finite --gamma >= {paleywiener.GAMMA_MIN}, "
-                         "--c >= 0 and --epsilon > 0")
+    if args.c is None or args.gamma is None or not paleywiener.GAMMA_MIN <= args.gamma < math.inf:
+        raise UsageError(f"--compare needs --c and a finite --gamma >= {paleywiener.GAMMA_MIN}")
+    # --c and --epsilon are refused by the family, as in check-theorem1 --mode power
+    family = nearness.PowerFamily(args.epsilon, even=nearness.BranchRule(c=args.c))
     # the power-cap boundary against the dominant root n sqrt(gamma) / 2 of the line
-    rows = [(n, nearness._boundary(n, args.c, args.epsilon), n * math.sqrt(args.gamma) / 2.0)
+    rows = [(n, family.dominant_sqrt(n), n * math.sqrt(args.gamma) / 2.0)
             for n in ns if n % 2 == 0]
     return _csv(["n", "boundary", "line_value"], rows)
 

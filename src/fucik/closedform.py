@@ -61,7 +61,11 @@ and the two pair kernels behind :func:`gram_block` compute each kind of
 entry in one numpy pass.  The scalar and
 the array primitives both stay: a numpy primitive on Python floats costs
 16 to 25 times a ``math`` one, and a point routed through a one-row table
-took 20 to 30 times as long.  Both carry out the same operations in the
+took 20 to 30 times as long.  One branch-free body shared through an
+``xp`` namespace (``math`` or numpy) would save 9 lines, but it made
+:func:`inner_cross_index` 16 to 29 percent slower per call (2.26-2.53 ->
+2.86-3.25 us, best of 200 x 5000 calls, on a 2-vCPU VM), so the twins
+stay.  Both carry out the same operations in the
 same order, and numpy's float64 ``sin`` matches the C library's, so a
 single point gets the bits of its table row.
 

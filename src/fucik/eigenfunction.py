@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain
+from .errors import OutOfDomain, require_int, require_reals
 from .spectrum import FucikPoint
 
 #: slack beyond the right endpoint tolerated (callers' accumulated round-off)
@@ -49,12 +49,20 @@ JUNCTION_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SineMode:
-    """The comparator sin(n x); its squared norm over (0, pi) is pi/2."""
+    """The comparator sin(n x); its squared norm over (0, pi) is pi/2.
+
+    ``n`` is checked by :func:`~fucik.errors.require_int` (a mode below 1
+    raises IndexTooSmall, any other non-integer InvalidArgument) and stored
+    as an int; x by :func:`~fucik.errors.require_reals`.
+    """
 
     n: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "n", require_int(self.n, "mode index", 1))
+
     def __call__(self, x):
-        return np.sin(self.n * np.asarray(x, dtype=float))
+        return np.sin(self.n * require_reals(x, "evaluation point"))
 
 
 @dataclass(frozen=True)
@@ -169,11 +177,9 @@ def _bump_pair(l1, l, x):
 
 def _on_domain(x) -> np.ndarray:
     """x as floats on [0, pi]: points within 1e-12 outside are clamped onto
-    it; anything further, NaN and an int beyond float range raise OutOfDomain."""
-    try:
-        arr = np.asarray(x, dtype=float)
-    except OverflowError:
-        raise OutOfDomain("evaluation point outside [0, pi]") from None
+    it; anything further, NaN and a lone int beyond float range raise
+    OutOfDomain.  x is checked by :func:`~fucik.errors.require_reals`."""
+    arr = require_reals(x, "evaluation point", OutOfDomain)
     if not np.all((arr >= -_EDGE_SLACK) & (arr <= math.pi + _EDGE_SLACK)):
         raise OutOfDomain("evaluation point outside [0, pi]")
     # the same values as np.clip once NaN is refused, at half its cost
@@ -204,13 +210,17 @@ def evaluate(f: FucikEigenfunction, x):
     selection is exact: x is located inside its bump pair [k l, k l + l1)
     or [k l + l1, (k+1) l) as :func:`local_waves` locates it.  Points
     within 1e-12 outside the domain are clamped onto it; anything further,
-    and NaN, raises OutOfDomain.
+    NaN and a lone int beyond float range raise OutOfDomain.  x may be an
+    array, or a sequence, of bools, integers or floats, or a single real
+    number (see :func:`~fucik.errors.require_reals`); strings, bytes,
+    complex numbers and objects raise InvalidArgument.
     """
+    x = require_reals(x, "evaluation point", OutOfDomain)
     out = evaluate_panels(f.positive_amplitude, f.negative_amplitude, f.point.sqrt_alpha,
-                          f.point.sqrt_beta, f.l1, f.l1 + f.l2, np.reshape(x, (-1, 1)))
-    if np.ndim(x) == 0:
+                          f.point.sqrt_beta, f.l1, f.l1 + f.l2, x.reshape(-1, 1))
+    if x.ndim == 0:
         return float(out[0, 0])
-    return out.reshape(np.shape(x))
+    return out.reshape(x.shape)
 
 
 def breakpoints(f: FucikEigenfunction) -> np.ndarray:

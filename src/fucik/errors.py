@@ -10,16 +10,24 @@ type but :class:`NoConvergence` is such a refusal.  A plain
 given, not a refused input.
 
 Every index a public function takes (n, m, k, N or ``n_partial``) is
-checked by :func:`require_int`, and every real parameter (a coordinate,
+checked by :func:`require_int`, every real parameter (a coordinate,
 gamma, epsilon, s, a rule constant or a tolerance) by
-:func:`require_real`, so each kind is refused alike everywhere.  A real
-is converted there, once, to the Python float that all later arithmetic
-runs in; no other module converts one.  A refusal shows the refused
-value through :func:`printable`, so that phrasing it never fails.
+:func:`require_real`, and every array of points (evaluation points or
+breakpoints) by :func:`require_reals`, so each kind is refused alike
+everywhere.  Indices and arrays take the reals' type test: whatever is
+not an integer, or an array of bools, integers or floats, must pass
+:func:`require_real`, so a string, bytes, None, a complex number or a
+``Decimal`` is refused before any comparison or arithmetic.  A real is
+converted there, once, to the Python float that all later arithmetic
+runs in, and an array to float64; no other module converts one.  A
+refusal shows the refused value through :func:`printable`, so that
+phrasing it never fails.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class FucikError(Exception):
@@ -90,12 +98,20 @@ def printable(value) -> str:
 def require_int(value, name: str, lo: int, hi: float | None = None) -> int:
     """``value`` as an int if it is an integer in [lo, hi] (hi None: no cap).
 
-    An integral float or numpy integer is taken as the int it names.  An
-    integer below ``lo`` raises :class:`IndexTooSmall`; NaN, an infinity,
-    a fraction or an integer above ``hi`` raises :class:`InvalidArgument`.
+    An int or any :class:`numbers.Integral` (a numpy integer) is compared
+    as it is; any other value goes through :func:`require_real`, so an
+    integral float, numpy float or ``Fraction`` is taken as the int it
+    names, and a value that is not a real number (a string, bytes, None,
+    a complex number, a ``Decimal``, an array) raises
+    :class:`InvalidArgument`.  An integer below ``lo`` raises
+    :class:`IndexTooSmall`; NaN, an infinity, a fraction or an integer
+    above ``hi`` raises :class:`InvalidArgument`.
     """
+    # the plain int first: the abstract check is several times slower
+    if not (type(value) is int or isinstance(value, numbers.Integral)):
+        value = require_real(value, name)
     # NaN and the infinities fail is_integer; an int, however large, is never made a float
-    integral = isinstance(value, int) or float(value).is_integer()
+    integral = type(value) is not float or value.is_integer()
     if integral and lo <= value and (hi is None or value <= hi):
         return int(value)
     if hi is not None:
@@ -124,3 +140,21 @@ def require_real(value, name: str, refusal: type = InvalidArgument) -> float:
         except OverflowError:
             raise refusal(f"{name} lies beyond float range, got {printable(value)}") from None
     raise InvalidArgument(f"{name} must be a real number, got {type(value).__name__}")
+
+
+def require_reals(value, name: str, refusal: type = InvalidArgument) -> np.ndarray:
+    """``value`` as a float64 array if it is an array, or a sequence, of
+    bools, integers or floats; a single value of another type goes
+    through :func:`require_real` and comes back as a 0-d array.
+
+    So strings, bytes, complex numbers and objects (a ``Decimal``, or an
+    int that no numpy integer type holds, in a sequence) raise
+    :class:`InvalidArgument`, and a lone int beyond float range raises
+    ``refusal``.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind in "biuf":
+        return arr.astype(float, copy=False)
+    if arr.ndim:
+        raise InvalidArgument(f"{name} must be real numbers, got an array of {arr.dtype}")
+    return np.asarray(require_real(value, name, refusal))

@@ -46,7 +46,6 @@ from .errors import (
     InvalidArgument,
     OddEntriesNotDiagonal,
     TailNotBoundable,
-    printable,
     require_int,
     require_real,
 )
@@ -175,11 +174,12 @@ def _cap_zeta(epsilon: float) -> float:
 
 
 def _cap_numerator(n, branch: Branch):
-    """Cap on c_n times zeta(1 + eps) - 1; n an int or a float array.
+    """Cap on c_n times zeta(1 + eps) - 1; n an int within float range or
+    a float array.
 
     An int n whose float denominator n^2 (n^2 + 1) overflows (n above
     about 6.5e76) takes the quotient of the exact ints, which Python rounds
-    once; one beyond float range raises InvalidArgument.
+    once.
     """
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2))
@@ -196,8 +196,6 @@ def _cap_numerator(n, branch: Branch):
         den = math.inf
     if not isinstance(n, int) or den < math.inf:
         return (near ** 2) ** 2 / den
-    if n > sys.float_info.max:
-        raise InvalidArgument(f"curve index {printable(n)} lies beyond float range")
     return (near ** 2) ** 2 / (scale * n * n * (n * n + 1))
 
 
@@ -208,13 +206,13 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     n^{(1-eps)/2} whose constants stay strictly below these caps satisfies
     the summation criterion.  The two ``*_uniform`` branches return the
     weaker n-independent constants (1/46 and 1/10 numerators).  An index
-    n < 1 raises IndexTooSmall, and a fractional, infinite or NaN one, or
-    one of a dominant branch beyond float range, InvalidArgument.  An
-    epsilon that is not a real number, is not positive or is an int beyond
-    float range raises InvalidArgument, and one at most 1e-6 or infinite
-    DivergentArgument.
+    n < 1 raises IndexTooSmall, and one that is not an integer (see
+    :func:`~fucik.errors.require_int`), or lies beyond float range on any
+    branch, InvalidArgument.  An epsilon that is not a real number, is not
+    positive or is an int beyond float range raises InvalidArgument, and
+    one at most 1e-6 or infinite DivergentArgument.
     """
-    n = require_int(n, "curve index", 1)
+    n = require_int(n, "curve index", 1, sys.float_info.max)
     z = _cap_zeta(epsilon)
     return _cap_numerator(n, branch) / z
 
@@ -222,13 +220,10 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
 def _boundary(n: int, c: float, epsilon: float) -> float:
     """n + sqrt(c) n^{(1-eps)/2}, the dominant root of a power family.
 
-    An n beyond float range raises InvalidArgument.
+    n is an int within float range, as its callers check it; for every
+    epsilon > 0 the power then stays within float range too.
     """
-    try:
-        return n + math.sqrt(c) * n ** ((1.0 - epsilon) / 2.0)
-    except OverflowError:
-        raise InvalidArgument(
-            f"curve index {printable(n)} is too large for float arithmetic") from None
+    return n + math.sqrt(c) * n ** ((1.0 - epsilon) / 2.0)
 
 
 def region_boundary(epsilon: float, branch: Branch,
@@ -236,13 +231,13 @@ def region_boundary(epsilon: float, branch: Branch,
     """Boundary values n + sqrt(cap) n^{(1-eps)/2} for region plots.
 
     The row n = 1 uses the cap of n = 2.  epsilon and the indices are
-    checked as in :func:`corollary_cn_cap`; an index beyond float range
+    checked as in :func:`corollary_cn_cap`: an index beyond float range
     raises InvalidArgument for every branch.
     """
     epsilon = require_real(epsilon, "epsilon")
     out = []
     for n in n_range:
-        n = require_int(n, "curve index", 1)
+        n = require_int(n, "curve index", 1, sys.float_info.max)
         cap = corollary_cn_cap(max(n, 2), epsilon, branch)
         out.append((n, _boundary(n, cap, epsilon)))
     return out
@@ -339,6 +334,9 @@ class FinitePerturbation:
         object.__setattr__(self, "_by_n", seen)
 
     def point(self, n: int) -> FucikPoint:
+        """The entry for index n, or the diagonal point; n is checked, before
+        it is looked up, as in :func:`~fucik.spectrum.diagonal_point`."""
+        n = require_int(n, "curve index", 1)
         return self._by_n.get(n) or diagonal_point(n)
 
     def _candidate_indices(self, N: int) -> list[int]:
@@ -382,25 +380,34 @@ class PowerFamily:
         return self.even if n % 2 == 0 else self.odd
 
     def c_value(self, n: int) -> float:
+        """Growth constant c_n of index n, 0.0 for a class without a rule.
+
+        n is checked first: below 1 it raises IndexTooSmall, and not an
+        integer (see :func:`~fucik.errors.require_int`) or beyond float
+        range InvalidArgument.
+        """
+        n = require_int(n, "curve index", 1, sys.float_info.max)
         rule = self._rule(n)
         if rule is None:
             return 0.0
-        return _growth_constants(rule, n % 2 == 0, require_int(n, "curve index", 1),
-                                 self.epsilon)
+        return _growth_constants(rule, n % 2 == 0, n, self.epsilon)
 
     def dominant_sqrt(self, n: int) -> float:
+        """max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2};
+        n is refused by :meth:`c_value` before it is used."""
         return _boundary(n, self.c_value(n), self.epsilon)
 
     def point(self, n: int) -> FucikPoint:
-        if n == 1:
-            return diagonal_point(1)
+        """The family's point on curve n, its ``side`` coordinate the square
+        of :meth:`dominant_sqrt`; the n = 1 point and a class without a rule
+        are diagonal.  n is checked first, as in
+        :func:`~fucik.spectrum.diagonal_point`."""
+        n = require_int(n, "curve index", 1)
         rule = self._rule(n)
-        if rule is None:
+        if n == 1 or rule is None:
             return diagonal_point(n)
         s = self.dominant_sqrt(n)
-        if rule.side == "alpha":
-            return complete_point(n, alpha=s * s)
-        return complete_point(n, beta=s * s)
+        return complete_point(n, **{rule.side: s * s})
 
     def _candidate_indices(self, N: int) -> list[int]:
         """The indices 2 <= n <= N whose point may be off the diagonal:
@@ -428,7 +435,10 @@ class GammaLine:
         object.__setattr__(self, "gamma", paleywiener._require_gamma_range(self.gamma))
 
     def point(self, n: int) -> FucikPoint:
-        if n >= 2 and n % 2 == 0:
+        """The line's point on curve n, even n >= 2, else the diagonal point;
+        n is checked first, as in :func:`~fucik.spectrum.diagonal_point`."""
+        n = require_int(n, "curve index", 1)
+        if n % 2 == 0:
             return gamma_line_point(n, self.gamma)
         return diagonal_point(n)
 

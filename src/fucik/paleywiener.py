@@ -58,7 +58,7 @@ def Tk_norm(k: int) -> float:
     """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k.
 
     A k below 1 raises IndexTooSmall, and a non-integral, NaN or infinite
-    one InvalidArgument.
+    one, or one that is not a number at all, InvalidArgument.
     """
     k = require_int(k, "dilation index", 1)
     if k % 2 == 0:

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, NoConvergence, require_real
+from .errors import InvalidArgument, NoConvergence, require_real, require_reals
 
 DEFAULT_TOL = 1e-12
 MIN_TOL = 1e-14
@@ -79,12 +79,15 @@ class PiecewiseIntegrand:
 
 
 def _rows(breakpoint_sets) -> np.ndarray:
-    """Breakpoint lists as the rows of one array, each padded with its last point."""
+    """Breakpoint lists as the rows of one array, each padded with its last point.
+
+    Each list, or the 2-D array, is checked by :func:`~fucik.errors.require_reals`.
+    """
     if isinstance(breakpoint_sets, np.ndarray):
         if breakpoint_sets.ndim != 2:
             raise InvalidArgument("breakpoint rows must form a 2-D array")
-        return np.asarray(breakpoint_sets, dtype=float)
-    lists = [np.asarray(b, dtype=float) for b in breakpoint_sets]
+        return require_reals(breakpoint_sets, "breakpoints")
+    lists = [require_reals(b, "breakpoints") for b in breakpoint_sets]
     if any(b.ndim != 1 or b.size < 2 for b in lists):
         raise InvalidArgument("breakpoints must list at least [0, pi]")
     rows = np.empty((len(lists), max((b.size for b in lists), default=2)))
@@ -165,8 +168,9 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
     ``x.shape + (k,)``, the values of that row's k integrands, the same k
     on every call.  ``breakpoint_sets`` holds one breakpoint list per row,
     shared by its integrands: a sequence of lists, or a 2-D array whose
-    rows may be padded with pi.  The result has one value per row, or
-    shape (rows, k).
+    rows may be padded with pi; breakpoints that are not bools, integers
+    or floats (strings, bytes, complex numbers, objects) raise
+    InvalidArgument.  The result has one value per row, or shape (rows, k).
 
     Every integral gets the panels, decisions, budget and summation order
     it would get alone, so the result equals a loop of :func:`integrate`,
@@ -273,7 +277,7 @@ def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
     The one-integrand case of :func:`integrate_many`.  Refinement never
     crosses a breakpoint.  Raises NoConvergence once the subdivision
     budget of 2**20 subintervals is exhausted or a value is not finite;
-    ``tol`` is refused as in :func:`integrate_many`.
+    breakpoints and ``tol`` are refused as in :func:`integrate_many`.
     """
     return float(integrate_many(lambda owner, x: np.reshape(g.evaluator(x.ravel()), x.shape),
                                 [g.breakpoints], tol)[0])
@@ -284,8 +288,8 @@ def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],
     """Inner product of a and b over (0, pi).
 
     ``breakpoints`` must contain the union of both functions' junction
-    points; the product is then smooth on every piece.  ``tol`` is refused
-    as in :func:`integrate_many`.
+    points; the product is then smooth on every piece.  Breakpoints and
+    ``tol`` are refused as in :func:`integrate_many`.
     """
     def product(x):
         return np.asarray(a(x), dtype=float) * np.asarray(b(x), dtype=float)

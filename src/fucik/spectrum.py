@@ -63,8 +63,10 @@ class FucikPoint:
     :func:`~fucik.errors.require_real` makes of them.
 
     Raises:
-        InvalidArgument: if n is not integral (an integral float is stored
-            as int), or a coordinate is not a real number.
+        InvalidArgument: if n is not an integer (an integral float,
+            numpy scalar or ``Fraction`` is stored as int; a string, bytes,
+            None, a complex number, a ``Decimal`` or an array is refused),
+            or a coordinate is not a real number.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), for
             n >= 2 if a coordinate is at or below 1 or infinite, and if n
@@ -175,7 +177,11 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
 
 
 def diagonal_point(n: int) -> FucikPoint:
-    """The classical eigenvalue point (n^2, n^2) on the n-th curve."""
+    """The classical eigenvalue point (n^2, n^2) on the n-th curve.
+
+    n is checked, before it is squared, as by :class:`FucikPoint`.
+    """
+    n = require_int(n, "curve index", 1)
     return FucikPoint(n, n * n, n * n)
 
 

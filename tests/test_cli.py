@@ -399,11 +399,13 @@ def test_gamma_scan_row_cap(capsys, monkeypatch):
                          "--step", "1e-9")
     assert code == 2 and out == ""
     assert str(MAX_ROWS) in err
-    for bad in (("--to", "inf"), ("--step", "nan")):
-        args = {"--from": "4", "--to": "4.2", "--step": "0.05"}
-        args.update([bad])
-        code, out, _ = run(capsys, "gamma-scan", *[v for kv in args.items() for v in kv])
-        assert code == 2 and out == ""
+    # --from nan gave "nan rows" as its reason, and --step inf one row
+    for option in ("--from", "--to", "--step"):
+        for bad in ("nan", "inf", "-inf"):
+            args = {"--from": "4", "--to": "4.2", "--step": "0.05", option: bad}
+            code, out, err = run(capsys, "gamma-scan", *[f"{k}={v}" for k, v in args.items()])
+            assert code == 2 and out == ""
+            assert f"{option} {bad}" in err or f"{option} must be finite" in err
 
 
 def test_output_file(tmp_path, capsys):
@@ -477,6 +479,7 @@ def test_region_non_finite_is_usage_error(capsys):
     "check-theorem1 --mode power --epsilon 0 --even-c 1",
     "check-theorem1 --mode power --epsilon 0.5 --even-c -1",
     "check-theorem1 --mode power --epsilon 1000 --even-cap-fraction 1e10",  # c_2 above 1e300
+    "region --epsilon 0.5 --compare --gamma 5 --c 1e301",  # refused as a power family's c
     "check-theorem1 --mode finite --entry n=2,alpha=9 --entry n=2,beta=4",
     "gram --mode diagonal --sizes 8,x",
 ])

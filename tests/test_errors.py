@@ -1,8 +1,9 @@
-"""The package's refusal types and its integer and real checks, at every
-index and every real parameter it takes."""
+"""The package's refusal types and its integer, real and array checks, at
+every index, real parameter and array of points it takes."""
 
 import ast
 import dataclasses
+import inspect
 import math
 import pathlib
 from decimal import Decimal
@@ -12,36 +13,54 @@ import numpy as np
 import pytest
 
 import fucik
-from fucik import closedform, errors, grammatrix, nearness, paleywiener
-from fucik.errors import FucikError, IndexTooSmall, InvalidArgument, require_int, require_real
+from fucik import closedform, eigenfunction, errors, grammatrix, nearness, paleywiener
+from fucik.errors import (FucikError, IndexTooSmall, InvalidArgument, require_int, require_real,
+                          require_reals)
 from fucik.spectrum import FucikPoint, complete_point, diagonal_point, gamma_line_point
 
 SRC = pathlib.Path(fucik.__file__).parent
 
 _DIAGONAL = nearness.FinitePerturbation(())
+_CAP = nearness.BranchRule(cap_fraction=0.5)
+_FINITE = nearness.FinitePerturbation((complete_point(2, alpha=9.0), complete_point(3, beta=9.0)))
+_POWER = nearness.PowerFamily(0.5, even=nearness.BranchRule(c=1.0, side="beta"), odd=_CAP)
 
-#: (public function of one index, the largest index below its range)
-INDEX_TAKERS = [
-    (lambda n: FucikPoint(n, 9.0, 2.25), 0),
-    (diagonal_point, 0),
-    (lambda n: complete_point(n, alpha=9.0), 1),
-    (lambda n: gamma_line_point(n, 5.0), 0),
-    (lambda n: nearness.bound_Cn(n, 9.0, 2.25), 1),
-    (lambda n: nearness.corollary_cn_cap(n, 0.5, "even"), 0),
-    (lambda n: nearness.region_boundary(0.5, "even", [n]), 0),
-    (lambda n: nearness.theorem1_check(_DIAGONAL, n), 1),
-    (lambda n: nearness.theorem2_check(_DIAGONAL, n), 1),
-    (paleywiener.Tk_norm, 0),
-    (lambda k: paleywiener.ck_bound(5.0, k), 0),
-    (lambda k: paleywiener.fourier_Ak(5.0, k), 0),
-    (lambda m: closedform.inner_cross_index(complete_point(2, alpha=9.0), m), 0),
-    (lambda N: grammatrix.build_gram(_DIAGONAL, N), 0),
-    (lambda N: grammatrix.riesz_scan(_DIAGONAL, [N]), 0),
-]
+#: public callable of one index -> (a call of it with that index, the
+#: largest index below its range); every call takes max(2, below + 2)
+INDEX_TAKERS = {
+    FucikPoint: (lambda n: FucikPoint(n, 9.0, 2.25), 0),
+    diagonal_point: (diagonal_point, 0),
+    complete_point: (lambda n: complete_point(n, alpha=9.0), 1),
+    gamma_line_point: (lambda n: gamma_line_point(n, 5.0), 0),
+    nearness.bound_Cn: (lambda n: nearness.bound_Cn(n, 16.0, 4.0), 1),
+    nearness.corollary_cn_cap: (lambda n: nearness.corollary_cn_cap(n, 0.5, "even"), 0),
+    nearness.region_boundary: (lambda n: nearness.region_boundary(0.5, "even", [n]), 0),
+    nearness.theorem1_check: (lambda n: nearness.theorem1_check(_DIAGONAL, n), 1),
+    nearness.theorem2_check: (lambda n: nearness.theorem2_check(_DIAGONAL, n), 1),
+    paleywiener.Tk_norm: (paleywiener.Tk_norm, 0),
+    paleywiener.ck_bound: (lambda k: paleywiener.ck_bound(5.0, k), 0),
+    paleywiener.fourier_Ak: (lambda k: paleywiener.fourier_Ak(5.0, k), 0),
+    closedform.inner_cross_index:
+        (lambda m: closedform.inner_cross_index(complete_point(4, alpha=30.0), m), 0),
+    grammatrix.build_gram: (lambda N: grammatrix.build_gram(_DIAGONAL, N), 0),
+    grammatrix.riesz_scan: (lambda N: grammatrix.riesz_scan(_DIAGONAL, [N]), 0),
+    fucik.SineMode: (lambda n: fucik.SineMode(n)(np.array([0.0, 0.7, math.pi])), 0),
+    nearness.FinitePerturbation.point: (lambda n: _FINITE.point(n), 0),
+    nearness.PowerFamily.point: (lambda n: _POWER.point(n), 0),
+    nearness.GammaLine.point: (lambda n: nearness.GammaLine(5.0).point(n), 0),
+    nearness.PowerFamily.c_value: (lambda n: _POWER.c_value(n), 0),
+    # today's value is a numpy float for a numpy index, so compared as a float
+    nearness.PowerFamily.dominant_sqrt: (lambda n: float(_POWER.dominant_sqrt(n)), 0),
+}
+
+#: the names an index parameter of a public callable goes by
+INDEX_NAMES = {"n", "m", "k", "N", "Ns", "n_partial", "n_range"}
+
+#: values that are no number at all, refused as they are for reals
+NON_NUMBERS = ("3", b"3", None, 3 + 0j, Decimal(3), np.array(3))
 
 
 _SINE = fucik.SineMode(2)
-_CAP = nearness.BranchRule(cap_fraction=0.5)
 
 #: (public callable of one real, an integral value it takes, the type that
 #: refuses an int beyond float range)
@@ -125,6 +144,25 @@ def test_require_real():
         require_real(10 ** 400, "x", errors.GammaOutOfRange)
     with pytest.raises(errors.OutOfDomain):
         require_real(Fraction(10 ** 400, 3), "x", errors.OutOfDomain)
+
+
+def test_require_reals():
+    for value in ([0.5, 2], (True, 3), np.arange(3, dtype=np.int8), np.float32([0.1, 2.5]),
+                  np.zeros((2, 0)), 2.5, 7, np.float32(0.1), Fraction(1, 3), 2 ** 70):
+        got = require_reals(value, "x")
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.tobytes() == np.asarray(value, dtype=float).tobytes()
+    for bad in ("2.5", b"2.5", None, 2 + 0j, Decimal("2.5"), np.array(2.5, dtype=object)):
+        with pytest.raises(InvalidArgument, match="x must be a real number") as info:
+            require_reals(bad, "x")
+        assert type(info.value) is InvalidArgument
+    for bad in (["2.5"], [0.5, "2"], [b"1"], [1 + 0j], [Decimal(1)], [1, 2 ** 70],
+                np.array([0.5], dtype=object), np.zeros((2, 2), dtype=complex)):
+        with pytest.raises(InvalidArgument, match="x must be real numbers, got an array") as info:
+            require_reals(bad, "x")
+        assert type(info.value) is InvalidArgument
+    with pytest.raises(errors.OutOfDomain, match="x lies beyond float range"):
+        require_reals(10 ** 400, "x", errors.OutOfDomain)
 
 
 def test_a_float32_argument_leaves_no_float32_in_the_zeta_cache():
@@ -254,7 +292,7 @@ def test_anything_but_a_system_specification_is_refused(call, refusal):
     assert type(info.value) is refusal
 
 
-@pytest.mark.parametrize("call, below", INDEX_TAKERS)
+@pytest.mark.parametrize("call, below", INDEX_TAKERS.values())
 def test_every_index_is_refused_alike(call, below):
     for bad in (2.5, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgument, match="integer") as info:
@@ -263,6 +301,81 @@ def test_every_index_is_refused_alike(call, below):
     for bad in (below, float(below), below - 3):
         with pytest.raises(IndexTooSmall):
             call(bad)
+    # each raised TypeError (or numpy's UFuncTypeError), or was accepted
+    for bad in NON_NUMBERS:
+        with pytest.raises(InvalidArgument, match="must be a real number") as info:
+            call(bad)
+        assert type(info.value) is InvalidArgument
+    # every integral real is taken as the int it names
+    good = max(2, below + 2)
+    for index in (float(good), np.int64(good), np.float64(good), Fraction(good)):
+        assert _bits(call(index)) == _bits(call(good))
+
+
+_F = fucik.build(complete_point(4, alpha=30.0))
+_T = eigenfunction.bump_table([_F.point])
+
+#: public callable of points or breakpoints -> a call of it with one
+#: sequence of values in [0, pi], which it takes as points or breakpoints
+ARRAY_TAKERS = {
+    fucik.evaluate: lambda x: fucik.evaluate(_F, x),
+    fucik.FucikEigenfunction.__call__: _F,
+    eigenfunction.evaluate_panels:
+        lambda x: eigenfunction.evaluate_panels(*_T.bumps, np.atleast_2d(x)),
+    fucik.SineMode.__call__: _SINE,
+    fucik.integrate: lambda b: fucik.integrate(fucik.PiecewiseIntegrand(np.sin, b)),
+    fucik.integrate_many: lambda b: fucik.integrate_many(lambda owner, x: np.sin(x), [b, b]),
+    fucik.inner_numeric: lambda b: fucik.inner_numeric(_SINE, _SINE, b),
+}
+
+
+@pytest.mark.parametrize("call", ARRAY_TAKERS.values(), ids=[f.__qualname__ for f in ARRAY_TAKERS])
+def test_every_array_is_refused_alike(call):
+    points = np.array([0.0, 0.7, 1.5, math.pi])
+    # strings and bytes were converted, a complex value lost its imaginary
+    # part with a ComplexWarning, an object array was converted or leaked
+    # TypeError
+    for bad in (points.astype(str), points.astype(bytes), points.astype(complex),
+                points.astype(object), points.astype(str).tolist(),
+                [*points[:-1], "3.141592653589793"], [*points[:-1], math.pi + 0j],
+                [Decimal(x) for x in points]):
+        with pytest.raises(InvalidArgument, match="must be real numbers") as info:
+            call(bad)
+        assert type(info.value) is InvalidArgument
+    # a lone value, refused as a real (evaluate_panels gets it as a 1 x 1 array)
+    for bad in ("0.7", b"0.7", 0.7 + 0j, Decimal("0.7"), None):
+        with pytest.raises(InvalidArgument, match="must be (a )?real number") as info:
+            call(bad)
+        assert type(info.value) is InvalidArgument
+    # a sequence of ints and floats is taken as the float array it names
+    want = np.asarray(call(points)).tobytes()
+    for same in (points.tolist(), tuple(points), [0, *points[1:]], [np.int8(0), *points[1:]]):
+        assert np.asarray(call(same)).tobytes() == want
+
+
+def test_integrate_many_refuses_a_two_dimensional_array_of_strings():
+    rows = np.array([[0.0, 1.0, math.pi]] * 2)
+    with pytest.raises(InvalidArgument, match="breakpoints must be real numbers") as info:
+        fucik.integrate_many(lambda owner, x: np.sin(x), rows.astype(str))
+    assert type(info.value) is InvalidArgument
+
+
+def _public_callables():
+    """Every function and class of ``fucik.__all__``, and each class's public methods."""
+    for name in fucik.__all__:
+        obj = getattr(fucik, name)
+        if inspect.isclass(obj):
+            yield obj
+            yield from (f for key, f in vars(obj).items()
+                        if inspect.isfunction(f) and not key.startswith("_"))
+        elif callable(obj):
+            yield obj
+
+
+def test_every_index_taker_is_in_the_table():
+    takers = {f for f in _public_callables()
+              if INDEX_NAMES & set(inspect.signature(f).parameters)}
+    assert takers == set(INDEX_TAKERS)
 
 
 def test_gamma_line_checks_the_integer_before_the_parity():
@@ -307,18 +420,17 @@ def test_only_faults_raise_a_plain_value_error():
 
 
 def test_no_module_converts_a_real_by_hand():
-    # a real parameter becomes a float in require_real alone; the other
-    # handlers guard arithmetic on an index (or, in gamma_line_point, on a
-    # gamma near the float maximum), and _on_domain converts evaluation arrays
+    # a real parameter becomes a float in require_real alone, and an array
+    # in require_reals, which sends a lone value there; the other handlers
+    # guard arithmetic on an index (or, in gamma_line_point, on a gamma near
+    # the float maximum)
     def catches_overflow(node):
         return isinstance(node, ast.ExceptHandler) and (
             _is_name(node.type, "OverflowError") or isinstance(node.type, ast.Tuple)
             and any(_is_name(e, "OverflowError") for e in node.type.elts))
 
     assert _sites(catches_overflow) == [
-        ("eigenfunction", "_on_domain"),
         ("errors", "require_real"),
-        ("nearness", "_boundary"),
         ("nearness", "_cap_numerator"),
         ("paleywiener", "ck_bound"),
         ("spectrum", "__post_init__"),
