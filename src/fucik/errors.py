@@ -147,12 +147,16 @@ def require_reals(value, name: str, refusal: type = InvalidArgument) -> np.ndarr
     bools, integers or floats; a single value of another type goes
     through :func:`require_real` and comes back as a 0-d array.
 
-    So strings, bytes, complex numbers and objects (a ``Decimal``, or an
-    int that no numpy integer type holds, in a sequence) raise
+    So strings, bytes, complex numbers, objects (a ``Decimal``, or an
+    int that no numpy integer type holds, in a sequence) and ragged
+    sequences, which numpy refuses with a plain ``ValueError``, raise
     :class:`InvalidArgument`, and a lone int beyond float range raises
     ``refusal``.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise InvalidArgument(f"{name} must be real numbers, got a ragged sequence") from None
     if arr.dtype.kind in "biuf":
         return arr.astype(float, copy=False)
     if arr.ndim:

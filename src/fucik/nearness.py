@@ -252,8 +252,8 @@ def kato_weakened_term(p: FucikPoint) -> float:
     """
     if p.case == "diagonal":
         return 0.0
-    nf = closedform._norm(p)
-    d = closedform._dist(p, nf)
+    # the values norm_sq and dist_sq_to_sine return, computed once per point
+    nf, d, _ = closedform._same_index_values(p)
     return max(d - (nf - math.pi / 2 + d) ** 2 / (4 * nf), 0.0)
 
 
@@ -393,8 +393,10 @@ class PowerFamily:
         return _growth_constants(rule, n % 2 == 0, n, self.epsilon)
 
     def dominant_sqrt(self, n: int) -> float:
-        """max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2};
-        n is refused by :meth:`c_value` before it is used."""
+        """max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2},
+        a Python float; n is checked first, as in :meth:`c_value`, and the
+        int it names is used."""
+        n = require_int(n, "curve index", 1, sys.float_info.max)
         return _boundary(n, self.c_value(n), self.epsilon)
 
     def point(self, n: int) -> FucikPoint:

@@ -44,7 +44,7 @@ Parity = Literal["even", "odd"]
 Case = Literal["alpha_dominant", "beta_dominant", "diagonal"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FucikPoint:
     """A point (alpha, beta) on the n-th spectrum curve, valid by construction.
 
@@ -60,7 +60,14 @@ class FucikPoint:
             sqrt(beta) (derived; not in ``repr``, equality or hashing).
 
     The coordinates are stored as the Python floats
-    :func:`~fucik.errors.require_real` makes of them.
+    :func:`~fucik.errors.require_real` makes of them.  The constructor
+    ``FucikPoint(n, alpha, beta)`` is written by hand so that it sets each
+    of the seven fields once, one ``object.__setattr__`` call each on the
+    frozen instance, where a generated ``__init__`` with a
+    ``__post_init__`` would set n, alpha and beta twice.  Equality,
+    hashing, ``repr``, ``__match_args__``, :func:`dataclasses.replace`
+    (which calls the constructor, so a point cannot be edited off its
+    curve), pickling and copying are those of the dataclass.
 
     Raises:
         InvalidArgument: if n is not an integer (an integral float,
@@ -83,10 +90,10 @@ class FucikPoint:
     sqrt_alpha: float = field(init=False, repr=False, compare=False)
     sqrt_beta: float = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        n = require_int(self.n, "curve index", 1)
-        alpha = require_real(self.alpha, "alpha", InfeasiblePoint)
-        beta = require_real(self.beta, "beta", InfeasiblePoint)
+    def __init__(self, n: int, alpha: float, beta: float):
+        n = require_int(n, "curve index", 1)
+        alpha = require_real(alpha, "alpha", InfeasiblePoint)
+        beta = require_real(beta, "beta", InfeasiblePoint)
         if n == 1:
             if not (abs(alpha - 1.0) <= 1e-12 and abs(beta - 1.0) <= 1e-12):
                 raise InfeasiblePoint("for n = 1 only the trivial point (1, 1) is representable")
@@ -99,11 +106,12 @@ class FucikPoint:
         sa = math.sqrt(alpha)
         # not through vars(self): an instance dict once fetched makes
         # every later attribute read several times slower (CPython 3.11)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "sqrt_alpha", sa)
-        object.__setattr__(self, "sqrt_beta", math.sqrt(beta))
+        put = object.__setattr__
+        put(self, "n", n)
+        put(self, "alpha", alpha)
+        put(self, "beta", beta)
+        put(self, "sqrt_alpha", sa)
+        put(self, "sqrt_beta", math.sqrt(beta))
         try:
             res = curve_residual(self)
         except OverflowError:
@@ -115,8 +123,8 @@ class FucikPoint:
             case = "diagonal"
         else:
             case = "alpha_dominant" if sa > n else "beta_dominant"
-        object.__setattr__(self, "parity", "even" if n % 2 == 0 else "odd")
-        object.__setattr__(self, "case", case)
+        put(self, "parity", "even" if n % 2 == 0 else "odd")
+        put(self, "case", case)
 
 
 def curve_residual(p: FucikPoint) -> float:

@@ -3,6 +3,9 @@
 import ast
 import inspect
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -274,6 +277,77 @@ def test_single_point_forms_give_the_table_bits(points):
                 assert cf.inner_cross_index(p, m).value == value, (p, m)
 
 
+def test_closed_form_values_are_immutable_named_pairs():
+    p = complete_point(7, alpha=96.04)
+    v = cf.inner_cross_index(p, 3)
+    assert cf.ClosedFormValue._fields == ("value", "formula_case")
+    assert tuple(v) == (v.value, v.formula_case) and v.formula_case == "odd_alpha"
+    assert repr(v) == f"ClosedFormValue(value={v.value!r}, formula_case='odd_alpha')"
+    for name in ("value", "formula_case", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 0.0)
+    # a structural zero is one shared value per (case, parity), tagged as
+    # the point's other values are
+    for q in (complete_point(7, beta=96.04), complete_point(6, alpha=50.0),
+              complete_point(6, beta=50.0), p, diagonal_point(6), diagonal_point(7)):
+        zero = cf.inner_cross_index(q, 2)
+        assert zero == (0.0, cf.norm_sq(q).formula_case)
+        assert zero is cf.inner_cross_index(q, 4)
+
+
+def _same_index_reads(p):
+    """The four same-index reads of p, as bit patterns and tags."""
+    return (*((v.value.hex(), v.formula_case)
+              for v in (cf.norm_sq(p), cf.dist_sq_to_sine(p), cf.inner_same_index(p))),
+            nr.kato_weakened_term(p).hex())
+
+
+def _fresh_same_index_reads(p):
+    """The same reads from the table forms, which no cache reaches."""
+    t = bump_table([p])
+    norm, inner = float(cf.norms_sq(t)[0]), float(cf.sine_products(t, t.n[:, None])[0, 0])
+    dist = max(norm + math.pi / 2 - 2 * inner, 0.0)
+    tag = cf.norm_sq(p).formula_case
+    kato = max(dist - (norm - math.pi / 2 + dist) ** 2 / (4 * norm), 0.0)
+    return ((norm.hex(), tag), (dist.hex(), tag), (inner.hex(), tag), kato.hex())
+
+
+def test_interleaved_same_index_reads_get_their_own_points_values():
+    # the same-index values are kept for the last point object asked: reads
+    # that alternate between points, and between equal but distinct point
+    # objects, must each get the bits a fresh computation gives
+    p, q = complete_point(7, alpha=96.04), complete_point(4, beta=30.0)
+    twin = FucikPoint(p.n, p.alpha, p.beta)
+    assert twin == p and twin is not p
+    points = [p, q, twin, complete_point(9, beta=90.0)]
+    want = [_fresh_same_index_reads(r) for r in points]
+    rng = np.random.default_rng(29)
+    for k, read in zip(rng.integers(0, len(points), 300), rng.integers(0, 4, 300)):
+        assert _same_index_reads(points[k])[read] == want[k][read], (points[k], read)
+
+
+def test_racing_threads_read_their_own_points_values():
+    # more threads than cores, switching every microsecond, each alternating
+    # between two points: a read that paired one point with the values of
+    # the other would break the equality
+    points = [complete_point(5, alpha=50.0), complete_point(6, beta=50.0)]
+    want = [_fresh_same_index_reads(p) for p in points]
+    start = threading.Barrier(6, timeout=60)
+
+    def reads(k):
+        start.wait()
+        return all(_same_index_reads(points[i % 2]) == want[i % 2] for i in range(k, k + 3000))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            done = list(pool.map(reads, range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert done == [True] * 6
+
+
 def _functions(module, names):
     tree = ast.parse(inspect.getsource(module))
     return [node for node in ast.walk(tree)
@@ -285,12 +359,12 @@ def test_single_point_forms_call_no_numpy():
     so the single-point forms, the point constructor and the per-point
     helpers they call use no ``np.``."""
     forms = (_functions(cf, {"_progression_pair", "_bump_factor", "_sine_product", "_norm",
-                             "_dist", "_same_index", "norm_sq", "dist_sq_to_sine",
-                             "inner_same_index", "inner_cross_index"})
-             + _functions(spectrum, {"__post_init__", "curve_residual"})
+                             "_dist", "_same_index_values", "_same_index", "norm_sq",
+                             "dist_sq_to_sine", "inner_same_index", "inner_cross_index"})
+             + _functions(spectrum, {"__init__", "curve_residual"})
              + _functions(eigenfunction, {"amplitudes"})
              + _functions(nr, {"kato_weakened_term", "_cn"}))
-    assert len(forms) == 15
+    assert len(forms) == 16
     for form in forms:
         used = {node.value.id for node in ast.walk(form)
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}

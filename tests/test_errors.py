@@ -49,8 +49,7 @@ INDEX_TAKERS = {
     nearness.PowerFamily.point: (lambda n: _POWER.point(n), 0),
     nearness.GammaLine.point: (lambda n: nearness.GammaLine(5.0).point(n), 0),
     nearness.PowerFamily.c_value: (lambda n: _POWER.c_value(n), 0),
-    # today's value is a numpy float for a numpy index, so compared as a float
-    nearness.PowerFamily.dominant_sqrt: (lambda n: float(_POWER.dominant_sqrt(n)), 0),
+    nearness.PowerFamily.dominant_sqrt: (lambda n: _POWER.dominant_sqrt(n), 0),
 }
 
 #: the names an index parameter of a public callable goes by
@@ -320,8 +319,8 @@ _T = eigenfunction.bump_table([_F.point])
 ARRAY_TAKERS = {
     fucik.evaluate: lambda x: fucik.evaluate(_F, x),
     fucik.FucikEigenfunction.__call__: _F,
-    eigenfunction.evaluate_panels:
-        lambda x: eigenfunction.evaluate_panels(*_T.bumps, np.atleast_2d(x)),
+    # one row of points: a list, so that a ragged row reaches the library
+    eigenfunction.evaluate_panels: lambda x: eigenfunction.evaluate_panels(*_T.bumps, [x]),
     fucik.SineMode.__call__: _SINE,
     fucik.integrate: lambda b: fucik.integrate(fucik.PiecewiseIntegrand(np.sin, b)),
     fucik.integrate_many: lambda b: fucik.integrate_many(lambda owner, x: np.sin(x), [b, b]),
@@ -334,15 +333,15 @@ def test_every_array_is_refused_alike(call):
     points = np.array([0.0, 0.7, 1.5, math.pi])
     # strings and bytes were converted, a complex value lost its imaginary
     # part with a ComplexWarning, an object array was converted or leaked
-    # TypeError
+    # TypeError, and a ragged sequence leaked numpy's plain ValueError
     for bad in (points.astype(str), points.astype(bytes), points.astype(complex),
                 points.astype(object), points.astype(str).tolist(),
                 [*points[:-1], "3.141592653589793"], [*points[:-1], math.pi + 0j],
-                [Decimal(x) for x in points]):
+                [Decimal(x) for x in points], [points[0], points[1:3].tolist(), points[3]]):
         with pytest.raises(InvalidArgument, match="must be real numbers") as info:
             call(bad)
         assert type(info.value) is InvalidArgument
-    # a lone value, refused as a real (evaluate_panels gets it as a 1 x 1 array)
+    # a lone value, refused as a real (evaluate_panels gets it as a one-point row)
     for bad in ("0.7", b"0.7", 0.7 + 0j, Decimal("0.7"), None):
         with pytest.raises(InvalidArgument, match="must be (a )?real number") as info:
             call(bad)
@@ -433,7 +432,7 @@ def test_no_module_converts_a_real_by_hand():
         ("errors", "require_real"),
         ("nearness", "_cap_numerator"),
         ("paleywiener", "ck_bound"),
-        ("spectrum", "__post_init__"),
+        ("spectrum", "__init__"),
         ("spectrum", "complete_point"),
         ("spectrum", "gamma_line_point"),
     ]

@@ -1,7 +1,10 @@
 """Curve membership, coordinate completion, and point classification."""
 
+import copy
 import dataclasses
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -149,6 +152,35 @@ def test_replace_recomputes_the_roots():
         dataclasses.replace(p, beta=p.beta * 1.01)
     with pytest.raises(ValueError, match="init=False"):
         dataclasses.replace(p, sqrt_alpha=1.0)
+
+
+def test_copies_keep_the_point_and_its_derived_fields():
+    # pickle and copy rebuild a point from its fields without calling the
+    # constructor, so the derived fields must travel with it
+    for p in (complete_point(7, alpha=96.04), complete_point(4, beta=30.0), diagonal_point(5)):
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert q == p and hash(q) == hash(p) and repr(q) == repr(p)
+            assert ((q.sqrt_alpha, q.sqrt_beta, q.parity, q.case)
+                    == (p.sqrt_alpha, p.sqrt_beta, p.parity, p.case))
+
+
+def test_points_stay_frozen_and_keep_their_signature():
+    p = complete_point(4, alpha=30.0)
+    with pytest.raises(NotOnCurve):
+        dataclasses.replace(p, alpha=1e9)
+    for name in ("n", "alpha", "beta", "parity", "case", "sqrt_alpha", "sqrt_beta"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, 5.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(p, name)
+    assert list(inspect.signature(FucikPoint).parameters) == ["n", "alpha", "beta"]
+    assert FucikPoint(n=4, alpha=p.alpha, beta=p.beta) == p
+    assert FucikPoint.__match_args__ == ("n", "alpha", "beta")
+    match p:
+        case FucikPoint(4, alpha, beta):
+            assert (alpha, beta) == (p.alpha, p.beta)
+        case _:
+            pytest.fail("a point does not match its own index")
 
 
 @pytest.mark.parametrize("make,refusal", [
