@@ -51,9 +51,10 @@ JUNCTION_SLACK = 1e-12
 class SineMode:
     """The comparator sin(n x); its squared norm over (0, pi) is pi/2.
 
-    ``n`` is checked by :func:`~fucik.errors.require_int` (a mode below 1
-    raises IndexTooSmall, any other non-integer InvalidArgument) and stored
-    as an int; x by :func:`~fucik.errors.require_reals`.
+    ``n`` is checked by :func:`~fucik.errors.require_int` when the mode is
+    built (a mode below 1 raises IndexTooSmall, any other non-integer or
+    one above the float maximum InvalidArgument) and stored as an int; x
+    by :func:`~fucik.errors.require_reals`.
     """
 
     n: int

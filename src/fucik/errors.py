@@ -14,20 +14,27 @@ checked by :func:`require_int`, every real parameter (a coordinate,
 gamma, epsilon, s, a rule constant or a tolerance) by
 :func:`require_real`, and every array of points (evaluation points or
 breakpoints) by :func:`require_reals`, so each kind is refused alike
-everywhere.  Indices and arrays take the reals' type test: whatever is
-not an integer, or an array of bools, integers or floats, must pass
-:func:`require_real`, so a string, bytes, None, a complex number or a
-``Decimal`` is refused before any comparison or arithmetic.  A real is
-converted there, once, to the Python float that all later arithmetic
-runs in, and an array to float64; no other module converts one.  A
-refusal shows the refused value through :func:`printable`, so that
-phrasing it never fails.
+everywhere.  Every index lies within float range unless a smaller cap
+applies, so that it converts to a finite float.  Indices and arrays take
+the reals' type test: whatever is not an integer, or an array of bools,
+integers or floats, must pass :func:`require_real`, so a string, bytes,
+None, a complex number or a ``Decimal`` is refused before any comparison
+or arithmetic.  A real is converted there, once, to the Python float that
+all later arithmetic runs in, and an array to float64; no other module
+converts one.  A refusal shows the refused value through
+:func:`printable`, so that phrasing it never fails.
 """
 
 import math
 import numbers
+import sys
 
 import numpy as np
+
+#: the cap of every index with no smaller one, so that the index converts
+#: to a finite float: the float maximum, as the int it equals (an int
+#: compares with an int faster than with a float), shown as the float
+_INDEX_MAX = int(sys.float_info.max)
 
 
 class FucikError(Exception):
@@ -96,7 +103,8 @@ def printable(value) -> str:
 
 
 def require_int(value, name: str, lo: int, hi: float | None = None) -> int:
-    """``value`` as an int if it is an integer in [lo, hi] (hi None: no cap).
+    """``value`` as an int if it is an integer in [lo, hi]; hi None caps it
+    at the float maximum, so that it converts to a finite float.
 
     An int or any :class:`numbers.Integral` (a numpy integer) is compared
     as it is; any other value goes through :func:`require_real`, so an
@@ -105,17 +113,18 @@ def require_int(value, name: str, lo: int, hi: float | None = None) -> int:
     a complex number, a ``Decimal``, an array) raises
     :class:`InvalidArgument`.  An integer below ``lo`` raises
     :class:`IndexTooSmall`; NaN, an infinity, a fraction or an integer
-    above ``hi`` raises :class:`InvalidArgument`.
+    above the cap raises :class:`InvalidArgument`.
     """
     # the plain int first: the abstract check is several times slower
     if not (type(value) is int or isinstance(value, numbers.Integral)):
         value = require_real(value, name)
     # NaN and the infinities fail is_integer; an int, however large, is never made a float
     integral = type(value) is not float or value.is_integer()
-    if integral and lo <= value and (hi is None or value <= hi):
+    top = _INDEX_MAX if hi is None else hi
+    if integral and lo <= value and value <= top:
         return int(value)
-    if hi is not None:
-        need = f"must lie in [{lo}, {hi}]" + ("" if integral else " and be an integer")
+    if hi is not None or integral and value > top:
+        need = f"must lie in [{lo}, {top:.17g}]" + ("" if integral else " and be an integer")
     else:
         need = f"must be >= {lo}" if integral else "must be an integer"
     refusal = IndexTooSmall if integral and value < lo else InvalidArgument

@@ -68,14 +68,22 @@ Verdict = Literal["riesz_basis_certified", "inconclusive"]
 
 
 def _k_odd(n, side: Literal["alpha", "beta"]):
-    """K_n of an odd index n, an int or a float array, for the dominant side.
+    """K_n of an odd index n, an int within float range or a float array,
+    for the dominant side.
 
     Here and in :func:`_cap_numerator`, (n -+ 1)^4 is the square of an exact
     square, so an int n and a float array round it alike for n below 9e7.
+    An int n whose float route overflows (n above about 6e76) takes the
+    quotient n^2 (n^2 + 1) / (n -+ 1)^4 of the exact ints, rounded once.
     """
-    if side == "alpha":
-        return 4 * math.pi * n * n * (n * n + 1) / ((n - 1) ** 2) ** 2
-    return 5 * math.pi * n * n * (n * n + 1) / ((n + 1) ** 2) ** 2
+    near, weight = (n - 1, 4 * math.pi) if side == "alpha" else (n + 1, 5 * math.pi)
+    try:
+        k = weight * n * n * (n * n + 1) / (near ** 2) ** 2
+    except OverflowError:  # (n -+ 1)^4 beyond float range
+        k = math.inf
+    if type(n) is not int or k < math.inf:
+        return k
+    return weight * (n * n * (n * n + 1) / (near ** 2) ** 2)
 
 
 def _k(n: int, side: Literal["alpha", "beta"]) -> float:
@@ -100,8 +108,10 @@ def bound_Cn(n: int, alpha: float, beta: float) -> float:
         odd n, alpha >= beta:  (4 pi n^2 (n^2+1)/(n-1)^4) (sa/n - 1)^2
         odd n, beta > alpha:   (5 pi n^2 (n^2+1)/(n+1)^4) (sb/n - 1)^2
 
-    with sa = sqrt(alpha), sb = sqrt(beta).  Zero exactly on the diagonal.
-    (alpha, beta) must be a valid :class:`FucikPoint` on the n-th curve.
+    with sa = sqrt(alpha), sb = sqrt(beta).  Zero exactly on the diagonal,
+    and finite for every odd n a point can have.  (alpha, beta) must be a
+    valid :class:`FucikPoint` on the n-th curve; n is checked as by it,
+    but from 2, so an n above the float maximum raises InvalidArgument.
     """
     return _cn(FucikPoint(require_int(n, "curve index", 2), alpha, beta))
 
@@ -212,7 +222,7 @@ def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:
     positive or is an int beyond float range raises InvalidArgument, and
     one at most 1e-6 or infinite DivergentArgument.
     """
-    n = require_int(n, "curve index", 1, sys.float_info.max)
+    n = require_int(n, "curve index", 1)
     z = _cap_zeta(epsilon)
     return _cap_numerator(n, branch) / z
 
@@ -237,7 +247,7 @@ def region_boundary(epsilon: float, branch: Branch,
     epsilon = require_real(epsilon, "epsilon")
     out = []
     for n in n_range:
-        n = require_int(n, "curve index", 1, sys.float_info.max)
+        n = require_int(n, "curve index", 1)
         cap = corollary_cn_cap(max(n, 2), epsilon, branch)
         out.append((n, _boundary(n, cap, epsilon)))
     return out
@@ -386,7 +396,7 @@ class PowerFamily:
         integer (see :func:`~fucik.errors.require_int`) or beyond float
         range InvalidArgument.
         """
-        n = require_int(n, "curve index", 1, sys.float_info.max)
+        n = require_int(n, "curve index", 1)
         rule = self._rule(n)
         if rule is None:
             return 0.0
@@ -396,7 +406,7 @@ class PowerFamily:
         """max(sqrt(alpha(n)), sqrt(beta(n))) = n + sqrt(c_n) n^{(1-eps)/2},
         a Python float; n is checked first, as in :meth:`c_value`, and the
         int it names is used."""
-        n = require_int(n, "curve index", 1, sys.float_info.max)
+        n = require_int(n, "curve index", 1)
         return _boundary(n, self.c_value(n), self.epsilon)
 
     def point(self, n: int) -> FucikPoint:
@@ -408,7 +418,8 @@ class PowerFamily:
         rule = self._rule(n)
         if n == 1 or rule is None:
             return diagonal_point(n)
-        s = self.dominant_sqrt(n)
+        # dominant_sqrt(n), without checking n a second time
+        s = _boundary(n, self.c_value(n), self.epsilon)
         return complete_point(n, **{rule.side: s * s})
 
     def _candidate_indices(self, N: int) -> list[int]:

@@ -40,7 +40,6 @@ dilated series residual in ``tests/paper_formulas.py`` stalls for n >= 4.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from . import closedform
@@ -58,7 +57,8 @@ def Tk_norm(k: int) -> float:
     """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k.
 
     A k below 1 raises IndexTooSmall, and a non-integral, NaN or infinite
-    one, or one that is not a number at all, InvalidArgument.
+    one, one above the float maximum, or one that is not a number at all,
+    InvalidArgument.
     """
     k = require_int(k, "dilation index", 1)
     if k % 2 == 0:
@@ -93,7 +93,7 @@ def ck_bound(gamma: float, k: int) -> float:
     1.2e81 on.
     """
     gamma = _require_gamma_range(gamma)
-    k = require_int(k, "coefficient index", 1, sys.float_info.max)
+    k = require_int(k, "coefficient index", 1)
     try:
         return _ck(gamma, k)
     except OverflowError:
@@ -176,9 +176,8 @@ def gamma_admissible_max(tol: float) -> float:
     tol = require_real(tol, "tol")
     if not tol >= 1e-10:
         raise InvalidArgument(f"tol must be >= 1e-10, got {tol}")
+    # E(4) = 0 < 1 < E(8), so [4, 8] brackets the crossing
     lo, hi = 4.0, 8.0
-    if E_gamma_extended(hi) < 1.0:
-        return hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if E_gamma_extended(mid) < 1.0:

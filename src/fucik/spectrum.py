@@ -72,12 +72,13 @@ class FucikPoint:
     Raises:
         InvalidArgument: if n is not an integer (an integral float,
             numpy scalar or ``Fraction`` is stored as int; a string, bytes,
-            None, a complex number, a ``Decimal`` or an array is refused),
-            or a coordinate is not a real number.
+            None, a complex number, a ``Decimal`` or an array is refused)
+            or lies above the float maximum, or a coordinate is not a real
+            number.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), for
-            n >= 2 if a coordinate is at or below 1 or infinite, and if n
-            or a coordinate is an int beyond float range.
+            n >= 2 if a coordinate is at or below 1 or infinite, and if a
+            coordinate is an int beyond float range.
         NotOnCurve: if the curve-equation defect exceeds :data:`TAU_CURVE`;
             a NaN coordinate lands here too.
     """
@@ -112,10 +113,7 @@ class FucikPoint:
         put(self, "beta", beta)
         put(self, "sqrt_alpha", sa)
         put(self, "sqrt_beta", math.sqrt(beta))
-        try:
-            res = curve_residual(self)
-        except OverflowError:
-            raise InfeasiblePoint("the curve index lies beyond float range") from None
+        res = curve_residual(self)
         # written so that a NaN defect (a NaN coordinate) fails the test too
         if not abs(res) <= TAU_CURVE:
             raise NotOnCurve(f"curve-equation defect {res:.3e} exceeds {TAU_CURVE:.1e}")
@@ -154,11 +152,12 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
     further range check is needed.
 
     Raises:
-        IndexTooSmall: if n < 2; InvalidArgument if n is not an integer,
-            not exactly one coordinate is given, or it is not a real number.
+        IndexTooSmall: if n < 2; InvalidArgument if n is not an integer or
+            lies above the float maximum, not exactly one coordinate is
+            given, or it is not a real number.
         InfeasiblePoint: if the given coordinate is not finite, is not > 1,
-            or the partner denominator is not positive, or it or n is an int
-            beyond float range.
+            or is an int beyond float range, or the partner denominator is
+            not positive.
     """
     n = require_int(n, "curve index", 2)
     if (alpha is None) == (beta is None):
@@ -170,10 +169,7 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
     if not 1.0 < given < math.inf:
         raise InfeasiblePoint(f"{name} must be finite and exceed 1, got {given}")
     s = math.sqrt(given)
-    try:
-        denom = 2 * s - 2 * own
-    except OverflowError:
-        raise InfeasiblePoint("the curve index lies beyond float range") from None
+    denom = 2 * s - 2 * own
     if denom <= 0.0:
         raise InfeasiblePoint(
             f"no partner on curve {n} for {name} = {given}: denominator {denom:.3e} <= 0"
@@ -187,7 +183,8 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
 def diagonal_point(n: int) -> FucikPoint:
     """The classical eigenvalue point (n^2, n^2) on the n-th curve.
 
-    n is checked, before it is squared, as by :class:`FucikPoint`.
+    n is checked, before it is squared, as by :class:`FucikPoint`: an n
+    above the float maximum raises InvalidArgument.
     """
     n = require_int(n, "curve index", 1)
     return FucikPoint(n, n * n, n * n)
@@ -204,8 +201,10 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     all lie on the line beta = 4 alpha / (2 sqrt(gamma) - 2)^2 through the
     origin, and the attached eigenfunctions are dilates of each other.
     At gamma = 4 the family collapses to the diagonal points.  A gamma so
-    large that beta rounds to 1 or the coordinates overflow is refused; one
-    that is not a real number raises InvalidArgument.
+    large that beta rounds to 1 or (2 sqrt(gamma) - 2)^2 overflows raises
+    GammaOutOfRange; one that is not a real number InvalidArgument.  An n
+    above the float maximum raises InvalidArgument, and one whose
+    coordinates overflow (above about 1.3e154 / sqrt(gamma)) InfeasiblePoint.
     """
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:
@@ -213,9 +212,10 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     gamma = require_real(gamma, "gamma", GammaOutOfRange)
     if not (math.isfinite(gamma) and gamma >= 4.0):
         raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
-    sg = math.sqrt(gamma)
     try:
-        beta = n * n * gamma / (2 * sg - 2) ** 2
+        shrink = (2 * math.sqrt(gamma) - 2) ** 2
     except OverflowError:
         raise GammaOutOfRange("gamma puts the point beyond float range") from None
-    return FucikPoint(n, n * n * gamma / 4.0, beta)
+    # float(n) * n is n * n below 2^53; a product past float range is inf, refused
+    x = float(n) * n * gamma
+    return FucikPoint(n, x / 4.0, x / shrink)

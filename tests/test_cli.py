@@ -493,6 +493,17 @@ def test_refused_inputs_raise_usage_or_package_errors(capsys, argv):
     assert code == 2 and out == "" and err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("check-theorem1 --mode finite --entry n=2,gamma=9", "needs alpha= or beta="),
+    ("check-theorem1 --mode finite --entry n=2,alpha=9,foo=1", "unknown entry keys ['foo']"),
+    ("check-theorem1 --mode power --even-c 1", "--mode power needs --epsilon"),
+    ("check-theorem2 --mode gamma-line", "--mode gamma-line needs --gamma"),
+])
+def test_system_options_refused_with_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("usage error: ") and message in err
+
+
 def test_a_fault_is_not_reported_as_a_usage_error(capsys, monkeypatch):
     def fault(g):
         raise ValueError("matrix asymmetry 1.000e-03 exceeds 1e-12")

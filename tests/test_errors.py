@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 import math
 import pathlib
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -212,8 +213,16 @@ def test_require_int():
     for value in (3, 3.0, np.int64(3), np.float64(3.0)):
         got = require_int(value, "n", 1, 5)
         assert got == 3 and type(got) is int
-    # an int is compared as it is, never turned into a float that overflows
-    assert require_int(10 ** 400, "n", 1) == 10 ** 400
+    # an int is compared as it is, never turned into a float that overflows;
+    # with no smaller cap it must lie within float range
+    top = int(sys.float_info.max)
+    assert require_int(top, "n", 1) == top
+    with pytest.raises(InvalidArgument,
+                       match=r"^n must lie in \[1, 1.7976931348623157e\+308\], got 1000") as info:
+        require_int(10 ** 400, "n", 1)
+    assert type(info.value) is InvalidArgument
+    with pytest.raises(InvalidArgument, match=r"must lie in \[1, 1.79.*\], got 1797"):
+        require_int(top + 1, "n", 1)
     with pytest.raises(InvalidArgument, match=r"n must lie in \[1, 5\], got 1000"):
         require_int(10 ** 400, "n", 1, 5)
     with pytest.raises(IndexTooSmall, match=r"n must lie in \[1, 5\], got -1000"):
@@ -300,6 +309,10 @@ def test_every_index_is_refused_alike(call, below):
     for bad in (below, float(below), below - 3):
         with pytest.raises(IndexTooSmall):
             call(bad)
+    # every index lies within float range unless a smaller cap applies
+    with pytest.raises(InvalidArgument, match=r"must lie in \[") as info:
+        call(10 ** 400)
+    assert type(info.value) is InvalidArgument
     # each raised TypeError (or numpy's UFuncTypeError), or was accepted
     for bad in NON_NUMBERS:
         with pytest.raises(InvalidArgument, match="must be a real number") as info:
@@ -377,6 +390,13 @@ def test_every_index_taker_is_in_the_table():
     assert takers == set(INDEX_TAKERS)
 
 
+def test_a_mode_beyond_float_range_is_refused_when_built():
+    # it was accepted, and calling it raised OverflowError
+    with pytest.raises(InvalidArgument, match=r"mode index must lie in \[") as info:
+        fucik.SineMode(10 ** 400)
+    assert type(info.value) is InvalidArgument
+
+
 def test_gamma_line_checks_the_integer_before_the_parity():
     with pytest.raises(InvalidArgument, match="must be an integer, got 2.5") as info:
         gamma_line_point(2.5, 5.0)
@@ -420,9 +440,10 @@ def test_only_faults_raise_a_plain_value_error():
 
 def test_no_module_converts_a_real_by_hand():
     # a real parameter becomes a float in require_real alone, and an array
-    # in require_reals, which sends a lone value there; the other handlers
-    # guard arithmetic on an index (or, in gamma_line_point, on a gamma near
-    # the float maximum)
+    # in require_reals, which sends a lone value there; an index lies within
+    # float range, and the other handlers guard the arithmetic on it that
+    # leaves float range (in gamma_line_point, on a gamma near the float
+    # maximum)
     def catches_overflow(node):
         return isinstance(node, ast.ExceptHandler) and (
             _is_name(node.type, "OverflowError") or isinstance(node.type, ast.Tuple)
@@ -431,9 +452,8 @@ def test_no_module_converts_a_real_by_hand():
     assert _sites(catches_overflow) == [
         ("errors", "require_real"),
         ("nearness", "_cap_numerator"),
+        ("nearness", "_k_odd"),
         ("paleywiener", "ck_bound"),
-        ("spectrum", "__init__"),
-        ("spectrum", "complete_point"),
         ("spectrum", "gamma_line_point"),
     ]
 
@@ -466,3 +486,25 @@ def test_a_huge_odd_index_gets_its_finite_cap(n):
         want = Fraction(near ** 4, scale * n * n * (n * n + 1)) / z
         got = nearness.corollary_cn_cap(n, 0.5, branch)
         assert type(got) is float and _near(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 101, 10 ** 7 + 1, 10 ** 20 + 1, 6 * 10 ** 76 + 1, 7 * 10 ** 76 + 1,
+                               10 ** 77 + 1, 12 * 10 ** 76 + 1, 2 * 10 ** 77 + 1, 10 ** 150 + 1,
+                               10 ** 308 + 1])
+def test_a_huge_odd_index_gets_its_finite_constant(n):
+    # the float K_n overflowed to inf from n of about 6.2e76 on, and its
+    # int (n -+ 1)^4 raised OverflowError from about 1.16e77 on; K_n tends
+    # to 4 pi, or 5 pi on the beta side
+    for side, near, weight in (("alpha", n - 1, 4 * math.pi), ("beta", n + 1, 5 * math.pi)):
+        got = nearness._k_odd(n, side)
+        assert type(got) is float and _near(got, Fraction(weight) * n * n * (n * n + 1) / near ** 4)
+        if n < 6 * 10 ** 76:
+            # the float route, whose bits every index below 6e76 keeps
+            assert got == weight * n * n * (n * n + 1) / ((near ** 2) ** 2)
+    if n > 10 ** 150 + 1:
+        return
+    # points the package builds itself, off the diagonal on either side
+    for p in (complete_point(n, alpha=(1.5 * n) ** 2), complete_point(n, beta=(1.5 * n) ** 2)):
+        assert 0 < nearness.bound_Cn(p.n, p.alpha, p.beta) < math.inf
+        report = nearness.theorem1_check(nearness.FinitePerturbation((p,)))
+        assert math.isfinite(report.total_upper)

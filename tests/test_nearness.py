@@ -148,6 +148,9 @@ def test_cap_examples():
         (1 / 10) / (z15 - 1), rel=1e-13)
     want = (2 ** 4 / (8 * 9 * 10)) / (PI ** 2 / 6 - 1)
     assert nr.corollary_cn_cap(3, 1.0, "odd_alpha_dominant") == pytest.approx(want, rel=1e-12)
+    with pytest.raises(InvalidArgument, match="unknown branch 'bogus'") as info:
+        nr.corollary_cn_cap(3, 0.5, "bogus")
+    assert type(info.value) is InvalidArgument
 
 
 def test_cap_rejects_nan_and_unresolved_epsilon():
@@ -524,6 +527,9 @@ def test_power_family_points_on_curve():
         assert abs(curve_residual(p)) <= 1e-9
         want = fam.dominant_sqrt(n)
         assert max(p.sqrt_alpha, p.sqrt_beta) == pytest.approx(want, rel=1e-12)
+    # a class without a rule stays on the diagonal
+    even_only = nr.PowerFamily(0.5, even=nr.BranchRule(c=1.0))
+    assert even_only.c_value(3) == 0.0 and even_only.point(3) == diagonal_point(3)
 
 
 def test_branch_rule_validation():

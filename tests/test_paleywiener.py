@@ -207,8 +207,11 @@ def test_E_range_guard():
         pw.E_gamma(3.9)
     with pytest.raises(GammaOutOfRange):
         pw.E_gamma(5.7)
-    # the extended evaluator covers the bisection bracket
+    # the extended evaluator covers the bisection bracket, E(4) = 0 < 1 < E(8)
     assert pw.E_gamma_extended(6.5) > pw.E_gamma_extended(5.0)
+    assert pw.E_gamma_extended(4.0) == 0.0 and pw.E_gamma_extended(8.0) > 1
+    with pytest.raises(GammaOutOfRange, match=r"\[4, 9\), got 9.0"):
+        pw.E_gamma_extended(9.0)
 
 
 def test_tail_constant_closed_form():

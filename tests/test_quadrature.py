@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import curve_points
 from fucik import quadrature
 from fucik.eigenfunction import breakpoints, build, junctions
-from fucik.errors import NoConvergence
+from fucik.errors import InvalidArgument, NoConvergence
 from fucik.quadrature import PiecewiseIntegrand, inner_numeric, integrate, integrate_many
 
 
@@ -403,6 +403,8 @@ def test_integrate_many_validation():
                  [[0.0, 2.0, 1.0, math.pi]], np.zeros((2, 2, 2)), np.array([0.0, math.pi])):
         with pytest.raises(ValueError):
             integrate_many(sine, sets)
+    with pytest.raises(InvalidArgument, match=r"breakpoints must list at least \[0, pi\]"):
+        integrate_many(sine, np.zeros((2, 1)))
 
     calls = []
 

@@ -16,6 +16,7 @@ from fucik.errors import (
     GammaOutOfRange,
     IndexTooSmall,
     InfeasiblePoint,
+    InvalidArgument,
     NotOnCurve,
     OddIndex,
 )
@@ -185,17 +186,28 @@ def test_points_stay_frozen_and_keep_their_signature():
 
 @pytest.mark.parametrize("make,refusal", [
     (lambda: FucikPoint(2, 10 ** 400, 5.0), InfeasiblePoint),
-    (lambda: FucikPoint(10 ** 400, 4.0, 4.0), InfeasiblePoint),
+    (lambda: FucikPoint(10 ** 400, 4.0, 4.0), InvalidArgument),
     (lambda: complete_point(2, alpha=10 ** 400), InfeasiblePoint),
-    (lambda: complete_point(10 ** 400, beta=5.0), InfeasiblePoint),
+    (lambda: complete_point(10 ** 400, beta=5.0), InvalidArgument),
     (lambda: gamma_line_point(2, 10 ** 400), GammaOutOfRange),
     (lambda: diagonal_point(10 ** 200), InfeasiblePoint),
     (lambda: bound_Cn(2, 10 ** 400, 4.0), InfeasiblePoint),
 ])
 def test_ints_beyond_float_range_refused(make, refusal):
-    # an int beyond float range raised OverflowError, which is no FucikError
-    with pytest.raises(refusal, match="beyond float range"):
+    # an int beyond float range raised OverflowError, which is no FucikError;
+    # an index is refused by the range every index has
+    message = r"must lie in \[" if refusal is InvalidArgument else "beyond float range"
+    with pytest.raises(refusal, match=message) as info:
         make()
+    assert type(info.value) is refusal
+
+
+def test_a_gamma_line_index_whose_coordinates_overflow_is_infeasible():
+    # each raised GammaOutOfRange, whose message blamed gamma
+    for n in (2 * 10 ** 154, 10 ** 300):
+        with pytest.raises(InfeasiblePoint, match="finite alpha") as info:
+            gamma_line_point(n, 5.0)
+        assert type(info.value) is InfeasiblePoint
 
 
 def test_non_integral_index_refused():
