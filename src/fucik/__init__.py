@@ -17,7 +17,7 @@ from .spectrum import (
     gamma_line_point,
 )
 from .eigenfunction import FucikEigenfunction, SineMode, breakpoints, build, evaluate
-from .quadrature import PiecewiseIntegrand, inner_numeric, integrate, integrate_many
+from .quadrature import inner_numeric, integrate_many
 from .closedform import (
     ClosedFormValue,
     dist_sq_to_sine,
@@ -61,7 +61,7 @@ __all__ = [
     "FucikPoint", "complete_point", "curve_residual",
     "diagonal_point", "gamma_line_point",
     "FucikEigenfunction", "SineMode", "breakpoints", "build", "evaluate",
-    "PiecewiseIntegrand", "inner_numeric", "integrate", "integrate_many",
+    "inner_numeric", "integrate_many",
     "ClosedFormValue", "dist_sq_to_sine",
     "inner_cross_index", "inner_same_index", "norm_sq",
     "BranchRule", "FinitePerturbation", "GammaLine", "NearnessReport",

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OutOfDomain, require_int, require_reals
+from .errors import InvalidArgument, OutOfDomain, require_int, require_reals
 from .spectrum import FucikPoint
 
 #: slack beyond the right endpoint tolerated (callers' accumulated round-off)
@@ -45,6 +45,11 @@ _EDGE_SLACK = 1e-12
 
 #: a junction point this close to pi, or beyond it, is taken as pi
 JUNCTION_SLACK = 1e-12
+
+#: the most bumps of a function whose junction row is built: the quadrature
+#: oracle counts each piece of a row against its per-integral budget of
+#: 2**20 subintervals, so a row of more bumps could never be integrated
+MAX_BUMPS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,14 @@ def build(p: FucikPoint) -> FucikEigenfunction:
     amp_pos, amp_neg = amplitudes(p)
     return FucikEigenfunction(point=p, l1=math.pi / p.sqrt_alpha, l2=math.pi / p.sqrt_beta,
                               positive_amplitude=amp_pos, negative_amplitude=amp_neg)
+
+
+def _require_integrable(n: int) -> None:
+    """Refuse, before its junction row is allocated, a function of more than
+    :data:`MAX_BUMPS` bumps."""
+    if n > MAX_BUMPS:
+        raise InvalidArgument(f"an eigenfunction of {n} bumps has more junctions than the "
+                              f"quadrature oracle integrates: at most {MAX_BUMPS} bumps")
 
 
 def junctions(l1, l, count: int) -> np.ndarray:
@@ -161,8 +174,13 @@ class BumpTable:
 
 
 def bump_table(points: Sequence[FucikPoint]) -> BumpTable:
-    """Stack the per-function data of the eigenfunctions at ``points``."""
-    n = np.array([p.n for p in points], dtype=np.int64)
+    """Stack the per-function data of the eigenfunctions at ``points``.
+
+    A point of more than :data:`MAX_BUMPS` bumps raises InvalidArgument.
+    """
+    ns = [p.n for p in points]
+    _require_integrable(max(ns, default=0))
+    n = np.array(ns, dtype=np.int64)
     a_pos, a_neg, sa, sb = np.array([(*amplitudes(p), p.sqrt_alpha, p.sqrt_beta)
                                      for p in points]).reshape(-1, 4).T
     l1, l2 = np.pi / sa, np.pi / sb
@@ -229,7 +247,10 @@ def breakpoints(f: FucikEigenfunction) -> np.ndarray:
 
     These are the only points where f is not smooth; the quadrature oracle
     never integrates across them.  n + 2 candidates always reach pi, even
-    when the curve defect leaves the last bump ending short of it.
+    when the curve defect leaves the last bump ending short of it.  A
+    function of more than :data:`MAX_BUMPS` bumps, whose row the oracle
+    could never integrate, raises InvalidArgument.
     """
+    _require_integrable(f.point.n)
     row = junctions(f.l1, f.l1 + f.l2, f.point.n + 2)
     return row[:np.argmax(row == np.pi) + 1]

@@ -25,27 +25,24 @@ one row per panel, at most ``_CALL_NODES`` values (nodes times k) per
 call: the first call of a batch covers one panel, which tells k.  Rows
 with more than ``_GROUP_POINTS`` breakpoints in all are refined in
 consecutive groups, so peak memory grows neither with the batch nor
-with k.
-:func:`integrate` is its one-integrand case.  Each Gauss sum is a
-fixed-order reduction over the contiguous node axis of one panel, and each
-integral sums its accepted panels in order of their left ends, as one row
-of a block of the integrals with as many accepted panels, so a value
-depends neither on the run nor on the batch, call or k it was computed in.
+with k.  Each Gauss sum is a fixed-order reduction over the contiguous
+node axis of one panel, and each integral sums its accepted panels in
+order of their left ends, as one row of a block of the integrals with as
+many accepted panels, so a value depends neither on the run nor on the
+batch, call or k it was computed in.
 
 Every integral has its own budget of ``MAX_SUBINTERVALS`` subintervals,
 counted over the panels it is refined on, and a non-finite Gauss value
 ends the refinement at the level where it appears; both raise
 :class:`NoConvergence` naming the integral.
 
-Evaluators must accept numpy arrays: :func:`integrate` passes a 1-D array
-of points, :func:`integrate_many` a column of row indices and a 2-D array
-of points.
+Evaluators must accept numpy arrays: :func:`integrate_many` passes a
+column of row indices and a 2-D array of points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,18 +61,6 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CALL_NODES = 8192
 #: breakpoints of the integrals refined together; bounds peak memory
 _GROUP_POINTS = 32768
-
-
-@dataclass(frozen=True)
-class PiecewiseIntegrand:
-    """An evaluator on [0, pi] together with its non-smoothness points.
-
-    ``breakpoints`` must be sorted, start at 0 and end at pi; the evaluator
-    is assumed smooth strictly between consecutive breakpoints.
-    """
-
-    evaluator: Callable
-    breakpoints: Sequence[float]
 
 
 def _rows(breakpoint_sets) -> np.ndarray:
@@ -173,8 +158,8 @@ def integrate_many(evaluator: Callable, breakpoint_sets, tol: float = DEFAULT_TO
     InvalidArgument.  The result has one value per row, or shape (rows, k).
 
     Every integral gets the panels, decisions, budget and summation order
-    it would get alone, so the result equals a loop of :func:`integrate`,
-    or of one-valued calls per component, bit for bit; a panel is split
+    it would get alone, so the result equals a loop of one-row calls, or
+    of one-valued calls per component, bit for bit; a panel is split
     while any integral of its row is still refined on it.  Raises
     NoConvergence once one integral exhausts its budget of 2**20
     subintervals, or as soon as one of its Gauss values is not finite.  A
@@ -271,27 +256,18 @@ def _name(key: int, k: int, first: int, tail: tuple) -> str:
     return f"integral {first + row}" + (f", component {component}" if tail else "")
 
 
-def integrate(g: PiecewiseIntegrand, tol: float = DEFAULT_TOL) -> float:
-    """Integral of g over [0, pi] with estimated absolute error <= tol.
-
-    The one-integrand case of :func:`integrate_many`.  Refinement never
-    crosses a breakpoint.  Raises NoConvergence once the subdivision
-    budget of 2**20 subintervals is exhausted or a value is not finite;
-    breakpoints and ``tol`` are refused as in :func:`integrate_many`.
-    """
-    return float(integrate_many(lambda owner, x: np.reshape(g.evaluator(x.ravel()), x.shape),
-                                [g.breakpoints], tol)[0])
-
-
 def inner_numeric(a: Callable, b: Callable, breakpoints: Sequence[float],
                   tol: float = DEFAULT_TOL) -> float:
     """Inner product of a and b over (0, pi).
 
     ``breakpoints`` must contain the union of both functions' junction
-    points; the product is then smooth on every piece.  Breakpoints and
-    ``tol`` are refused as in :func:`integrate_many`.
+    points; the product is then smooth on every piece.  It is one row of
+    :func:`integrate_many`; a and b get the row's nodes as a 1-D array.
+    Breakpoints and ``tol`` are refused as in :func:`integrate_many`.
     """
-    def product(x):
-        return np.asarray(a(x), dtype=float) * np.asarray(b(x), dtype=float)
+    def product(owner, x):
+        nodes = x.ravel()
+        return np.reshape(np.asarray(a(nodes), dtype=float) * np.asarray(b(nodes), dtype=float),
+                          x.shape)
 
-    return integrate(PiecewiseIntegrand(product, breakpoints), tol)
+    return float(integrate_many(product, [breakpoints], tol)[0])

@@ -28,6 +28,7 @@ for all.  All functions are pure and all returned values immutable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
@@ -39,6 +40,10 @@ TAU_CURVE = 1e-9
 
 #: relative half-width of the band around sqrt(alpha) = n treated as diagonal
 _DIAG_REL = 1e-12
+
+#: the largest curve index with a point: a point on curve n >= 2 has
+#: max(alpha, beta) >= n^2, which must be a finite float
+_INDEX_MAX = math.isqrt(int(sys.float_info.max))
 
 Parity = Literal["even", "odd"]
 Case = Literal["alpha_dominant", "beta_dominant", "diagonal"]
@@ -73,8 +78,8 @@ class FucikPoint:
         InvalidArgument: if n is not an integer (an integral float,
             numpy scalar or ``Fraction`` is stored as int; a string, bytes,
             None, a complex number, a ``Decimal`` or an array is refused)
-            or lies above the float maximum, or a coordinate is not a real
-            number.
+            or lies above isqrt of the float maximum, about 1.34e154, where
+            no curve has a point, or a coordinate is not a real number.
         IndexTooSmall: if n < 1.
         InfeasiblePoint: for n = 1 unless (alpha, beta) = (1, 1), for
             n >= 2 if a coordinate is at or below 1 or infinite, and if a
@@ -92,7 +97,7 @@ class FucikPoint:
     sqrt_beta: float = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, alpha: float, beta: float):
-        n = require_int(n, "curve index", 1)
+        n = require_int(n, "curve index", 1, _INDEX_MAX)
         alpha = require_real(alpha, "alpha", InfeasiblePoint)
         beta = require_real(beta, "beta", InfeasiblePoint)
         if n == 1:
@@ -183,8 +188,9 @@ def complete_point(n: int, alpha: Optional[float] = None, beta: Optional[float] 
 def diagonal_point(n: int) -> FucikPoint:
     """The classical eigenvalue point (n^2, n^2) on the n-th curve.
 
-    n is checked, before it is squared, as by :class:`FucikPoint`: an n
-    above the float maximum raises InvalidArgument.
+    n is checked before it is squared: an n that is not an integer or
+    lies above the float maximum raises InvalidArgument.  :class:`FucikPoint`
+    then refuses one above about 1.34e154, where no curve has a point.
     """
     n = require_int(n, "curve index", 1)
     return FucikPoint(n, n * n, n * n)
@@ -203,8 +209,9 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
     At gamma = 4 the family collapses to the diagonal points.  A gamma so
     large that beta rounds to 1 or (2 sqrt(gamma) - 2)^2 overflows raises
     GammaOutOfRange; one that is not a real number InvalidArgument.  An n
-    above the float maximum raises InvalidArgument, and one whose
-    coordinates overflow (above about 1.3e154 / sqrt(gamma)) InfeasiblePoint.
+    above about 1.34e154, where no curve has a point, raises
+    InvalidArgument, and one below it whose coordinates overflow (above
+    about 1.3e154 / sqrt(gamma)) InfeasiblePoint.
     """
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import curve_points
 from fucik.eigenfunction import (
+    MAX_BUMPS,
     SineMode,
     breakpoints,
     build,
@@ -17,8 +18,9 @@ from fucik.eigenfunction import (
     evaluate_panels,
     local_waves,
 )
-from fucik.errors import NotOnCurve, OutOfDomain
-from fucik.quadrature import PiecewiseIntegrand, integrate, integrate_many
+from fucik.errors import InvalidArgument, NotOnCurve, OutOfDomain
+from fucik import quadrature
+from fucik.quadrature import integrate_many
 from paper_formulas import dilation_factor
 from fucik.spectrum import (
     FucikPoint,
@@ -115,8 +117,29 @@ def test_bump_table_junctions_match_breakpoints(points):
     # what it integrates on each function's own breakpoints
     stacked = integrate_many(lambda owner, x: evaluate_panels(*table.bumps[:, owner], x),
                              table.junctions)
-    alone = [integrate(PiecewiseIntegrand(build(p), breakpoints(build(p)))) for p in points]
+    alone = [integrate_many(lambda owner, x, f=build(p): f(x), [breakpoints(build(p))])[0]
+             for p in points]
     assert stacked.tobytes() == np.array(alone).tobytes()
+
+
+def test_a_junction_row_the_oracle_cannot_integrate_is_refused():
+    # the oracle counts every piece of a row against its per-integral budget
+    assert MAX_BUMPS == quadrature.MAX_SUBINTERVALS == 2 ** 20
+    # numpy's plain ValueError from n of about 1e19, gigabytes from about 1e9,
+    # and OverflowError from the int64 column of a table
+    for n in (MAX_BUMPS + 1, 10 ** 9, 10 ** 20):
+        f = build(diagonal_point(n))
+        with pytest.raises(InvalidArgument, match=f"eigenfunction of {n} bumps") as info:
+            breakpoints(f)
+        assert type(info.value) is InvalidArgument
+        with pytest.raises(InvalidArgument, match=f"eigenfunction of {n} bumps") as info:
+            bump_table([diagonal_point(2), f.point])
+        assert type(info.value) is InvalidArgument
+    # the largest row the oracle takes is still built
+    p = diagonal_point(MAX_BUMPS)
+    row = breakpoints(build(p))
+    assert row.shape == (MAX_BUMPS + 1,) and row[0] == 0.0 and row[-1] == math.pi
+    assert np.array_equal(bump_table([p]).junctions[0, :MAX_BUMPS + 1], row)
 
 
 @pytest.mark.parametrize("n,ratio,side", [

@@ -89,8 +89,6 @@ REAL_TAKERS = [
     (paleywiener.E_gamma_extended, 6, errors.GammaOutOfRange),
     (paleywiener.budget, 5, errors.GammaOutOfRange),
     (paleywiener.gamma_admissible_max, 1, InvalidArgument),
-    (lambda tol: fucik.integrate(fucik.PiecewiseIntegrand(np.sin, [0.0, math.pi]), tol), 1,
-     InvalidArgument),
     (lambda tol: fucik.integrate_many(lambda owner, x: np.sin(x), [[0.0, math.pi]] * 2, tol), 1,
      InvalidArgument),
     (lambda tol: fucik.inner_numeric(_SINE, _SINE, [0.0, math.pi], tol), 1, InvalidArgument),
@@ -100,7 +98,7 @@ REAL_TAKER_IDS = [
     "gamma-line-point", "bound-cn-alpha", "bound-cn-beta", "zeta", "cap-epsilon",
     "region-epsilon", "rule-c", "rule-cap-fraction", "power-family", "theorem1-power",
     "gamma-line", "fourier-ak", "ck-bound", "e-gamma", "e-gamma-extended",
-    "budget", "gamma-admissible-max", "integrate", "integrate-many", "inner-numeric",
+    "budget", "gamma-admissible-max", "integrate-many", "inner-numeric",
 ]
 
 
@@ -251,16 +249,10 @@ def test_refusals_show_an_unprintable_int_by_its_digit_count():
         complete_point(-10 ** 5000, alpha=4.0)
 
 
-def _integrand():
-    f = fucik.build(complete_point(4, alpha=30.0))
-    return fucik.PiecewiseIntegrand(f, fucik.breakpoints(f))
-
-
 @pytest.mark.parametrize("call, refusal", [
     (lambda: nearness.PowerFamily(10 ** 400, even=nearness.BranchRule(c=1)),
      errors.TailNotBoundable),
     (lambda: nearness.region_boundary(10 ** 400, "even", [2, 3]), InvalidArgument),
-    (lambda: fucik.integrate(_integrand(), tol=10 ** 400), InvalidArgument),
     (lambda: fucik.evaluate(fucik.build(complete_point(4, alpha=30.0)), 10 ** 400),
      errors.OutOfDomain),
     (lambda: nearness.theorem1_check(nearness.GammaLine(5), n_partial=10 ** 400),
@@ -276,7 +268,7 @@ def _integrand():
     (lambda: nearness.PowerFamily(0.5, even=nearness.BranchRule(c=1.0)).point(10 ** 400),
      InvalidArgument),
     (lambda: paleywiener.ck_bound(5.0, 10 ** 400), InvalidArgument),
-], ids=["power-family", "region-boundary", "integrate", "evaluate", "theorem1", "zeta",
+], ids=["power-family", "region-boundary", "evaluate", "theorem1", "zeta",
         "cap-odd-alpha", "cap-odd-beta", "region-boundary-index", "c-value", "dominant-sqrt",
         "power-point", "ck-bound"])
 def test_ints_beyond_float_range_are_refused(call, refusal):
@@ -335,7 +327,6 @@ ARRAY_TAKERS = {
     # one row of points: a list, so that a ragged row reaches the library
     eigenfunction.evaluate_panels: lambda x: eigenfunction.evaluate_panels(*_T.bumps, [x]),
     fucik.SineMode.__call__: _SINE,
-    fucik.integrate: lambda b: fucik.integrate(fucik.PiecewiseIntegrand(np.sin, b)),
     fucik.integrate_many: lambda b: fucik.integrate_many(lambda owner, x: np.sin(x), [b, b]),
     fucik.inner_numeric: lambda b: fucik.inner_numeric(_SINE, _SINE, b),
 }

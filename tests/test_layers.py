@@ -1,4 +1,5 @@
-"""The package's modules form one import order, read from their source."""
+"""The package's modules form one import order, read from their source, and
+its public names are pinned."""
 
 import ast
 from functools import cache
@@ -54,3 +55,23 @@ def test_the_reader_sees_real_imports():
     assert all(_imported_modules(name) for name in LAYERS[1:])
     assert _imported_modules("closedform") == {"eigenfunction", "errors", "spectrum"}
     assert {"closedform", "grammatrix", "nearness", "paleywiener"} <= _imported_modules("cli")
+
+
+def test_the_public_names_are_pinned():
+    # the public API grows only on purpose; the quadrature oracle offers
+    # its batched engine and one inner product, and no one-integrand front
+    assert fucik.__all__ == [
+        "__version__",
+        "FucikPoint", "complete_point", "curve_residual",
+        "diagonal_point", "gamma_line_point",
+        "FucikEigenfunction", "SineMode", "breakpoints", "build", "evaluate",
+        "inner_numeric", "integrate_many",
+        "ClosedFormValue", "dist_sq_to_sine",
+        "inner_cross_index", "inner_same_index", "norm_sq",
+        "BranchRule", "FinitePerturbation", "GammaLine", "NearnessReport",
+        "PowerFamily", "bound_Cn", "corollary_cn_cap", "kato_weakened_term",
+        "region_boundary", "theorem1_check", "theorem2_check", "zeta",
+        "PaleyWienerBudget", "E_gamma", "E_gamma_extended", "Tk_norm",
+        "budget", "ck_bound", "fourier_Ak", "gamma_admissible_max",
+        "GramTruncation", "build_gram", "extreme_eigenvalues", "riesz_scan",
+    ]

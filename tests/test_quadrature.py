@@ -12,36 +12,39 @@ from hypothesis import strategies as st
 
 from conftest import curve_points
 from fucik import quadrature
-from fucik.eigenfunction import breakpoints, build, junctions
+from fucik.eigenfunction import SineMode, breakpoints, build, junctions
 from fucik.errors import InvalidArgument, NoConvergence
-from fucik.quadrature import PiecewiseIntegrand, inner_numeric, integrate, integrate_many
+from fucik.quadrature import inner_numeric, integrate_many
+from fucik.spectrum import complete_point
 
 
 def test_trig_norm_and_orthogonality_examples():
-    val = integrate(PiecewiseIntegrand(lambda x: np.sin(5 * x) ** 2, [0, math.pi]))
+    val = integrate_many(lambda owner, x: np.sin(5 * x) ** 2, [[0, math.pi]])[0]
     assert val == pytest.approx(math.pi / 2, abs=1e-12)
-    val = integrate(PiecewiseIntegrand(lambda x: np.sin(2 * x) * np.sin(3 * x), [0, math.pi]))
+    val = integrate_many(lambda owner, x: np.sin(2 * x) * np.sin(3 * x), [[0, math.pi]])[0]
     assert abs(val) <= 1e-12
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 8, 17, 32, 48, 64])
 def test_trig_diagonal_exactness(j):
-    val = integrate(PiecewiseIntegrand(lambda x: np.sin(j * x) * np.sin(j * x), [0, math.pi]))
+    val = integrate_many(lambda owner, x: np.sin(j * x) * np.sin(j * x), [[0, math.pi]])[0]
     assert val == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_trig_cross_exactness(rng):
     pairs = {(int(j), int(k)) for j, k in rng.integers(1, 65, size=(60, 2)) if j != k}
     for j, k in sorted(pairs):
-        val = integrate(PiecewiseIntegrand(
-            lambda x, a=j, b=k: np.sin(a * x) * np.sin(b * x), [0, math.pi]))
+        val = integrate_many(lambda owner, x, a=j, b=k: np.sin(a * x) * np.sin(b * x),
+                             [[0, math.pi]])[0]
         assert abs(val) <= 1e-12, (j, k)
 
 
 def test_breakpoint_insensitivity():
-    base = integrate(PiecewiseIntegrand(lambda x: np.sin(7 * x) ** 2, [0, math.pi]))
-    noisy = integrate(PiecewiseIntegrand(lambda x: np.sin(7 * x) ** 2,
-                                         [0, 0.3, 0.31, 1.7, 2.2, math.pi]))
+    def wave(owner, x):
+        return np.sin(7 * x) ** 2
+
+    base = integrate_many(wave, [[0, math.pi]])[0]
+    noisy = integrate_many(wave, [[0, 0.3, 0.31, 1.7, 2.2, math.pi]])[0]
     assert abs(base - noisy) <= 1e-12
 
 
@@ -58,11 +61,30 @@ def test_error_estimate_honesty(rng):
         exact = 0.5 * (
             math.sin((a - b) * math.pi) / (a - b) - math.sin((a + b) * math.pi) / (a + b)
         )
-        got = integrate(PiecewiseIntegrand(
-            lambda x, u=a, v=b: np.sin(u * x) * np.sin(v * x), [0, math.pi]), tol=1e-11)
+        got = integrate_many(lambda owner, x, u=a, v=b: np.sin(u * x) * np.sin(v * x),
+                             [[0, math.pi]], tol=1e-11)[0]
         if abs(got - exact) > 1e-11:
             failures += 1
     assert failures == 0
+
+
+@pytest.mark.parametrize("n, side, ratio", [
+    (2, "alpha", 1.3), (3, "beta", 1.03), (5, "alpha", 1.9), (8, "beta", 1.3), (13, "alpha", 1.03),
+])
+def test_inner_numeric_is_one_row_of_the_engine(n, side, ratio):
+    # inner_numeric(f, g) is a one-row integrate_many of f g, bit for bit,
+    # for the norm, same-index, cross-index and distance integrands that
+    # the closed forms are checked against
+    f = build(complete_point(n, **{side: (n * ratio) ** 2}))
+    bp = breakpoints(f)
+
+    def diff(x):
+        return f(x) - np.sin(n * x)
+
+    for a, b in ((f, f), (f, SineMode(n)), (f, SineMode(n + 3)), (diff, diff)):
+        engine = integrate_many(lambda owner, x: a(x) * b(x), [bp])[0]
+        got = inner_numeric(a, b, bp)
+        assert type(got) is float and got.hex() == float(engine).hex()
 
 
 def test_inner_numeric_examples():
@@ -75,7 +97,7 @@ def test_inner_numeric_examples():
 
 
 def test_piecewise_integrand_validation():
-    def never(x):
+    def never(owner, x):
         raise AssertionError("refused breakpoints are evaluated nowhere")
 
     # breakpoints off [0, pi] and NaN at the start, inside and at the end
@@ -83,9 +105,9 @@ def test_piecewise_integrand_validation():
     for points in ([0.1, math.pi], [0.0, 2.0], [math.nan, math.pi], [0.0, math.nan, math.pi],
                    [0.0, 1.0, math.nan]):
         with pytest.raises(ValueError):
-            integrate(PiecewiseIntegrand(never, points))
+            integrate_many(never, [points])
     with pytest.raises(ValueError):
-        integrate(PiecewiseIntegrand(np.sin, [0, math.pi]), tol=1e-15)
+        integrate_many(never, [[0, math.pi]], tol=1e-15)
 
 
 def _package_imports(source):
@@ -124,26 +146,21 @@ def test_production_modules_do_not_import_the_oracle():
     assert importers == {"cli", "__init__"}
 
 
-def test_tolerance_validation():
-    g = PiecewiseIntegrand(lambda x: np.sin(x), [0.0, math.pi])
-    for bad in (math.nan, 0.0, 1e-15):
-        with pytest.raises(ValueError):
-            integrate(g, tol=bad)
-
-
 def test_budget_exhaustion():
     # a genuinely rough integrand forces endless refinement
-    def rough(x):
+    def rough(owner, x):
         return np.sin(1.0 / (np.abs(x - 1.0) + 1e-300))
 
     with pytest.raises(NoConvergence):
-        integrate(PiecewiseIntegrand(rough, [0, math.pi]), tol=1e-13)
+        integrate_many(rough, [[0, math.pi]], tol=1e-13)
 
 
 def test_bit_stability():
-    g = PiecewiseIntegrand(lambda x: np.sin(11 * x) ** 2 * np.cos(3 * x), [0, 1.1, math.pi])
-    first = integrate(g, tol=1e-12)
-    second = integrate(g, tol=1e-12)
+    def g(owner, x):
+        return np.sin(11 * x) ** 2 * np.cos(3 * x)
+
+    first = integrate_many(g, [[0, 1.1, math.pi]], tol=1e-12)[0]
+    second = integrate_many(g, [[0, 1.1, math.pi]], tol=1e-12)[0]
     assert first == second  # identical bits, not just close
 
 
@@ -171,8 +188,9 @@ class _Sinusoids:
         return self.amp[owner, piece] * np.sin(self.freq[owner, piece] * x
                                                + self.phase[owner, piece])
 
-    def one(self, i):
-        return PiecewiseIntegrand(lambda x: self(i, x), list(self.breaks[i]))
+    def one(self, i, tol=quadrature.DEFAULT_TOL):
+        """The integral of integrand i alone, by a one-row call."""
+        return integrate_many(lambda owner, x: self(i, x), [list(self.breaks[i])], tol)[0]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -181,7 +199,7 @@ class _Sinusoids:
        caps=st.sampled_from([(quadrature._CALL_NODES, quadrature._GROUP_POINTS),
                              (96, 16), (480, 64)]),
        freqs=st.lists(st.integers(1, 48), min_size=1, max_size=4))
-def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps, freqs):
+def test_integrate_many_matches_one_row_calls_bit_for_bit(seed, count, tol, caps, freqs):
     # the small caps split every level into many evaluator calls and the
     # batch into many groups; at the real caps 120 integrals of up to six
     # pieces span several calls per level.  A k-valued evaluator, k =
@@ -200,7 +218,7 @@ def test_integrate_many_matches_integrate_bit_for_bit(seed, count, tol, caps, fr
         wide = integrate_many(vector, g.breaks, tol)
         apart = [integrate_many(lambda owner, x, c=c: vector(owner, x)[..., c], g.breaks, tol)
                  for c in range(m.size)]
-    loop = np.array([integrate(g.one(i), tol) for i in range(count)])
+    loop = np.array([g.one(i, tol) for i in range(count)])
     assert many.tobytes() == loop.tobytes()
     assert ragged.tobytes() == loop.tobytes()
     assert wide.shape == (count, m.size)
@@ -287,7 +305,7 @@ def test_integrate_many_spans_several_calls_per_level():
     many = integrate_many(counted, g.breaks)
     assert max(calls) <= quadrature._CALL_NODES
     assert len(calls) > 3
-    assert many.tobytes() == np.array([integrate(g.one(i)) for i in range(150)]).tobytes()
+    assert many.tobytes() == np.array([g.one(i) for i in range(150)]).tobytes()
 
     # k values per node count against the cap once the first call shows k
     calls.clear()
@@ -376,9 +394,8 @@ def test_integrate_many_ignores_integrals_already_accepted():
 
     out = integrate_many(wide, [[0, math.pi]])
     assert len(calls) > 2
-    assert out[0, 0] == integrate(PiecewiseIntegrand(np.sin, [0, math.pi]))
-    assert out[0, 1] == integrate(PiecewiseIntegrand(lambda x: np.sin(30 * x) ** 2,
-                                                     [0, math.pi]))
+    assert out[0, 0] == integrate_many(lambda owner, x: np.sin(x), [[0, math.pi]])[0]
+    assert out[0, 1] == integrate_many(lambda owner, x: np.sin(30 * x) ** 2, [[0, math.pi]])[0]
 
 
 def test_integrate_many_empty_batch():

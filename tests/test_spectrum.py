@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -190,12 +191,14 @@ def test_points_stay_frozen_and_keep_their_signature():
     (lambda: complete_point(2, alpha=10 ** 400), InfeasiblePoint),
     (lambda: complete_point(10 ** 400, beta=5.0), InvalidArgument),
     (lambda: gamma_line_point(2, 10 ** 400), GammaOutOfRange),
-    (lambda: diagonal_point(10 ** 200), InfeasiblePoint),
+    (lambda: diagonal_point(10 ** 200), InvalidArgument),
     (lambda: bound_Cn(2, 10 ** 400, 4.0), InfeasiblePoint),
 ])
 def test_ints_beyond_float_range_refused(make, refusal):
     # an int beyond float range raised OverflowError, which is no FucikError;
-    # an index is refused by the range every index has
+    # an index is refused by the range every index has, or by the smaller
+    # one of the curve indices that have a point (diagonal_point(10 ** 200)
+    # blamed its alpha = 10 ** 400)
     message = r"must lie in \[" if refusal is InvalidArgument else "beyond float range"
     with pytest.raises(refusal, match=message) as info:
         make()
@@ -203,20 +206,46 @@ def test_ints_beyond_float_range_refused(make, refusal):
 
 
 def test_a_gamma_line_index_whose_coordinates_overflow_is_infeasible():
-    # each raised GammaOutOfRange, whose message blamed gamma
+    # each raised GammaOutOfRange, whose message blamed gamma; an index
+    # with no point on its curve is refused by name, where it blamed the
+    # coordinates (inf, inf) that the caller never gave
+    with pytest.raises(InfeasiblePoint, match="finite alpha") as info:
+        gamma_line_point(13 * 10 ** 153, 5.0)
+    assert type(info.value) is InfeasiblePoint
     for n in (2 * 10 ** 154, 10 ** 300):
-        with pytest.raises(InfeasiblePoint, match="finite alpha") as info:
+        with pytest.raises(InvalidArgument, match=r"^curve index must lie in "
+                           r"\[1, 1.3407807929942596e\+154\], got ") as info:
             gamma_line_point(n, 5.0)
-        assert type(info.value) is InfeasiblePoint
+        assert type(info.value) is InvalidArgument
+
+
+def test_an_index_above_every_point_is_refused_by_name():
+    # a point on curve n >= 2 has max(alpha, beta) >= n^2; the first
+    # blamed a curve defect of inf
+    top = math.isqrt(int(sys.float_info.max))
+    for make in (lambda: FucikPoint(int(sys.float_info.max), 4.0, 4.0),
+                 lambda: diagonal_point(top + 1)):
+        with pytest.raises(InvalidArgument, match=r"^curve index must lie in "
+                           r"\[1, 1.3407807929942596e\+154\], got ") as info:
+            make()
+        assert type(info.value) is InvalidArgument
+    # the cap itself has its diagonal point
+    p = diagonal_point(top)
+    assert p.case == "diagonal" and p.alpha == sys.float_info.max
 
 
 def test_non_integral_index_refused():
     # n = 2.5 would count (n + 1) // 2 = 1.0 and n // 2 = 1.0 bumps, so the
     # point (2.5, 9, 2.25) would satisfy a curve equation and reach every
     # closed form
-    for make in (lambda: complete_point(2.5, alpha=9.0), lambda: FucikPoint(2.5, 9.0, 2.25),
-                 lambda: bound_Cn(2.5, 9.0, 2.25), lambda: FucikPoint(math.nan, 1.0, 1.0)):
+    for make in (lambda: complete_point(2.5, alpha=9.0), lambda: bound_Cn(2.5, 9.0, 2.25)):
         with pytest.raises(ValueError, match="must be an integer"):
+            make()
+    # a point's index is capped where the curves have points, and worded
+    # as every capped index is
+    for make in (lambda: FucikPoint(2.5, 9.0, 2.25), lambda: FucikPoint(math.nan, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=r"^curve index must lie in "
+                           r"\[1, 1.3407807929942596e\+154\] and be an integer, got "):
             make()
     # an integral float is accepted and stored as int
     p = complete_point(4.0, alpha=30.0)
