@@ -58,8 +58,9 @@ class SineMode:
 
     ``n`` is checked by :func:`~fucik.errors.require_int` when the mode is
     built (a mode below 1 raises IndexTooSmall, any other non-integer or
-    one above the float maximum InvalidArgument) and stored as an int; x
-    by :func:`~fucik.errors.require_reals`.
+    one above the float maximum InvalidArgument) and stored as an int.
+    Points are clamped or refused as in :func:`evaluate`: NaN, an infinity
+    or a point further than 1e-12 outside [0, pi] raises OutOfDomain.
     """
 
     n: int
@@ -68,7 +69,7 @@ class SineMode:
         object.__setattr__(self, "n", require_int(self.n, "mode index", 1))
 
     def __call__(self, x):
-        return np.sin(self.n * require_reals(x, "evaluation point"))
+        return np.sin(self.n * _on_domain(x))
 
 
 @dataclass(frozen=True)

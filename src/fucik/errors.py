@@ -21,8 +21,15 @@ integers or floats, must pass :func:`require_real`, so a string, bytes,
 None, a complex number or a ``Decimal`` is refused before any comparison
 or arithmetic.  A real is converted there, once, to the Python float that
 all later arithmetic runs in, and an array to float64; no other module
-converts one.  A refusal shows the refused value through
-:func:`printable`, so that phrasing it never fails.
+converts one.  So :func:`require_real` is the one place that meets an
+``OverflowError``: every later expression stays within float range below
+a stated bound and takes a closed value or a refusal past it.  An odd int
+index above 2**60 gets the limit of K_n and of the dominant caps in
+:mod:`~fucik.nearness`, a coefficient index from 2**255 on the quotient
+form of c_k in :mod:`~fucik.paleywiener`, and a gamma above float max / 4
+is refused by :func:`~fucik.spectrum.gamma_line_point`.  A refusal shows
+the refused value through :func:`printable`, so that phrasing it never
+fails.
 """
 
 import math

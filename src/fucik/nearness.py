@@ -61,6 +61,11 @@ MARGIN = 1e-12
 #: and zeta(s) - 1 below 1e6, the criterion sums stay finite
 _C_MAX = 1e300
 
+#: the largest int index whose K_n and dominant caps take their float
+#: expression: past it n^2 (n^2 + 1) / (n -+ 1)^4 rounds to 1, so they take
+#: its limit, and up to it no term of the expression leaves float range
+_N_LIMIT = 2 ** 60
+
 Branch = Literal[
     "even", "odd_alpha_dominant", "odd_beta_dominant", "odd_alpha_uniform", "odd_beta_uniform"
 ]
@@ -73,17 +78,12 @@ def _k_odd(n, side: Literal["alpha", "beta"]):
 
     Here and in :func:`_cap_numerator`, (n -+ 1)^4 is the square of an exact
     square, so an int n and a float array round it alike for n below 9e7.
-    An int n whose float route overflows (n above about 6e76) takes the
-    quotient n^2 (n^2 + 1) / (n -+ 1)^4 of the exact ints, rounded once.
+    An int n above :data:`_N_LIMIT` gets the limit 4 pi or 5 pi of K_n.
     """
     near, weight = (n - 1, 4 * math.pi) if side == "alpha" else (n + 1, 5 * math.pi)
-    try:
-        k = weight * n * n * (n * n + 1) / (near ** 2) ** 2
-    except OverflowError:  # (n -+ 1)^4 beyond float range
-        k = math.inf
-    if type(n) is not int or k < math.inf:
-        return k
-    return weight * (n * n * (n * n + 1) / (near ** 2) ** 2)
+    if type(n) is int and n > _N_LIMIT:
+        return weight
+    return weight * n * n * (n * n + 1) / (near ** 2) ** 2
 
 
 def _k(n: int, side: Literal["alpha", "beta"]) -> float:
@@ -145,6 +145,10 @@ def _power_tail(start: int, s: float, step: int = 1) -> float:
     poch = s
     power = step * float(n) ** (-s - 1.0)
     for i, coeff in enumerate(_B2K_OVER_FACT):
+        if power == 0.0:
+            # power only shrinks, so every later correction is 0 too; poch
+            # may have overflowed, and inf * 0 would be NaN
+            break
         tail += coeff * poch * power
         poch *= (s + 2 * i + 1) * (s + 2 * i + 2)
         power /= (n / step) ** 2
@@ -187,9 +191,8 @@ def _cap_numerator(n, branch: Branch):
     """Cap on c_n times zeta(1 + eps) - 1; n an int within float range or
     a float array.
 
-    An int n whose float denominator n^2 (n^2 + 1) overflows (n above
-    about 6.5e76) takes the quotient of the exact ints, which Python rounds
-    once.
+    An int n above :data:`_N_LIMIT` gets the limit 1/8 or 1/10 of the
+    dominant branches' caps.
     """
     if branch == "even":
         return 9.0 / (8 * (3 + math.pi ** 2))
@@ -200,13 +203,9 @@ def _cap_numerator(n, branch: Branch):
     if branch not in ("odd_alpha_dominant", "odd_beta_dominant"):
         raise InvalidArgument(f"unknown branch {branch!r}")
     near, scale = (n - 1, 8) if branch == "odd_alpha_dominant" else (n + 1, 10)
-    try:
-        den = float(scale) * n * n * (n * n + 1)
-    except OverflowError:  # n * n + 1 beyond float range
-        den = math.inf
-    if not isinstance(n, int) or den < math.inf:
-        return (near ** 2) ** 2 / den
-    return (near ** 2) ** 2 / (scale * n * n * (n * n + 1))
+    if type(n) is int and n > _N_LIMIT:
+        return 1.0 / scale
+    return (near ** 2) ** 2 / (float(scale) * n * n * (n * n + 1))
 
 
 def corollary_cn_cap(n: int, epsilon: float, branch: Branch) -> float:

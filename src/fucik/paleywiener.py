@@ -52,6 +52,10 @@ GAMMA_MAX = 5.682
 #: sum_{k=5}^infty (k^2 - 9)^{-2}, in closed form
 TAIL_CONSTANT = math.pi ** 2 / 108 - 536741 / 6350400
 
+#: the least k whose c_k divides by k^2 - gamma twice: below it
+#: (k^2 - gamma)^2 stays within float range, from it on it may not
+_K_QUOTIENT = 2 ** 255
+
 
 def Tk_norm(k: int) -> float:
     """Exact operator norm of T_k: 1 for even k, sqrt(1 + 1/k) for odd k.
@@ -88,17 +92,15 @@ def ck_bound(gamma: float, k: int) -> float:
     in range), and for k >= 3 the bound dominates |A_k|.  All three carry
     the factor sqrt(gamma) - 2 and vanish at gamma = 4.  k is checked as
     in :func:`Tk_norm`, and one beyond float range raises InvalidArgument.
-    A k so large that (k^2 - gamma)^2 overflows gets the quotient by each
-    factor in turn, which underflows to 0.0 for every gamma from k of about
-    1.2e81 on.
+    A k from :data:`_K_QUOTIENT` on gets the quotient by k^2 - gamma taken
+    twice, which underflows to 0.0 for every gamma from k of about 1.2e81 on.
     """
     gamma = _require_gamma_range(gamma)
     k = require_int(k, "coefficient index", 1)
-    try:
+    if k < _K_QUOTIENT:
         return _ck(gamma, k)
-    except OverflowError:
-        d = float(k) * k - gamma
-        return _common(gamma) / d / d
+    d = float(k) * k - gamma
+    return _common(gamma) / d / d
 
 
 def _common(gamma: float) -> float:
@@ -206,5 +208,6 @@ class PaleyWienerBudget:
 def budget(gamma: float) -> PaleyWienerBudget:
     """Assemble the full budget record at one gamma, refused as in :func:`E_gamma`."""
     gamma = _require_gamma_range(gamma)
-    return PaleyWienerBudget(gamma=gamma, c=_coefficients(gamma), t=_WEIGHTS,
-                             E=E_gamma(gamma))
+    c = _coefficients(gamma)
+    # E_gamma's sum, from the coefficients at hand
+    return PaleyWienerBudget(gamma, c, _WEIGHTS, E=sum(x * t for x, t in zip(c, _WEIGHTS)))

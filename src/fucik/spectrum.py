@@ -45,6 +45,10 @@ _DIAG_REL = 1e-12
 #: max(alpha, beta) >= n^2, which must be a finite float
 _INDEX_MAX = math.isqrt(int(sys.float_info.max))
 
+#: the largest gamma of a dilation-line point: above it the shrink factor
+#: (2 sqrt(gamma) - 2)^2 leaves float range
+_GAMMA_MAX = sys.float_info.max / 4
+
 Parity = Literal["even", "odd"]
 Case = Literal["alpha_dominant", "beta_dominant", "diagonal"]
 
@@ -206,23 +210,24 @@ def gamma_line_point(n: int, gamma: float) -> FucikPoint:
 
     all lie on the line beta = 4 alpha / (2 sqrt(gamma) - 2)^2 through the
     origin, and the attached eigenfunctions are dilates of each other.
-    At gamma = 4 the family collapses to the diagonal points.  A gamma so
-    large that beta rounds to 1 or (2 sqrt(gamma) - 2)^2 overflows raises
-    GammaOutOfRange; one that is not a real number InvalidArgument.  An n
-    above about 1.34e154, where no curve has a point, raises
-    InvalidArgument, and one below it whose coordinates overflow (above
-    about 1.3e154 / sqrt(gamma)) InfeasiblePoint.
+    At gamma = 4 the family collapses to the diagonal points.  A gamma
+    that is not a real number raises InvalidArgument, and one below 4,
+    above :data:`_GAMMA_MAX` (float max / 4, about 4.49e307) or NaN
+    GammaOutOfRange, before any arithmetic on it.  An n above about
+    1.34e154, where no curve has a point, raises InvalidArgument.  A point
+    that floats cannot hold raises InfeasiblePoint: for n = 2 beta lies
+    within rounding of 1 from gamma of about 9.1e31 on and is refused
+    wherever it rounds to 1 or below (at about three in four such gammas),
+    and for every n the coordinates overflow once n^2 gamma exceeds the
+    float maximum (n = 4 builds up to gamma of about 1.12e307).
     """
     n = require_int(n, "curve index", 2)
     if n % 2 != 0:
         raise OddIndex(f"gamma_line_point needs an even index, got {printable(n)}")
     gamma = require_real(gamma, "gamma", GammaOutOfRange)
-    if not (math.isfinite(gamma) and gamma >= 4.0):
-        raise GammaOutOfRange(f"gamma must be finite and >= 4, got {gamma}")
-    try:
-        shrink = (2 * math.sqrt(gamma) - 2) ** 2
-    except OverflowError:
-        raise GammaOutOfRange("gamma puts the point beyond float range") from None
+    if not 4.0 <= gamma <= _GAMMA_MAX:
+        raise GammaOutOfRange(f"gamma must lie in [4, {_GAMMA_MAX:.17g}], got {gamma}")
+    shrink = (2 * math.sqrt(gamma) - 2) ** 2
     # float(n) * n is n * n below 2^53; a product past float range is inf, refused
     x = float(n) * n * gamma
     return FucikPoint(n, x / 4.0, x / shrink)

@@ -101,6 +101,16 @@ def test_check_theorem1_exit_codes(capsys):
     assert doc["total_upper"] == pytest.approx(4.4923394, abs=1e-6)
 
 
+def test_a_family_whose_every_term_is_zero_is_certified(capsys):
+    # zeta(1 + 1e50) was NaN, so the tail bound was NaN and the verdict
+    # inconclusive
+    code, out, _ = run(capsys, "check-theorem1", "--mode", "power", "--epsilon", "1e50",
+                       "--even-c", "0.5")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "riesz_basis_certified"
+    assert doc["tail_bound"] == doc["total_upper"] == 0
+
+
 def test_huge_growth_constant_is_usage_error(capsys):
     for cmd in ("check-theorem1", "check-theorem2"):
         code, out, err = run(capsys, cmd, "--mode", "power", "--epsilon", "0.1",

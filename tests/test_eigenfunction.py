@@ -235,12 +235,17 @@ def test_domain_guards():
         evaluate(f, -0.5)
     with pytest.raises(OutOfDomain):
         evaluate(f, math.pi + 0.1)
-    for bad in (math.nan, np.array([0.0, 1.0, math.nan, math.pi])):
+    for bad in (math.nan, math.inf, 4.0, np.array([0.0, 1.0, math.nan, math.pi])):
         with pytest.raises(OutOfDomain):
             evaluate(f, bad)
+        # the comparator sine shares the guard: it gave NaN, NaN with a
+        # RuntimeWarning, and 0.989 at 4.0
+        with pytest.raises(OutOfDomain):
+            SineMode(2)(bad)
     # tiny overshoot is clamped
     assert evaluate(f, math.pi + 5e-13) == pytest.approx(0.0, abs=1e-12)
     assert evaluate(f, -5e-13) == evaluate(f, 0.0)
+    assert SineMode(2)(math.pi + 5e-13) == SineMode(2)(math.pi)
     # the stacked route shares the guard
     bumps = bump_table([f.point]).bumps
     for bad in (-0.5, math.pi + 0.1, np.array([[0.0, math.nan]])):

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fucik
 from fucik import closedform, eigenfunction, errors, grammatrix, nearness, paleywiener
@@ -431,22 +433,55 @@ def test_only_faults_raise_a_plain_value_error():
 
 def test_no_module_converts_a_real_by_hand():
     # a real parameter becomes a float in require_real alone, and an array
-    # in require_reals, which sends a lone value there; an index lies within
-    # float range, and the other handlers guard the arithmetic on it that
-    # leaves float range (in gamma_line_point, on a gamma near the float
-    # maximum)
+    # in require_reals, which sends a lone value there; every other
+    # expression stays within float range below a stated bound (an index
+    # within float range, _N_LIMIT, _K_QUOTIENT, a gamma up to float max / 4)
+    # and takes a closed value or a refusal past it
     def catches_overflow(node):
         return isinstance(node, ast.ExceptHandler) and (
             _is_name(node.type, "OverflowError") or isinstance(node.type, ast.Tuple)
             and any(_is_name(e, "OverflowError") for e in node.type.elts))
 
-    assert _sites(catches_overflow) == [
-        ("errors", "require_real"),
-        ("nearness", "_cap_numerator"),
-        ("nearness", "_k_odd"),
-        ("paleywiener", "ck_bound"),
-        ("spectrum", "gamma_line_point"),
-    ]
+    assert _sites(catches_overflow) == [("errors", "require_real")]
+
+
+_FLOAT_MAX = sys.float_info.max
+
+_BRANCHES = ("even", "odd_alpha_dominant", "odd_beta_dominant", "odd_alpha_uniform",
+             "odd_beta_uniform")
+
+
+def _finite_or_refused(call) -> None:
+    """call() is finite, or it raises a FucikError."""
+    try:
+        value = call()
+    except FucikError:
+        return
+    assert math.isfinite(value)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(s=st.floats(1 + 2e-6, _FLOAT_MAX), n=st.integers(1, int(_FLOAT_MAX)),
+       epsilon=st.floats(2e-6, _FLOAT_MAX), k=st.integers(1, int(_FLOAT_MAX)),
+       pw_gamma=st.floats(paleywiener.GAMMA_MIN, paleywiener.GAMMA_MAX),
+       half=st.integers(1, 10 ** 154), gamma=st.floats(4.0, _FLOAT_MAX),
+       odd=st.integers(1, 10 ** 150 // 2), ratio=st.floats(1.0, 1e3),
+       side=st.sampled_from(["alpha", "beta"]))
+def test_every_constant_is_finite_or_refused(s, n, epsilon, k, pw_gamma, half, gamma, odd, ratio,
+                                             side):
+    # zeta was NaN from s of about 1.09e44 on: an overflowed Pochhammer
+    # factor met a power that had underflowed to 0
+    _finite_or_refused(lambda: nearness.zeta(s))
+    for branch in _BRANCHES:
+        _finite_or_refused(lambda: nearness.corollary_cn_cap(n, epsilon, branch))
+    _finite_or_refused(lambda: paleywiener.ck_bound(pw_gamma, k))
+    # a point's coordinates are finite by construction
+    _finite_or_refused(lambda: gamma_line_point(2 * half, gamma).alpha)
+    try:
+        p = complete_point(2 * odd + 1, **{side: (ratio * (2 * odd + 1)) ** 2})
+    except FucikError:
+        return
+    _finite_or_refused(lambda: nearness.bound_Cn(p.n, p.alpha, p.beta))
 
 
 def _near(got: float, want: Fraction) -> bool:
@@ -454,8 +489,8 @@ def _near(got: float, want: Fraction) -> bool:
     return abs(Fraction(got) - want) <= abs(want) / 10 ** 15 + Fraction(2 * 5e-324)
 
 
-@pytest.mark.parametrize("k", [10 ** 76, 11 * 10 ** 76, 12 * 10 ** 76, 10 ** 80, 10 ** 150,
-                               2 * 10 ** 154, 10 ** 308])
+@pytest.mark.parametrize("k", [10 ** 76, 2 ** 255 - 1, 2 ** 255, 11 * 10 ** 76, 12 * 10 ** 76,
+                               10 ** 80, 10 ** 150, 2 * 10 ** 154, 10 ** 308])
 def test_a_huge_coefficient_index_gets_its_finite_bound(k):
     # (k^2 - gamma)^2 leaves float range from k of about 1.16e77 on, where
     # ck_bound raised InvalidArgument though c_k only underflows (to 0.0
@@ -464,10 +499,14 @@ def test_a_huge_coefficient_index_gets_its_finite_bound(k):
         want = Fraction(paleywiener._common(gamma)) / (k * k - Fraction(gamma)) ** 2
         got = paleywiener.ck_bound(gamma, k)
         assert type(got) is float and _near(got, want)
+        if k < paleywiener._K_QUOTIENT:
+            # the expression of every smaller k, whose bits it keeps
+            assert got == paleywiener._ck(gamma, k)
 
 
-@pytest.mark.parametrize("n", [10 ** 76 + 1, 6 * 10 ** 76 + 1, 7 * 10 ** 76 + 1, 11 * 10 ** 76 + 1,
-                               12 * 10 ** 76 + 1, 10 ** 100 + 1, 10 ** 200 + 1, 10 ** 308 + 1])
+@pytest.mark.parametrize("n", [2 ** 60 - 1, 2 ** 60 + 1, 10 ** 76 + 1, 6 * 10 ** 76 + 1,
+                               7 * 10 ** 76 + 1, 11 * 10 ** 76 + 1, 12 * 10 ** 76 + 1, 10 ** 100 + 1,
+                               10 ** 200 + 1, 10 ** 308 + 1])
 def test_a_huge_odd_index_gets_its_finite_cap(n):
     # the float denominator n^2 (n^2 + 1) overflowed from about 6.5e76 on,
     # which gave a cap of 0.0, and (n -+ 1)^4 from about 1.16e77 on, which
@@ -477,11 +516,14 @@ def test_a_huge_odd_index_gets_its_finite_cap(n):
         want = Fraction(near ** 4, scale * n * n * (n * n + 1)) / z
         got = nearness.corollary_cn_cap(n, 0.5, branch)
         assert type(got) is float and _near(got, want)
+        if n > nearness._N_LIMIT:
+            # the limit, to which the quotient rounds past the bound
+            assert got == (1.0 / scale) / nearness._cap_zeta(0.5)
 
 
-@pytest.mark.parametrize("n", [3, 101, 10 ** 7 + 1, 10 ** 20 + 1, 6 * 10 ** 76 + 1, 7 * 10 ** 76 + 1,
-                               10 ** 77 + 1, 12 * 10 ** 76 + 1, 2 * 10 ** 77 + 1, 10 ** 150 + 1,
-                               10 ** 308 + 1])
+@pytest.mark.parametrize("n", [3, 101, 10 ** 7 + 1, 2 ** 60 - 1, 2 ** 60 + 1, 10 ** 20 + 1,
+                               6 * 10 ** 76 + 1, 7 * 10 ** 76 + 1, 10 ** 77 + 1, 12 * 10 ** 76 + 1,
+                               2 * 10 ** 77 + 1, 10 ** 150 + 1, 10 ** 308 + 1])
 def test_a_huge_odd_index_gets_its_finite_constant(n):
     # the float K_n overflowed to inf from n of about 6.2e76 on, and its
     # int (n -+ 1)^4 raised OverflowError from about 1.16e77 on; K_n tends
@@ -489,9 +531,12 @@ def test_a_huge_odd_index_gets_its_finite_constant(n):
     for side, near, weight in (("alpha", n - 1, 4 * math.pi), ("beta", n + 1, 5 * math.pi)):
         got = nearness._k_odd(n, side)
         assert type(got) is float and _near(got, Fraction(weight) * n * n * (n * n + 1) / near ** 4)
-        if n < 6 * 10 ** 76:
-            # the float route, whose bits every index below 6e76 keeps
+        if n <= nearness._N_LIMIT:
+            # the float route, whose bits every index up to 2^60 keeps
             assert got == weight * n * n * (n * n + 1) / ((near ** 2) ** 2)
+        else:
+            # its limit, to which the quotient rounds past the bound
+            assert got == weight
     if n > 10 ** 150 + 1:
         return
     # points the package builds itself, off the diagonal on either side

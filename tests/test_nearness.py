@@ -125,6 +125,13 @@ def test_zeta_minus_one_keeps_relative_accuracy(eps):
     assert cap * want == pytest.approx(9 / (8 * (3 + PI ** 2)), rel=1e-12, abs=0)
 
 
+def test_zeta_is_one_where_every_term_past_the_first_underflows():
+    # the Pochhammer factor of the Bernoulli corrections overflowed to inf
+    # from s of about 1.09e44 on and met a power already 0, which gave NaN
+    for s in (1e40, 1.09e44, 1e100, 1e300, 1.7976931348623157e308):
+        assert nr.zeta(s) == 1.0 and nr._zeta_minus_one(s) == 0.0
+
+
 def test_zeta_pole_guard():
     with pytest.raises(DivergentArgument):
         nr.zeta(1.0)

@@ -219,6 +219,31 @@ def test_a_gamma_line_index_whose_coordinates_overflow_is_infeasible():
         assert type(info.value) is InvalidArgument
 
 
+def test_a_gamma_above_a_quarter_of_the_float_maximum_is_refused():
+    # a handler caught the overflow of (2 sqrt(gamma) - 2)^2, from the next
+    # float above float max / 4 on; at the bound itself curve 2 has its
+    # point, and curve 4's coordinates overflow, which the point refuses
+    top = sys.float_info.max / 4
+    assert gamma_line_point(2, top).beta == math.nextafter(1.0, 2.0)
+    with pytest.raises(InfeasiblePoint) as info:
+        gamma_line_point(4, top)
+    assert type(info.value) is InfeasiblePoint
+    for n in (2, 4):
+        for gamma in (math.nextafter(top, math.inf), sys.float_info.max, math.inf, math.nan):
+            with pytest.raises(GammaOutOfRange, match=r"^gamma must lie in "
+                               r"\[4, 4.4942328371557893e\+307\], got ") as info:
+                gamma_line_point(n, gamma)
+            assert type(info.value) is GammaOutOfRange
+    # beta lies within rounding of 1 on curve 2 from gamma of about 9.1e31
+    # on, where it may round to 1 or below; on curve 4 the coordinates
+    # overflow from float max / 16 on
+    assert gamma_line_point(2, 9e31).beta > 1.0
+    assert gamma_line_point(4, 1.1e307).alpha == 4.4e307
+    for n, gamma in ((2, 9.2e31), (2, 1e33), (4, 1.2e307)):
+        with pytest.raises(InfeasiblePoint):
+            gamma_line_point(n, gamma)
+
+
 def test_an_index_above_every_point_is_refused_by_name():
     # a point on curve n >= 2 has max(alpha, beta) >= n^2; the first
     # blamed a curve defect of inf
